@@ -31,7 +31,8 @@ Regenerate standalone (no pytest-benchmark needed)::
     PYTHONPATH=src python benchmarks/bench_ged_trajectory.py
 
 or as part of the benchmark suite (``pytest benchmarks/
---benchmark-only``), which rewrites the same file.
+--benchmark-only``).  Both entry points write the JSON and
+``benchmarks/results/ged_trajectory.txt``, rendered from that JSON.
 """
 
 import json
@@ -350,16 +351,17 @@ def _table(payload: dict) -> str:
 
 
 def write_trajectory() -> dict:
+    """Run the matrix; write ``BENCH_ged.json`` and the table rendered
+    from it (``results/ged_trajectory.txt``), so the two never disagree."""
     payload = collect()
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_series("ged_trajectory", _table(payload), [])
     return payload
 
 
 def test_ged_trajectory(benchmark):
     payload = benchmark.pedantic(write_trajectory, rounds=1, iterations=1)
-    table = _table(payload)
-    write_series("ged_trajectory", table, [])
-    print("\n" + table)
+    print("\n" + _table(payload))
     assert OUTPUT.exists()
     assert len(payload["cells"]) == 2 * len(TRAJECTORY_TAUS) * len(MATRIX)
     assert_cell_parity(payload)

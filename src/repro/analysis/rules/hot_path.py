@@ -1,8 +1,8 @@
 """Hot-path allocation rule.
 
 The engine's driver loops (``engine.executor``, ``engine.stages``),
-the vectorized batch kernels ``engine.batch``, the adaptive planner's
-per-pair observation loop (``engine.planner``), their thin ``core``
+the vectorized batch kernels ``engine.batch``, the planner's pre-join
+pair-sampling loop (``engine.planner``), their thin ``core``
 wrappers (``core.join``, ``core.search``), ``ged.astar``, the compiled
 verifier ``ged.compiled``, the interned filter kernels ``grams.vocab``
 / ``grams.mismatch``, the columnar store builder ``grams.columnar``

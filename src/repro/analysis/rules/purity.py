@@ -38,10 +38,7 @@ MUTATING_METHODS = {
 TARGET_MODULES = {
     "repro.grams",
     "repro.core.count_filter",
-    "repro.core.label_filter",
     "repro.core.prefix",
-    "repro.core.mismatch",
-    "repro.core.minedit",
     "repro.engine.count_filter",
     "repro.engine.prefix",
 }

@@ -130,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--auto-plan",
         action="store_true",
-        help="let the adaptive cost-based planner pick and re-tune the "
-        "filter cascade order (gsimjoin only; same result pairs, see "
-        "docs/PERFORMANCE.md)",
+        help="let the cost-based planner pick the filter cascade order "
+        "once, before the first pair (gsimjoin only; same result pairs, "
+        "see docs/PERFORMANCE.md)",
     )
     join.add_argument(
         "--explain-plan",
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the staged execution plan and the per-stage "
         "survivor/timing table to stderr (gsimjoin only); "
         "'json' emits a machine-readable report with estimated vs "
-        "observed selectivity/cost and re-plan events instead",
+        "observed selectivity/cost instead",
     )
     join.add_argument("--quiet", action="store_true", help="print only the pairs")
     join.add_argument(

@@ -74,10 +74,8 @@ class GSimIndex:
         self._plan: JoinPlan = build_plan(self.options)
         # plan="auto": the index re-picks the cascade order from the
         # static cost/selectivity model whenever the collection changed
-        # (lazily, on the next query).  Queries themselves run a fixed
-        # plan — per-query adaptation would mutate state shared across
-        # queries, and a single probe rarely sees enough pairs to
-        # calibrate on anyway.
+        # (lazily, on the next query), exactly as a join picks it before
+        # its first pair; queries themselves run that fixed plan.
         self._auto = self.options.plan == "auto"
         self._plan_stale = self._auto
         self.graphs: List[Graph] = []

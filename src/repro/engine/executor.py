@@ -52,11 +52,9 @@ from repro.engine.options import (
 )
 from repro.engine.plan import JoinPlan, build_plan, reorder_pair_filters
 from repro.engine.planner import (
-    AdaptivePlanner,
     advise_parameters,
     collect_statistics,
-    estimate_pass_rates,
-    unit_costs,
+    static_choice,
 )
 from repro.engine.prefix import PrefixInfo
 from repro.engine.result import (
@@ -267,23 +265,15 @@ class Executor:
         self._row_candidates = self._rows[self.plan.candidates.name]
         self._row_size = self._rows[self.plan.size_filter.name]
         self._row_verify = self._rows[self.plan.verify.name]
-        self._cascade = tuple(
-            (stage, self._rows[stage.name]) for stage in self.plan.pair_filters
-        )
         #: Whether this run uses the vectorized batch kernels
         #: (resolved from ``options.batch``; see repro.engine.batch).
         self.batch: bool = resolve_batch(options)
-        self._batch_stages = (
-            batchable_prefix(self.plan.pair_filters) if self.batch else ()
-        )
+        self._bind_cascade()
         self._store: Optional[ColumnarStore] = None
         self._target_base = 0
-        #: Adaptive planner driving ``options.plan == "auto"`` runs.
-        #: Created by :meth:`prepare` once collection statistics exist;
-        #: a caller-supplied pre-built plan disables it (the caller —
-        #: the search index, a parallel worker — already fixed the
-        #: order).
-        self.planner: Optional[AdaptivePlanner] = None
+        # plan="auto": the first prepare() picks the cascade order once,
+        # before any pair.  A caller-supplied pre-built plan (the search
+        # index) already fixed the order.
         self._auto = options.plan == "auto" and plan is None
 
     # --- Columnar store (batch mode) -----------------------------------
@@ -376,46 +366,38 @@ class Executor:
         row.survivors += prunable
         row.seconds += prefixed - prepared
 
-        if self._auto and self.planner is None:
-            filters = self.plan.pair_filters
-            collection = collect_statistics(profiles, labels)
-            rates = estimate_pass_rates(profiles, labels, tau, filters)
-            self.planner = AdaptivePlanner(
-                filters, rates, unit_costs(collection)
-            )
-            stats.plan_advice = advise_parameters(
-                collection, self.options.q, tau
-            )
-            self.apply_pending_replan()
-            self._refresh_estimates()
+        if self._auto:
+            self._auto = False
+            self._plan_once(profiles, labels)
         return profiles, prefixes, labels, sorter
 
-    # --- Adaptive planning ---------------------------------------------
+    def _plan_once(
+        self, profiles: Sequence[QGramProfile], labels: Sequence[LabelPair]
+    ) -> None:
+        """Pick the ``plan="auto"`` cascade order before the first pair.
 
-    def apply_pending_replan(self) -> None:
-        """Apply the planner's pending re-plan decision, if any.
-
-        Called at pair-group boundaries (the top of
-        :meth:`collect_candidates`, and by the parallel driver between
-        probe graphs during replay/calibration) — never mid-group, so
-        the batch and scalar paths, and a journal-replayed resume, all
-        see the decision at the same point.  The event is recorded in
-        ``stats.replan_events``.
+        Re-orders the plan (and the stage rows, which stay in execution
+        order) to the static model's choice, and records the model's
+        estimated selectivity and unit cost on each cascade row so
+        ``--explain-plan`` can set them against the observed rates.
         """
-        planner = self.planner
-        if planner is None:
-            return
-        event = planner.poll()
-        if event is None:
-            return
-        self._apply_order(tuple(event["to"]))
-        self.stats.replan_events.append(event)
-
-    def _apply_order(self, order: Tuple[str, ...]) -> None:
-        """Re-order the live cascade (and its batchable prefix)."""
-        if order == tuple(s.name for s in self.plan.pair_filters):
-            return
+        order, rates, costs = static_choice(
+            profiles, labels, self.tau, self.plan.pair_filters
+        )
+        self.stats.plan_advice = advise_parameters(
+            collect_statistics(profiles, labels), self.options.q, self.tau
+        )
         self.plan = reorder_pair_filters(self.plan, order)
+        self._bind_cascade()
+        stages = self.stats.stages
+        slots = [k for k, row in enumerate(stages) if row.name in rates]
+        for k, (stage, row) in zip(slots, self._cascade):
+            stages[k] = row
+            row.estimated_selectivity = rates[stage.name]
+            row.estimated_cost = costs[stage.name]
+
+    def _bind_cascade(self) -> None:
+        """Bind the plan's pair filters to their rows and batch prefix."""
         self._cascade = tuple(
             (stage, self._rows[stage.name]) for stage in self.plan.pair_filters
         )
@@ -423,22 +405,18 @@ class Executor:
             batchable_prefix(self.plan.pair_filters) if self.batch else ()
         )
 
-    def _refresh_estimates(self) -> None:
-        """Copy the planner's model into the stage rows.
+    def worker_options(self) -> GSimJoinOptions:
+        """The options a worker process verifies with.
 
-        Called once at plan time (before any observation,
-        ``current_rates()`` *is* the static estimate), so the rows'
-        ``estimated_selectivity`` stays the model's prediction and the
-        ``observed_selectivity`` property measures it against reality.
+        Workers never plan: an ``"auto"`` plan is replaced by the order
+        this executor picked, so every pair of the run sees one cascade.
         """
-        planner = self.planner
-        if planner is None:
-            return
-        rates = planner.current_rates()
-        costs = planner.costs
-        for stage, row in self._cascade:
-            row.estimated_selectivity = rates[stage.name]
-            row.estimated_cost = costs[stage.name]
+        if self.options.plan != "auto":
+            return self.options
+        return dataclasses.replace(
+            self.options,
+            plan=tuple(stage.name for stage in self.plan.pair_filters),
+        )
 
     # --- Candidate generation -----------------------------------------
 
@@ -459,12 +437,7 @@ class Executor:
         the whole inner/indexed collection otherwise).  Accrues
         ``cand1`` and the candidates/size-filter stage rows; the caller
         owns the ``candidate_time`` phase timer.
-
-        A probe call is a pair-group boundary: any pending adaptive
-        re-plan is applied here, before this probe's candidates see the
-        cascade.
         """
-        self.apply_pending_replan()
         stats, tau = self.stats, self.tau
         r = profile.graph
         started = time.perf_counter()
@@ -626,17 +599,6 @@ class Executor:
                     getattr(stats, stage.counter) + pruned_here,
                 )
             remaining -= pruned_here
-        planner = self.planner
-        if planner is not None:
-            # Batch-pruned pairs never reach verify_candidate; feed
-            # their tags to the planner here.  Survivors are observed
-            # when the scalar cascade finishes them.  Within-group
-            # observation order differs from the scalar path, but the
-            # planner only acts on cumulative counts at group
-            # boundaries, where both paths agree.
-            for tag in verdicts.tags:
-                if tag is not None:
-                    planner.observe(tag)
         return verdicts
 
     # --- Verification --------------------------------------------------
@@ -671,8 +633,6 @@ class Executor:
             row.seconds += time.perf_counter() - started
             if tag is not None:
                 setattr(stats, stage.counter, getattr(stats, stage.counter) + 1)
-                if self.planner is not None:
-                    self.planner.observe(tag)
                 return VerifyOutcome(False, tag)
             row.survivors += 1
         row = self._row_verify
@@ -684,8 +644,6 @@ class Executor:
         row.seconds += time.perf_counter() - started
         if outcome.is_result:
             row.survivors += 1
-        if self.planner is not None:
-            self.planner.observe(outcome.pruned_by)
         return outcome
 
     # --- Record replay -------------------------------------------------
@@ -732,12 +690,6 @@ class Executor:
             stats.undecided += 1
         stats.replayed_pairs += 1
         self._accrue_record_rows(rec)
-        if self.planner is not None and rec.pruned_by != "error":
-            # Journaled outcomes feed the planner exactly as the live
-            # cascade would have, so a resumed run reconstructs the
-            # same counts — and therefore the same re-plan decisions at
-            # the same group boundaries — as the uninterrupted run.
-            self.planner.observe(rec.pruned_by)
 
     def apply_worker_record(self, rec: VerificationRecord) -> None:
         """Accrue one parallel-worker record (fresh work, not a replay)."""

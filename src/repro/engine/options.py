@@ -85,12 +85,11 @@ class GSimJoinOptions:
         lower bound — and produces identical result pairs; only the
         per-filter prune attribution and timings shift.  Validated by
         :func:`repro.engine.plan.build_plan`.  The string ``"auto"``
-        (CLI ``--auto-plan``) enables the adaptive cost-based planner
-        of :mod:`repro.engine.planner` instead: the cascade starts in
-        the order the static cost/selectivity model picks and is
-        re-ordered mid-join from observed pruning counts — result
-        pairs stay bit-identical to every static order (see
-        ``docs/PERFORMANCE.md``).  No other string is accepted.
+        (CLI ``--auto-plan``) lets the static cost/selectivity model of
+        :mod:`repro.engine.planner` pick the order once, before the
+        first pair — result pairs stay bit-identical to every static
+        order (see ``docs/PERFORMANCE.md``).  No other string is
+        accepted.
     batch:
         Evaluate the size, global-label and count filters over whole
         candidate blocks with the vectorized numpy kernels of
@@ -119,7 +118,7 @@ class GSimJoinOptions:
     def __post_init__(self) -> None:
         """Normalize a list/sequence ``plan`` to a tuple (frozen field).
 
-        The only string accepted is ``"auto"`` (the adaptive planner);
+        The only string accepted is ``"auto"`` (the static planner);
         any other string is rejected here rather than exploding into a
         tuple of characters.
         """

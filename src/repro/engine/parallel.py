@@ -39,7 +39,6 @@ terminates with a complete accounting: every candidate pair ends up in
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -107,9 +106,9 @@ def _init_worker(
     # candidate pairs they appear in across this worker's chunks.
     _worker["cache"] = VerificationCache()
     # The cascade order this worker verifies with: a tuple plan (the
-    # parent ships the planner-calibrated order this way — never the
-    # raw "auto" marker, which only the parent's executor interprets)
-    # or the default order otherwise.
+    # parent ships its auto-picked order this way — never the raw
+    # "auto" marker, which only the parent's executor interprets) or
+    # the default order otherwise.
     plan = options.plan
     plan_order = plan if isinstance(plan, tuple) else None
     _worker["plan_order"] = plan_order
@@ -216,23 +215,6 @@ def _verify_chunk(chunk: List[Tuple[int, int]]) -> List[VerificationRecord]:
             records.append(record_of(i, j, outcome))
         pos = end
     return records
-
-
-def _planner_boundary(executor: Executor) -> None:
-    """One pair-group boundary of the adaptive planner, parallel-style.
-
-    Applies any pending re-plan; once the calibration decision has been
-    taken, freezes the planner — the parallel driver calibrates in the
-    parent on the leading candidate pairs and then ships one fixed
-    order to the workers, so no decision may fire after hand-off.
-    No-op for non-auto runs.
-    """
-    planner = executor.planner
-    if planner is None or planner.frozen:
-        return
-    executor.apply_pending_replan()
-    if planner.calibrated:
-        planner.freeze()
 
 
 def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
@@ -380,69 +362,19 @@ def execute_parallel_join(
     records: Dict[Tuple[int, int], VerificationRecord] = {}
     try:
         todo: List[Tuple[int, int]] = []
-        prev_i: Optional[int] = None
         for key in pairs:
             rec = journal.completed.get(key) if journal is not None else None
             if rec is not None:
-                # A journal prefix replays through the planner exactly
-                # as the original run observed it, boundaries included,
-                # so a resumed auto-plan run re-takes the same decisions
-                # at the same points (kill-and-resume bit-identity).
-                if key[0] != prev_i:
-                    _planner_boundary(executor)
-                    prev_i = key[0]
                 executor.replay(rec)
                 records[key] = rec
             else:
                 todo.append(key)
 
         started = time.perf_counter()
-        # Auto-plan calibration: verify the leading candidate pairs in
-        # the parent until the planner's calibration window fills, then
-        # freeze and ship the calibrated order to the workers.  (On a
-        # resume the replay loop above may already have filled — or
-        # partly filled — the window; ``prev_i`` carries across so a
-        # mid-group kill does not introduce an extra boundary.)
-        calibrated = 0
-        if executor.planner is not None:
-            planner = executor.planner
-            # The calibration pairs verify in the parent, so the fault
-            # plan steps here too — a mid-calibration fault interrupts
-            # the join with the journal intact, and the resume replays
-            # the partial window bit-identically.
-            cal_injector = fault.start() if fault is not None else None
-            while calibrated < len(todo) and not planner.frozen:
-                i, j = todo[calibrated]
-                if i != prev_i:
-                    _planner_boundary(executor)
-                    if planner.frozen:
-                        break
-                    prev_i = i
-                if cal_injector is not None:
-                    cal_injector.step()
-                outcome = executor.verify_candidate(
-                    profiles[i], profiles[j], labels[i], labels[j]
-                )
-                rec = record_of(i, j, outcome)
-                records[(i, j)] = rec
-                if journal is not None:
-                    journal.append(rec)
-                calibrated += 1
-            if not planner.frozen:
-                executor.apply_pending_replan()
-                planner.freeze()
-        todo = todo[calibrated:]
-
-        # Workers receive the frozen calibrated order as an explicit
-        # tuple plan — never the "auto" marker (the journal header, by
-        # contrast, keeps the original options: the calibrated order is
-        # derived state, re-derived deterministically on resume).
-        worker_options = options
-        if executor.planner is not None:
-            worker_options = dataclasses.replace(
-                options,
-                plan=tuple(s.name for s in executor.plan.pair_filters),
-            )
+        # Workers receive an auto plan as the order the parent picked in
+        # prepare() (the journal header keeps the original options: the
+        # order is derived state, re-derived identically on resume).
+        worker_options = executor.worker_options()
 
         chunks = [
             todo[k : k + chunk_size] for k in range(0, len(todo), chunk_size)

@@ -119,9 +119,9 @@ def build_plan(options: GSimJoinOptions) -> JoinPlan:
     The per-pair cascade defaults to the enabled subset of
     :data:`DEFAULT_FILTER_ORDER`; ``options.plan`` may reorder it but
     must name exactly the enabled filters (a strict permutation).
-    ``plan="auto"`` builds the same default-order plan — the adaptive
-    planner (:mod:`repro.engine.planner`) re-orders it inside the
-    executor once collection statistics exist.
+    ``plan="auto"`` builds the same default-order plan — the executor
+    re-orders it once, picked before the first pair by the static model
+    of :mod:`repro.engine.planner`.
 
     Raises
     ------
@@ -190,8 +190,9 @@ def reorder_pair_filters(
 
     Reuses the existing stage *objects* (the structural stages keep
     their identity and any accrued state; only the cascade positions
-    change).  Used by the adaptive planner when a re-plan event fires —
-    ``order`` must be a permutation of the plan's current filter names.
+    change).  Used to apply the ``plan="auto"`` order picked before the
+    first pair — ``order`` must be a permutation of the plan's current
+    filter names.
 
     Raises
     ------

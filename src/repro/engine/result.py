@@ -122,11 +122,6 @@ class JoinStatistics:
     stages: List[StageStatistics] = field(default_factory=list)
     #: one row per plan stage, in plan order (filled by the engine)
 
-    replan_events: List[Dict[str, Any]] = field(default_factory=list)
-    #: adaptive-planner re-plan events (``plan="auto"`` runs only), in
-    #: order: ``{"pair_index", "trigger", "from", "to",
-    #: "estimated_cost_before", "estimated_cost_after"}``
-
     plan_advice: Dict[str, Any] = field(default_factory=dict)
     #: advisory parameter recommendation from the planner (never
     #: applied at runtime — see ``repro.engine.planner.advise_parameters``)
@@ -144,10 +139,10 @@ class JoinStatistics:
     def stage_table(self) -> str:
         """The per-stage breakdown as an aligned text table.
 
-        When the adaptive planner annotated the stages (``plan="auto"``
-        runs), three columns are appended: the planner's estimated pass
-        rate (``est.sel``), the observed pass rate (``obs.sel``) and
-        the estimated unit cost in relative units (``est.cost``).
+        When the planner annotated the stages (``plan="auto"`` runs),
+        three columns are appended: the planner's estimated pass rate
+        (``est.sel``), the observed pass rate (``obs.sel``) and the
+        estimated unit cost in relative units (``est.cost``).
         """
         if not self.stages:
             return "(no stage statistics recorded)"
@@ -187,24 +182,14 @@ class JoinStatistics:
                 for name, count in sorted(self.verify_backends.items())
             )
             lines.append(f"verify backends: {breakdown}")
-        if self.replan_events:
-            lines.append("re-plan events:")
-            for event in self.replan_events:
-                lines.append(
-                    f"  pair {event['pair_index']}: {event['trigger']} "
-                    f"{' -> '.join(event['to'])} "
-                    f"(est. cost {event['estimated_cost_before']:.2f} "
-                    f"-> {event['estimated_cost_after']:.2f})"
-                )
         return "\n".join(lines)
 
     def plan_report(self) -> Dict[str, Any]:
         """The planner-facing view of the run as a JSON-ready dict.
 
         Consumed by the CLI's ``--explain-plan=json``: one entry per
-        stage with estimated vs observed selectivity and cost, the
-        re-plan events with their triggers, and any advisory parameter
-        recommendation.
+        stage with estimated vs observed selectivity and cost, and any
+        advisory parameter recommendation.
         """
         return {
             "stages": [
@@ -221,7 +206,6 @@ class JoinStatistics:
                 }
                 for s in self.stages
             ],
-            "replan_events": list(self.replan_events),
             "plan_advice": dict(self.plan_advice),
             "verify_backends": dict(self.verify_backends),
             "memo_hits": self.memo_hits,

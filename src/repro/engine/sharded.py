@@ -463,7 +463,7 @@ class _ComboContext:
             chunks,
             graphs=list(graphs),
             tau=self.tau,
-            options=self.options,
+            options=executor.worker_options(),
             sorter=sorter,
             budget=self.budget,
             fault=None,

@@ -65,7 +65,7 @@ def _filters_for_order(order: Tuple[str, ...]) -> Tuple[PairFilter, ...]:
     """The cascade for an explicit stage-name order (cached).
 
     Used by the parallel workers when the driver ships a non-default
-    (e.g. planner-calibrated) cascade order; ``order`` is assumed
+    (e.g. auto-picked) cascade order; ``order`` is assumed
     already validated by :func:`repro.engine.plan.build_plan`.
     """
     return tuple(_FILTER_CLASSES[name]() for name in order)
@@ -140,8 +140,9 @@ def verify_pair(
 
     ``plan_order``, when given, runs the cascade in that explicit
     stage-name order instead of the default — the parallel workers use
-    it to honour a driver-shipped (planner-calibrated) plan.  Every
-    order yields the same verdict; only prune attribution shifts.
+    it to honour a driver-shipped plan (under ``plan="auto"``, the order
+    the parent picked once before the first pair).  Every order yields
+    the same verdict; only prune attribution shifts.
 
     Raises
     ------

@@ -10,10 +10,10 @@ bounds.  It sits below ``ged`` in the dependency DAG
 
 so that ``repro.ged.heuristics`` / ``repro.ged.vertex_order`` no longer
 import ``repro.core`` (the historical ``core <-> ged`` import cycle;
-see ``docs/STATIC_ANALYSIS.md``).  The former homes —
-``repro.core.qgrams``, ``repro.core.mismatch``, ``repro.core.minedit``
-and ``repro.core.label_filter`` — remain as deprecated re-export
-shims that emit a :class:`DeprecationWarning` on import.
+see ``docs/STATIC_ANALYSIS.md``).  Import these primitives from
+:mod:`repro.grams.qgrams`, :mod:`repro.grams.mismatch`,
+:mod:`repro.grams.minedit` and :mod:`repro.grams.labels`; the
+:mod:`repro.core` package re-exports the common ones.
 """
 
 from __future__ import annotations

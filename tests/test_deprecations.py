@@ -1,10 +1,8 @@
-"""Deprecation policy for the old ``repro.core`` q-gram shim modules.
+"""Deprecation hygiene: importing the library never emits a warning.
 
-``repro.core.qgrams`` / ``mismatch`` / ``minedit`` / ``label_filter``
-re-export from :mod:`repro.grams` and warn on import.  Two invariants:
-importing a shim raises under ``-W error::DeprecationWarning``, and no
-internal module does (i.e. the library itself is fully migrated off the
-shims).  Both run in subprocesses so module caching in this test
+Every public package and module must import cleanly under
+``-W error::DeprecationWarning`` (i.e. the library itself never leans on
+a deprecated path).  Runs in a subprocess so module caching in this test
 process cannot mask a warning.
 """
 
@@ -12,19 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = str(Path(__file__).parent.parent / "src")
 
-SHIMS = [
-    "repro.core.qgrams",
-    "repro.core.mismatch",
-    "repro.core.minedit",
-    "repro.core.label_filter",
-]
-
 #: Every package/module a user could reasonably import; none of them
-#: may pull in a deprecated shim.
+#: may emit a deprecation warning.
 INTERNAL_IMPORTS = [
     "repro",
     "repro.core",
@@ -55,37 +44,7 @@ def _run(code):
     )
 
 
-@pytest.mark.parametrize("shim", SHIMS)
-def test_importing_shim_warns(shim):
-    proc = _run(f"import {shim}")
-    assert proc.returncode != 0
-    assert "DeprecationWarning" in proc.stderr
-    assert "repro.grams" in proc.stderr  # the message names the new home
-
-
 def test_internal_modules_never_import_shims():
     code = "; ".join(f"import {module}" for module in INTERNAL_IMPORTS)
     proc = _run(code)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_shim_reexports_match_new_home():
-    """The shims must stay faithful: same objects, not copies."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.core import label_filter, minedit, mismatch, qgrams
-    import repro.grams.labels
-    import repro.grams.minedit
-    import repro.grams.mismatch
-    import repro.grams.qgrams
-
-    for shim, home in [
-        (qgrams, repro.grams.qgrams),
-        (mismatch, repro.grams.mismatch),
-        (minedit, repro.grams.minedit),
-        (label_filter, repro.grams.labels),
-    ]:
-        for name in shim.__all__:
-            assert getattr(shim, name) is getattr(home, name)

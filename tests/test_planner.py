@@ -1,15 +1,13 @@
-"""Adaptive cost-based planner tests (``GSimJoinOptions(plan="auto")``).
+"""Static cost-based planner tests (``GSimJoinOptions(plan="auto")``).
 
 Covers the static model (:mod:`repro.engine.planner`: statistics, unit
-costs, sampled pass rates, the predicate-ordering rule), the
-:class:`~repro.engine.planner.AdaptivePlanner` feedback loop (static /
-calibration / drift triggers, hysteresis, freezing), and the engine's
+costs, sampled pass rates, the predicate-ordering rule) and the engine's
 end-to-end guarantees: every legal cascade permutation *and* the auto
-planner produce bit-identical result pairs and undecided sets (a
+plan produce bit-identical result pairs and undecided sets (a
 hypothesis property over seeds, q and tau); an auto-planned join killed
-mid-calibration resumes bit-identically from its journal, re-plan
-events included; the parallel, sharded and search-index drivers agree
-with the sequential join under auto; and the CLI's
+mid-run resumes bit-identically from its journal; the parallel, sharded
+and search-index drivers agree with the default plan under auto, and
+the join and the index pick the same order; and the CLI's
 ``--auto-plan --explain-plan json`` report parses.
 """
 
@@ -26,11 +24,10 @@ from repro.core.join import GSimJoinOptions, gsim_join, gsim_join_rs
 from repro.core.parallel import gsim_join_parallel
 from repro.core.search import GSimIndex
 from repro.core.sharded import gsim_join_sharded, result_fingerprint
-from repro.engine import executor as executor_mod
 from repro.engine.options import build_sorter
 from repro.engine.plan import build_plan
+from repro.engine.result import JoinStatistics
 from repro.engine.planner import (
-    AdaptivePlanner,
     CollectionStats,
     advise_parameters,
     choose_order,
@@ -55,7 +52,7 @@ FULL_FILTERS = ("global-label-filter", "count-filter", "local-label-filter")
 
 
 def auto_options(base=None):
-    """``base`` (default full) with the adaptive planner enabled."""
+    """``base`` (default full) with the auto plan enabled."""
     return dataclasses.replace(
         base if base is not None else GSimJoinOptions.full(), plan="auto"
     )
@@ -177,127 +174,6 @@ class TestStaticModel:
         assert advise_parameters(sparse, 4, 2)["current_q"] == 4
 
 
-# ------------------------------------------------ the adaptive planner
-
-
-class _StubFilter:
-    """Name/tag carrier for direct planner tests (prune never called)."""
-
-    def __init__(self, name, tag):
-        self.name = name
-        self.tag = tag
-
-
-def _planner(static_rates, **kwargs):
-    filters = [_StubFilter("a", "ta"), _StubFilter("b", "tb")]
-    costs = {"a": 1.0, "b": 1.0}
-    return AdaptivePlanner(filters, static_rates, costs, **kwargs)
-
-
-class TestAdaptivePlanner:
-    def test_static_event_pending_when_model_disagrees(self):
-        planner = _planner({"a": 0.9, "b": 0.1})
-        # rank(a) = 1/0.1 = 10, rank(b) = 1/0.9 = 1.1: b should lead.
-        assert planner.order == ("b", "a")
-        event = planner.poll()
-        assert event is not None and event["trigger"] == "static"
-        assert event["from"] == ["a", "b"] and event["to"] == ["b", "a"]
-        assert event["pair_index"] == 0
-        assert planner.poll() is None
-
-    def test_no_static_event_when_initial_order_optimal(self):
-        planner = _planner({"a": 0.1, "b": 0.9})
-        assert planner.order == ("a", "b")
-        assert planner.poll() is None
-
-    def test_observe_attributes_under_current_order(self):
-        planner = _planner(
-            {"a": 0.5, "b": 0.5}, calibration_window=100, smoothing=2.0
-        )
-        for _ in range(3):
-            planner.observe(None)  # survived both
-        planner.observe("ta")  # pruned by a: never entered b
-        rates = planner.current_rates()
-        # a: entered 4, passed 3, smoothed (3 + 2*0.5) / (4 + 2) = 2/3
-        assert rates["a"] == pytest.approx(4.0 / 6.0)
-        # b: entered 3, passed 3, smoothed (3 + 1) / (3 + 2) = 0.8
-        assert rates["b"] == pytest.approx(4.0 / 5.0)
-        assert planner.observations == 4
-
-    def test_calibration_reorders_without_hysteresis(self):
-        planner = _planner(
-            {"a": 0.1, "b": 0.9}, calibration_window=4, smoothing=1.0
-        )
-        assert planner.order == ("a", "b")
-        for _ in range(4):
-            planner.observe("tb")  # b prunes everything in practice
-        event = planner.poll()
-        assert event is not None and event["trigger"] == "calibration"
-        assert planner.order == ("b", "a")
-        assert planner.calibrated
-        assert event["estimated_cost_after"] < event["estimated_cost_before"]
-        assert planner.poll() is None  # recheck interval not yet reached
-
-    def test_calibration_below_window_waits(self):
-        planner = _planner({"a": 0.1, "b": 0.9}, calibration_window=4)
-        planner.observe("tb")
-        assert planner.poll() is None
-        assert not planner.calibrated
-
-    def test_drift_reorders_when_hysteresis_cleared(self):
-        planner = _planner(
-            {"a": 0.1, "b": 0.9},
-            calibration_window=2,
-            recheck_interval=2,
-            hysteresis=0.0,
-            smoothing=0.5,
-        )
-        planner.observe("tb")
-        planner.observe("tb")
-        assert planner.poll()["trigger"] == "calibration"
-        assert planner.order == ("b", "a")
-        planner.observe("ta")
-        planner.observe("ta")
-        event = planner.poll()
-        assert event is not None and event["trigger"] == "drift"
-        assert planner.order == ("a", "b")
-
-    def test_drift_suppressed_by_hysteresis(self):
-        planner = _planner(
-            {"a": 0.1, "b": 0.9},
-            calibration_window=2,
-            recheck_interval=2,
-            hysteresis=1.0,
-            smoothing=0.5,
-        )
-        planner.observe("tb")
-        planner.observe("tb")
-        planner.poll()
-        assert planner.order == ("b", "a")
-        planner.observe("ta")
-        planner.observe("ta")
-        assert planner.poll() is None
-        assert planner.order == ("b", "a")
-
-    def test_freeze_stops_observations_and_decisions(self):
-        planner = _planner({"a": 0.1, "b": 0.9}, calibration_window=1)
-        planner.freeze()
-        assert planner.frozen
-        planner.observe("tb")
-        assert planner.observations == 0
-        assert planner.poll() is None
-        assert planner.order == ("a", "b")
-
-    def test_unknown_tags_count_as_survivors(self):
-        planner = _planner(
-            {"a": 0.5, "b": 0.5}, calibration_window=100, smoothing=1.0
-        )
-        planner.observe("ged")  # not a cascade tag: pair survived filters
-        rates = planner.current_rates()
-        assert rates["a"] == pytest.approx((1 + 0.5) / 2.0)
-        assert rates["b"] == pytest.approx((1 + 0.5) / 2.0)
-
-
 # ----------------------------------------- end-to-end result parity
 
 
@@ -364,25 +240,19 @@ class TestAutoParity:
 # ------------------------------------- kill-and-resume bit-identity
 
 
-def _small_window_planner(filters, rates, costs):
-    """Executor-compatible factory with test-sized planner windows."""
-    return AdaptivePlanner(
-        filters, rates, costs, calibration_window=6, recheck_interval=8
-    )
+def cascade_order(stats):
+    """The pair-filter rows of ``stats``, in execution order."""
+    return tuple(s.name for s in stats.stages if s.role == "pair-filter")
 
 
-@pytest.fixture
-def small_windows(monkeypatch):
-    """Shrink the planner windows so joins of ~24 graphs calibrate."""
-    monkeypatch.setattr(
-        executor_mod, "AdaptivePlanner", _small_window_planner
-    )
+def stage_counts(result):
+    """``(name, input, survivors)`` per stage row, in execution order."""
+    return [(s.name, s.input, s.survivors) for s in result.stats.stages]
 
 
 def assert_same_result(resumed, clean):
-    assert resumed.pairs == clean.pairs
-    assert resumed.undecided == clean.undecided
-    assert resumed.stats.replan_events == clean.stats.replan_events
+    assert result_fingerprint(resumed) == result_fingerprint(clean)
+    assert stage_counts(resumed) == stage_counts(clean)
     for field in ("cand1", "cand2", "results", "ged_calls",
                   "pruned_by_count", "pruned_by_global_label",
                   "pruned_by_local_label"):
@@ -390,71 +260,50 @@ def assert_same_result(resumed, clean):
 
 
 class TestAutoResume:
-    @pytest.mark.parametrize("kill_at", [4, 12])
-    def test_raise_then_resume_bit_identical(
-        self, tmp_path, small_windows, kill_at
-    ):
-        # kill_at=4 dies mid-calibration (window is 6); kill_at=12 dies
-        # after the calibration decision was taken and journaled.
+    def test_raise_then_resume_bit_identical(self, tmp_path):
         graphs = molecule_collection(24, seed=11)
         options = auto_options()
         journal = tmp_path / "auto.jsonl"
         with pytest.raises(InjectedFaultError):
             gsim_join(
                 graphs, TAU, options=options, checkpoint=journal,
-                fault=FaultPlan("raise", at=kill_at),
+                fault=FaultPlan("raise", at=12),
             )
         clean = gsim_join(graphs, TAU, options=options)
         resumed = gsim_join(graphs, TAU, options=options, checkpoint=journal)
         assert_same_result(resumed, clean)
-        assert resumed.stats.replayed_pairs == kill_at - 1
+        assert resumed.stats.replayed_pairs == 11
 
-    def test_resume_with_default_windows(self, tmp_path):
-        # Same property under the production window sizes (the planner
-        # stays in its calibration phase for this collection).
-        graphs = molecule_collection(20, seed=23)
-        options = auto_options()
-        journal = tmp_path / "auto.jsonl"
-        with pytest.raises(InjectedFaultError):
-            gsim_join(
-                graphs, TAU, options=options, checkpoint=journal,
-                fault=FaultPlan("raise", at=5),
-            )
-        clean = gsim_join(graphs, TAU, options=options)
-        resumed = gsim_join(graphs, TAU, options=options, checkpoint=journal)
-        assert_same_result(resumed, clean)
-
-    def test_parallel_raise_mid_calibration_then_resume(
-        self, tmp_path, small_windows
-    ):
+    def test_parallel_raise_then_resume_bit_identical(self, tmp_path):
         graphs = molecule_collection(24, seed=13)
         options = auto_options()
         journal = tmp_path / "par.jsonl"
         with pytest.raises(InjectedFaultError):
+            # One in-process worker, one pair per chunk: the fault
+            # escapes at the 5th pair with the first 4 journaled.
             gsim_join_parallel(
-                graphs, TAU, options=options, workers=2,
-                checkpoint=journal, fault=FaultPlan("raise", at=3),
+                graphs, TAU, options=options, workers=1, chunk_size=1,
+                checkpoint=journal, fault=FaultPlan("raise", at=5),
             )
         clean = gsim_join_parallel(graphs, TAU, options=options, workers=2)
         resumed = gsim_join_parallel(
             graphs, TAU, options=options, workers=2, checkpoint=journal
         )
         assert_same_result(resumed, clean)
+        assert resumed.stats.replayed_pairs == 4
 
 
 # -------------------------------------------- drivers agree under auto
 
 
 class TestDriverParity:
-    def test_parallel_auto_matches_sequential(self, small_windows):
+    def test_parallel_auto_matches_sequential(self):
         graphs = molecule_collection(24, seed=13)
-        options = auto_options()
-        sequential = gsim_join(graphs, TAU, options=options)
+        default = gsim_join(graphs, TAU, options=GSimJoinOptions.full())
         parallel = gsim_join_parallel(
-            graphs, TAU, options=options, workers=2
+            graphs, TAU, options=auto_options(), workers=2
         )
-        assert parallel.pair_set() == sequential.pair_set()
-        assert sorted(parallel.undecided) == sorted(sequential.undecided)
+        assert result_fingerprint(parallel) == result_fingerprint(default)
 
     def test_parallel_single_worker_auto_matches_sequential(self):
         graphs = molecule_collection(20, seed=17)
@@ -463,17 +312,19 @@ class TestDriverParity:
         parallel = gsim_join_parallel(
             graphs, TAU, options=options, workers=1
         )
-        assert parallel.pair_set() == sequential.pair_set()
+        assert result_fingerprint(parallel) == result_fingerprint(sequential)
+        # The worker verifies with the order the parent picked, so the
+        # stage rows agree with the sequential run's.
+        assert stage_counts(parallel) == stage_counts(sequential)
 
     def test_sharded_auto_matches_sequential(self, tmp_path):
         graphs = molecule_collection(24, seed=17)
-        options = auto_options()
-        sequential = gsim_join(graphs, TAU, options=options)
+        default = gsim_join(graphs, TAU, options=GSimJoinOptions.full())
         sharded = gsim_join_sharded(
-            graphs, TAU, options=options,
+            graphs, TAU, options=auto_options(),
             spill_dir=tmp_path / "spill", shards=3,
         )
-        assert result_fingerprint(sharded) == result_fingerprint(sequential)
+        assert result_fingerprint(sharded) == result_fingerprint(default)
 
     def test_index_auto_queries_match_default(self):
         graphs = molecule_collection(24, seed=19)
@@ -482,7 +333,7 @@ class TestDriverParity:
         auto_index = GSimIndex(base, tau_max=TAU, options=auto_options())
         for g in base[:6]:
             assert auto_index.query(g, TAU) == default_index.query(g, TAU)
-        # Inserts mark the auto plan stale; the next query re-plans and
+        # Inserts mark the auto plan stale; the next query re-picks it and
         # must still agree with the default index.
         for g in extra:
             default_index.add(g)
@@ -492,6 +343,15 @@ class TestDriverParity:
         assert sorted(
             f.name for f in auto_index._plan.pair_filters
         ) == sorted(FULL_FILTERS)
+
+    def test_join_and_index_pick_the_same_order(self):
+        graphs = molecule_collection(24, seed=19)
+        joined = gsim_join(graphs, TAU, options=auto_options())
+        index = GSimIndex(graphs, tau_max=TAU, options=auto_options())
+        stats = JoinStatistics()
+        index.query(graphs[0], TAU, stats=stats)
+        assert cascade_order(joined.stats) == cascade_order(stats)
+        assert sorted(cascade_order(stats)) == sorted(FULL_FILTERS)
 
 
 # ------------------------------------------------------------- the CLI
@@ -508,8 +368,7 @@ class TestExplainPlanJson:
         assert rc == 0
         report = json.loads(capsys.readouterr().err)
         assert set(report) == {
-            "stages", "replan_events", "plan_advice",
-            "verify_backends", "memo_hits",
+            "stages", "plan_advice", "verify_backends", "memo_hits",
         }
         names = [row["name"] for row in report["stages"]]
         assert "verify" in names and set(FULL_FILTERS) <= set(names)
@@ -518,8 +377,6 @@ class TestExplainPlanJson:
                 assert row["estimated_selectivity"] is not None
                 assert row["estimated_cost"] is not None
         assert report["plan_advice"]["recommended_q"] in (3, 4)
-        for event in report["replan_events"]:
-            assert event["trigger"] in ("static", "calibration", "drift")
 
     def test_cli_explain_table_shows_model_columns(self, tmp_path, capsys):
         path = tmp_path / "graphs.txt"
