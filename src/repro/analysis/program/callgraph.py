@@ -61,7 +61,7 @@ VERIFIER_NAMES = frozenset(
         "dfs_ged",
         "dfs_ged_compiled",
         "verify_pair",
-        "run_cascade",
+        "verify_block",
         "verify_candidate",
         "verify",
     }

@@ -17,7 +17,7 @@ Whole-program check, per call site:
    parameter, and transitively reaches a verifier
    (``graph_edit_distance_detailed``, ``compiled_ged_detailed``,
    ``dfs_ged``, ``dfs_ged_compiled``, ``verify_pair``,
-   ``run_cascade``, ``verify_candidate``);
+   ``verify_block``, ``verify_candidate``);
 3. the call binds **no** budget — no ``budget=`` keyword, no
    positional argument covering the budget parameter's index (method
    calls account for the bound ``self``), and no ``*args``/``**kwargs``

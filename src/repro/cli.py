@@ -212,6 +212,24 @@ def _print_result(result, args) -> int:
     return 0
 
 
+def _gsimjoin_options(args) -> GSimJoinOptions:
+    """The join options the flags select (variant, verifier, auto plan)."""
+    options = getattr(GSimJoinOptions, args.variant)(q=args.q)
+    if args.verifier is not None:
+        options = dataclasses.replace(options, verifier=args.verifier)
+    if args.auto_plan:
+        options = dataclasses.replace(options, plan="auto")
+    return options
+
+
+def _explain_plan(args, options: GSimJoinOptions) -> None:
+    """Print the plan under ``--explain-plan`` (table form) to stderr."""
+    if args.explain_plan == "table":
+        from repro.engine.plan import build_plan
+
+        print(build_plan(options).describe(), file=sys.stderr)
+
+
 def _cmd_join_sharded(args, budget) -> int:
     if args.spill_dir is None:
         raise ReproError("--shards requires --spill-dir")
@@ -224,11 +242,8 @@ def _cmd_join_sharded(args, budget) -> int:
         )
     from repro.core.sharded import gsim_join_sharded
 
-    options = getattr(GSimJoinOptions, args.variant)(q=args.q)
-    if args.verifier is not None:
-        options = dataclasses.replace(options, verifier=args.verifier)
-    if args.auto_plan:
-        options = dataclasses.replace(options, plan="auto")
+    options = _gsimjoin_options(args)
+    _explain_plan(args, options)
     result = gsim_join_sharded(
         args.collection,
         args.tau,
@@ -268,15 +283,8 @@ def _cmd_join(args) -> int:
         )
     graphs = _load(args.collection)
     if args.algorithm == "gsimjoin":
-        options = getattr(GSimJoinOptions, args.variant)(q=args.q)
-        if args.verifier is not None:
-            options = dataclasses.replace(options, verifier=args.verifier)
-        if args.auto_plan:
-            options = dataclasses.replace(options, plan="auto")
-        if args.explain_plan == "table":
-            from repro.engine.plan import build_plan
-
-            print(build_plan(options).describe(), file=sys.stderr)
+        options = _gsimjoin_options(args)
+        _explain_plan(args, options)
         if args.workers > 1:
             from repro.core.parallel import gsim_join_parallel
 

@@ -33,6 +33,7 @@ from repro.engine.plan import JoinPlan, build_plan, reorder_pair_filters
 from repro.engine.planner import static_choice
 from repro.engine.prefix import PrefixInfo
 from repro.engine.result import JoinStatistics
+from repro.engine.stages import VerifyOutcome
 from repro.exceptions import ParameterError
 from repro.ged.compiled import VerificationCache
 from repro.graph.graph import Graph
@@ -203,6 +204,7 @@ class GSimIndex:
             cache=self._cache,
             plan=self._plan,
         )
+        executor.profiles, executor.labels = self._profiles, self._labels
         if executor.batch and self.graphs:
             if self._store is None:
                 self._store = build_columnar_store(
@@ -219,38 +221,21 @@ class GSimIndex:
             profile, info, self._index, self._unprunable, self._profiles,
             len(self.graphs),
         )
-
-        g_labels = (g.vertex_label_multiset(), g.edge_label_multiset())
-        # The query graph is external to the store: its probe-side row
-        # is assembled ad hoc (unseen labels can never intersect).
         js = [
             j for j in candidates if self.graphs[j].graph_id != g.graph_id
         ]
-        block = (
-            executor.batch_prefilter(
-                self._store.external_row(profile, g_labels), js
-            )
-            if self._store is not None and executor.batch and js
-            else None
-        )
-        block_pos = (
-            {j: t for t, j in enumerate(js)} if block is not None else {}
-        )
         matches: List[Tuple[Hashable, int]] = []
-        for j in js:
-            tag = block.tags[block_pos[j]] if block is not None else None
-            if tag is not None:
-                continue
-            outcome = executor.verify_candidate(
-                profile, self._profiles[j], g_labels, self._labels[j],
-                hinted=(
-                    block.hint_for(block_pos[j])
-                    if block is not None
-                    else None
-                ),
-            )
+
+        def emit(r: int, s: int, outcome: VerifyOutcome) -> None:
             if outcome.is_result:
-                matches.append((self.graphs[j].graph_id, outcome.ged))
+                matches.append((self.graphs[s].graph_id, outcome.ged))
+
+        # The query graph is external to the store: its probe-side row
+        # is assembled ad hoc (unseen labels can never intersect).
+        executor.verify_block(
+            -1, js, emit,
+            probe=(profile, (g.vertex_label_multiset(), g.edge_label_multiset())),
+        )
         matches.sort(key=lambda pair: (pair[1], repr(pair[0])))
         return matches
 

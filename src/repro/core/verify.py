@@ -10,7 +10,6 @@ unchanged.
 
 from __future__ import annotations
 
-from repro.engine.stages import BUDGETED_VERIFIERS
 from repro.engine.verify import VerifyOutcome, verify_pair
 
 __all__ = ["VerifyOutcome", "verify_pair"]

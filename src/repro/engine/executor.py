@@ -1,38 +1,64 @@
-"""The staged execution engine driving every join/search entry point.
+"""The driver core behind every join and search entry point.
 
 One :class:`Executor` instance carries the cross-cutting run state —
 threshold, options, :class:`~repro.engine.plan.JoinPlan`, statistics,
-optional :class:`~repro.runtime.budget.VerificationBudget` and the
-compiled-verifier :class:`~repro.ged.compiled.VerificationCache` — and
-exposes the plan's stages as driver-callable operations: ``prepare``
-(collection preparation + prefix decisions), ``collect_candidates``
-(index probing with the fused size filter), ``verify_candidate`` (the
-timed per-pair cascade + GED), and ``replay``/``apply_worker_record``
-(accruing journaled or worker-produced
-:class:`~repro.runtime.journal.VerificationRecord` outcomes).
+optional :class:`~repro.runtime.budget.VerificationBudget`, the
+compiled-verifier :class:`~repro.ged.compiled.VerificationCache`, and
+the run's journal and fault injector — and owns the two loops Algorithm
+1 is made of:
 
-The four public entry points — ``gsim_join``, ``gsim_join_rs``,
-``gsim_join_parallel`` and ``GSimIndex.query`` — are thin drivers over
-this one machine: :func:`execute_self_join` and :func:`execute_rs_join`
-live here, the parallel driver in :mod:`repro.engine.parallel`, and the
-index in :mod:`repro.core.search`.  Every stage reports survivor counts
-and wall time into the :class:`~repro.engine.result.StageStatistics`
-rows of the run's :class:`~repro.engine.result.JoinStatistics` (merged
-by stage name, so a long-lived index accumulates across queries).
+* :meth:`Executor.scan` — the index-nested loop over the prepared
+  collection, in the two shapes the joins need: the *triangle
+  self-scan* (graph ``i`` probes the inverted index over graphs
+  ``0..i-1``, then inserts its own prefix) and *index-then-probe R×S*
+  (the inner part is indexed first, then every outer graph probes).  It
+  owns the inverted index, every insert and the ``index_time``/
+  ``candidate_time`` phase timers.
+* :meth:`Executor.verify_block` — the per-candidate step for one
+  probe's candidate block: journal replay, the batch prefilter, one
+  fault step per fresh pair, the timed pair-filter cascade + GED
+  (:meth:`Executor.verify_candidate`), the journal append, and the one
+  record→result mapping (:func:`add_outcome`, :func:`bounded_pair`).
+  It owns the ``verify_time`` phase timer.
 
-Phase-timing semantics (``index_time``/``candidate_time``/
-``verify_time``/``ged_time``) are owned by the *drivers* and preserved
-exactly from the pre-engine implementations; the per-stage rows are the
-new, finer-grained layer underneath them.
+The entry points are thin callers of these two.
+:func:`execute_self_join` and :func:`execute_rs_join` (here) run the
+scan and verify each block in place; the parallel driver
+(:mod:`repro.engine.parallel`) collects the scan's blocks, replays its
+journal through :meth:`~Executor.verify_block` and defers the fresh
+pairs to pool workers, which verify them on a worker-local executor;
+the sharded driver (:mod:`repro.engine.sharded`) runs one executor per
+sub-shard combo; ``GSimIndex.query`` (:mod:`repro.core.search`) runs
+one block per query.  What each driver still owns is what genuinely
+differs: pair enumeration (which scan shape, over which graphs), result
+assembly, journal keying (``positions``), spill queues and manifest,
+and the process pool.
+
+Every stage reports survivor counts and wall time into the
+:class:`~repro.engine.result.StageStatistics` rows of the run's
+:class:`~repro.engine.result.JoinStatistics` (merged by stage name, so
+a long-lived index accumulates across queries).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import os
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.engine.batch import (
     MIN_BATCH_BLOCK,
@@ -64,7 +90,6 @@ from repro.engine.result import (
     StageStatistics,
 )
 from repro.engine.stages import PairContext, VerifyOutcome
-from repro.exceptions import ParameterError
 from repro.ged.compiled import VerificationCache
 from repro.ged.portfolio import validate_backend_options
 from repro.graph.graph import Graph
@@ -76,7 +101,7 @@ from repro.grams.columnar import (
 )
 from repro.grams.qgrams import QGramProfile, extract_qgrams
 from repro.runtime.budget import VerificationBudget
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
 
 __all__ = [
@@ -84,6 +109,8 @@ __all__ = [
     "execute_self_join",
     "execute_rs_join",
     "record_of",
+    "bounded_pair",
+    "add_outcome",
     "self_join_meta",
     "rs_join_meta",
 ]
@@ -97,7 +124,20 @@ _PRUNE_COUNTERS: Dict[str, str] = {
     "multicover": "pruned_by_local_label",
 }
 
+#: Filter-pruned pairs (batch or scalar) share one frozen outcome per tag.
+_PRUNED: Dict[str, VerifyOutcome] = {
+    tag: VerifyOutcome(False, tag) for tag in _PRUNE_COUNTERS
+}
+
 LabelPair = Tuple
+
+#: A fresh verification outcome or a journaled/worker record — both
+#: carry ``is_result``, ``pruned_by``, ``undecided``, ``lower``/``upper``.
+Outcome = Union[VerifyOutcome, VerificationRecord]
+
+#: ``emit(r, s, outcome)``: a result or undecided pair, as profile
+#: positions with ``r`` the verified (probe-side) graph.
+Emit = Callable[[int, int, Outcome], None]
 
 
 def record_of(i: int, j: int, outcome: VerifyOutcome) -> VerificationRecord:
@@ -115,6 +155,32 @@ def record_of(i: int, j: int, outcome: VerifyOutcome) -> VerificationRecord:
         upper=outcome.upper,
         backend=outcome.backend,
     )
+
+
+def bounded_pair(
+    outcome: Outcome, first_id: object, second_id: object
+) -> BoundedPair:
+    """The undecided-channel entry of an outcome — one mapping for every
+    driver: the in-process fallback's ``pruned_by="error"`` records map
+    to ``reason="error"``, exhausted budgets to ``"budget"``."""
+    return BoundedPair(
+        first_id,
+        second_id,
+        outcome.lower,
+        outcome.upper,
+        "error" if outcome.pruned_by == "error" else "budget",
+    )
+
+
+def add_outcome(
+    result: JoinResult, outcome: Outcome, first_id: object, second_id: object
+) -> None:
+    """Add one outcome's contribution to ``result`` (pair, undecided or
+    nothing), the ids in the driver's reporting order."""
+    if outcome.is_result:
+        result.pairs.append((first_id, second_id))
+    elif outcome.undecided:
+        result.undecided.append(bounded_pair(outcome, first_id, second_id))
 
 
 def _options_meta(options: GSimJoinOptions) -> dict:
@@ -164,7 +230,8 @@ def self_join_meta(
     only deterministic inputs: a collection fingerprint (id sequence
     plus per-graph sizes and vertex labels — enough to catch a swapped
     collection whose ids happen to coincide), ``tau``, the full
-    options, and the budget.
+    options, and the budget.  The sequential and the parallel self-join
+    write the same header, so either resumes the other's journal.
     """
     return {
         "kind": "self-join",
@@ -224,15 +291,35 @@ class Executor:
         into.  Per-stage :class:`~repro.engine.result.StageStatistics`
         rows are attached to it in plan order, merged by name, so a
         caller reusing one statistics object across executors (the
-        search index across queries) accumulates.
+        search index across queries, the sharded driver across combos)
+        accumulates.
     budget:
         Optional per-pair A* budget, threaded into verification.
     cache:
-        Compiled-verifier cache to reuse; when ``None`` and the options
-        select the compiled verifier, the executor creates one for the
-        run (every graph is compiled at most once per run).
+        Compiled-verifier cache to reuse; when ``None`` the executor
+        creates one for the run (every graph is compiled at most once
+        per run).
     plan:
         A pre-built plan; defaults to ``build_plan(options)``.
+    journal:
+        The run's journal: :meth:`verify_block` replays the pairs it
+        holds and appends every freshly verified one.
+    injector:
+        The run's fault injector, stepped once per fresh pair right
+        before it is verified (or deferred to a pool).
+    positions:
+        Journal coordinates of the prepared graphs (the sharded
+        driver's global scan positions).  When set, each pair verifies
+        with the later position as ``r`` — bounded verdicts depend on
+        orientation — and journals under ``(positions[r],
+        positions[s])``; otherwise under ``(probe, candidate)``.
+    io_faults:
+        Whether journal appends are I/O fault events (``step_io``), as
+        in the sharded driver's durable-write schedule.
+
+    The prepared collection lives in ``profiles``/``prefixes``/
+    ``labels``/``sorter`` (set by :meth:`prepare`, or directly by a
+    caller serving its own sequences: the search index, pool workers).
     """
 
     def __init__(
@@ -243,6 +330,10 @@ class Executor:
         budget: Optional[VerificationBudget] = None,
         cache: Optional[VerificationCache] = None,
         plan: Optional[JoinPlan] = None,
+        journal: Optional[JoinJournal] = None,
+        injector: Optional[FaultInjector] = None,
+        positions: Optional[Sequence[int]] = None,
+        io_faults: bool = False,
     ) -> None:
         self.tau = tau
         self.options = options
@@ -252,6 +343,15 @@ class Executor:
         if cache is None:
             cache = VerificationCache()
         self.cache = cache
+        self.journal = journal
+        self.injector = injector
+        self.positions = positions
+        self.io_faults = io_faults
+        self.profiles: Sequence[QGramProfile] = ()
+        self.prefixes: Sequence[PrefixInfo] = ()
+        self.labels: Sequence[LabelPair] = ()
+        self.sorter: Optional[Sorter] = None
+        self.index: Optional[InvertedIndex] = None
         existing = {row.name: row for row in stats.stages}
         self._rows: Dict[str, StageStatistics] = {}
         for stage in self.plan.stages:
@@ -278,58 +378,38 @@ class Executor:
 
     # --- Columnar store (batch mode) -----------------------------------
 
-    def attach_store(self, store: ColumnarStore, target_base: int = 0) -> None:
-        """Attach the run's columnar store for the batch kernels.
-
-        ``target_base`` offsets candidate positions into store rows —
-        an R×S join stores outer followed by inner, so inner position
-        ``j`` lives at store row ``target_base + j``.
-        """
+    def attach_store(self, store: ColumnarStore) -> None:
+        """Attach a columnar store over ``profiles`` for the batch kernels."""
         self._store = store
-        self._target_base = target_base
 
-    def build_store(
-        self,
-        profiles: Sequence[QGramProfile],
-        labels: Sequence[LabelPair],
-        prefixes: Optional[Sequence[PrefixInfo]] = None,
-        target_base: int = 0,
-    ) -> Optional[ColumnarStore]:
+    def build_store(self) -> Optional[ColumnarStore]:
         """Build and attach the columnar store when this run batches.
 
         Returns ``None`` (and attaches nothing) on the scalar path, so
-        drivers call it unconditionally after :meth:`prepare`.
+        drivers call it unconditionally after :meth:`prepare`.  Accrues
+        ``index_time``.
         """
         if not self.batch:
             return None
+        started = time.perf_counter()
         store = build_columnar_store(
-            profiles,
-            labels,
-            prefix_lengths=(
-                [info.length for info in prefixes]
-                if prefixes is not None
-                else None
-            ),
+            self.profiles,
+            self.labels,
+            prefix_lengths=[info.length for info in self.prefixes],
         )
-        self.attach_store(store, target_base)
+        self.attach_store(store)
+        self.stats.index_time += time.perf_counter() - started
         return store
-
-    def store_row(self, position: int) -> SignatureRow:
-        """The probe-side :class:`SignatureRow` for store row ``position``."""
-        assert self._store is not None
-        return self._store.row(position)
 
     # --- Collection preparation ---------------------------------------
 
-    def prepare(
-        self, graphs: Sequence[Graph]
-    ) -> Tuple[List[QGramProfile], List[PrefixInfo], List[LabelPair], Sorter]:
+    def prepare(self, graphs: Sequence[Graph]) -> None:
         """Extract q-grams, build/apply the global ordering, compute
         prefixes and label multisets for ``graphs``.
 
-        Accrues ``total_prefix_length``/``unprunable_graphs`` and the
-        prepare/prefix stage rows.  The caller owns the ``index_time``
-        phase timer, as historically.
+        Sets ``profiles``/``prefixes``/``labels``/``sorter``; accrues
+        ``total_prefix_length``/``unprunable_graphs``, the prepare/
+        prefix stage rows and ``index_time``.
         """
         stats, tau = self.stats, self.tau
         started = time.perf_counter()
@@ -366,10 +446,12 @@ class Executor:
         row.survivors += prunable
         row.seconds += prefixed - prepared
 
+        self.profiles, self.prefixes = profiles, prefixes
+        self.labels, self.sorter = labels, sorter
         if self._auto:
             self._auto = False
             self._plan_once(profiles, labels)
-        return profiles, prefixes, labels, sorter
+        stats.index_time += time.perf_counter() - started
 
     def _plan_once(
         self, profiles: Sequence[QGramProfile], labels: Sequence[LabelPair]
@@ -417,6 +499,60 @@ class Executor:
             self.options,
             plan=tuple(stage.name for stage in self.plan.pair_filters),
         )
+
+    # --- The scan (Algorithm 1) ----------------------------------------
+
+    def scan(
+        self, split: Optional[int] = None
+    ) -> Iterator[Tuple[int, Dict[int, bool]]]:
+        """Algorithm 1's index-nested loop over the prepared collection.
+
+        ``split=None`` is the triangle self-scan: graph ``i`` probes the
+        index over graphs ``0..i-1`` and is inserted after the consumer
+        has handled its candidates.  ``split=k`` is index-then-probe
+        R×S: graphs ``k..`` are indexed first (candidate ids count from
+        ``k``), then graphs ``0..k-1`` probe.  Yields ``(i,
+        candidate_ids)`` per probe; the consumer verifies the block
+        before asking for the next one.  Owns the inverted index
+        (``self.index``), every insert (``index_time``) and every probe
+        (``candidate_time``).
+        """
+        stats = self.stats
+        profiles, prefixes = self.profiles, self.prefixes
+        index = InvertedIndex()
+        unprunable: List[int] = []
+        self.index = index
+        self._target_base = split or 0
+
+        def insert(k: int, position: int) -> None:
+            info = prefixes[k]
+            if info.prunable:
+                for key in profiles[k].prefix_keys(info.length):
+                    index.add(key, position)
+            else:
+                unprunable.append(position)
+
+        if split is None:
+            targets: Sequence[QGramProfile] = profiles
+            probes = len(profiles)
+        else:
+            targets, probes = profiles[split:], split
+            started = time.perf_counter()
+            for j in range(len(targets)):
+                insert(split + j, j)
+            stats.index_time += time.perf_counter() - started
+        for i in range(probes):
+            started = time.perf_counter()
+            candidate_ids = self.collect_candidates(
+                profiles[i], prefixes[i], index, unprunable, targets,
+                i if split is None else len(targets),
+            )
+            stats.candidate_time += time.perf_counter() - started
+            yield i, candidate_ids
+            if split is None:
+                started = time.perf_counter()
+                insert(i, i)
+                stats.index_time += time.perf_counter() - started
 
     # --- Candidate generation -----------------------------------------
 
@@ -603,6 +739,91 @@ class Executor:
 
     # --- Verification --------------------------------------------------
 
+    def verify_block(
+        self,
+        i: int,
+        js: Iterable[int],
+        emit: Optional[Emit] = None,
+        before: Optional[Callable[[int, int], None]] = None,
+        defer: Optional[List[Tuple[int, int]]] = None,
+        probe: Optional[Tuple[QGramProfile, LabelPair]] = None,
+    ) -> None:
+        """Verify probe ``i``'s candidate block ``js`` (one driver step).
+
+        Per candidate, in block order: orient the pair (``r`` is the
+        probe, or the later of ``positions``), call ``before(r, s)``,
+        replay a journaled record, or else take one fault step and
+        either defer the pair to ``defer`` (a pool verifies it later,
+        see :meth:`accept`) or verify it — batch-pruned pairs straight
+        from the block verdicts, the rest through
+        :meth:`verify_candidate` — and journal the fresh record.
+        ``emit(r, s, outcome)`` then receives every result and
+        undecided pair.  ``s`` counts from the scan's split, so R×S
+        candidates index the prepared collection directly.
+
+        ``probe`` supplies an external probe graph's ``(profile,
+        labels)`` (an index query; ``i`` is then only reported back).
+        Accrues ``verify_time``.
+        """
+        started = time.perf_counter()
+        journal, injector, positions = self.journal, self.injector, self.positions
+        completed = journal.completed if journal is not None else None
+        base = self._target_base
+        block = None
+        if defer is None and self._store is not None:
+            # Batching implies no ``positions``: pairs keep (i, j) keys.
+            fresh = [j for j in js if not completed or (i, j) not in completed]
+            if fresh:
+                block = self.batch_prefilter(
+                    self._store.row(i)
+                    if probe is None
+                    else self._store.external_row(*probe),
+                    fresh,
+                )
+            if block is not None:
+                slot = {j: t for t, j in enumerate(fresh)}
+        profiles, labels = self.profiles, self.labels
+        for j in js:
+            r, s = i, (base + j if base else j)
+            if positions is not None and positions[s] > positions[r]:
+                r, s = s, r
+            if before is not None:
+                before(r, s)
+            if completed:
+                rec = completed.get(
+                    (i, j) if positions is None else (positions[r], positions[s])
+                )
+                if rec is not None:
+                    self.replay(rec)
+                    if emit is not None and (rec.is_result or rec.undecided):
+                        emit(r, s, rec)
+                    continue
+            if injector is not None:
+                injector.step()
+            if defer is not None:
+                defer.append((r, s))
+                continue
+            tag = block.tags[slot[j]] if block is not None else None
+            if tag is not None:
+                outcome = _PRUNED[tag]
+            else:
+                outcome = self.verify_candidate(
+                    profiles[r] if probe is None else probe[0],
+                    profiles[s],
+                    labels[r] if probe is None else probe[1],
+                    labels[s],
+                    hinted=block.hint_for(slot[j]) if block is not None else None,
+                )
+            if journal is not None:
+                self._append(
+                    record_of(i, j, outcome)
+                    if positions is None
+                    else record_of(positions[r], positions[s], outcome)
+                )
+            if emit is not None and (outcome.is_result or outcome.undecided):
+                emit(r, s, outcome)
+        self.stats.verify_time += time.perf_counter() - started
+
     def verify_candidate(
         self,
         p_r: QGramProfile,
@@ -615,11 +836,10 @@ class Executor:
 
         Statistics semantics are those of the historical
         ``verify_pair`` (prune counters, Cand-2, GED timings), plus the
-        per-stage rows.  The caller owns the ``verify_time`` phase
-        timer.  ``hinted`` names stages the batch kernels already
-        proved passed for this pair; they are skipped (accruing their
-        input/survivor counts — the batch kernel already charged its
-        wall time to the stage row).
+        per-stage rows.  ``hinted`` names stages the batch kernels
+        already proved passed for this pair; they are skipped (accruing
+        their input/survivor counts — the batch kernel already charged
+        its wall time to the stage row).
         """
         stats = self.stats
         ctx = PairContext(p_r, p_s, self.tau, labels_r, labels_s)
@@ -633,7 +853,7 @@ class Executor:
             row.seconds += time.perf_counter() - started
             if tag is not None:
                 setattr(stats, stage.counter, getattr(stats, stage.counter) + 1)
-                return VerifyOutcome(False, tag)
+                return _PRUNED[tag]
             row.survivors += 1
         row = self._row_verify
         row.input += 1
@@ -645,6 +865,13 @@ class Executor:
         if outcome.is_result:
             row.survivors += 1
         return outcome
+
+    def _append(self, rec: VerificationRecord) -> None:
+        """Journal one record (an I/O fault event under ``io_faults``)."""
+        if self.io_faults and self.injector is not None:
+            self.injector.step_io()
+        assert self.journal is not None
+        self.journal.append(rec)
 
     # --- Record replay -------------------------------------------------
 
@@ -679,7 +906,10 @@ class Executor:
             setattr(stats, counter, getattr(stats, counter) + 1)
         if rec.ran_ged:
             stats.cand2 += 1
-            stats.ged_calls += 1
+            if rec.backend == "memo":
+                stats.memo_hits += 1
+            else:
+                stats.ged_calls += 1
             stats.ged_expansions += rec.expansions
             stats.ged_time += rec.ged_seconds
             if rec.backend:
@@ -691,24 +921,43 @@ class Executor:
         stats.replayed_pairs += 1
         self._accrue_record_rows(rec)
 
-    def apply_worker_record(self, rec: VerificationRecord) -> None:
-        """Accrue one parallel-worker record (fresh work, not a replay)."""
+    def accept(
+        self, rec: VerificationRecord, emit: Optional[Emit] = None
+    ) -> VerificationRecord:
+        """Fold in one pool-verified record (fresh work, not a replay).
+
+        ``rec`` is keyed by profile positions ``(r, s)``; it is re-keyed
+        to journal coordinates, accrued, journaled, and — when a result
+        or undecided pair — passed to ``emit(r, s, record)``.
+        """
+        r, s = rec.i, rec.j
+        if self.positions is not None:
+            rec = dataclasses.replace(
+                rec, i=self.positions[r], j=self.positions[s]
+            )
         self.replay(rec)
         self.stats.replayed_pairs -= 1
+        if self.journal is not None:
+            self._append(rec)
+        if emit is not None and (rec.is_result or rec.undecided):
+            emit(r, s, rec)
+        return rec
 
     # --- Run finalization ----------------------------------------------
 
-    def finish(self, result: JoinResult, index: Optional[InvertedIndex]) -> None:
-        """Fill the end-of-run statistics (results, index and cache sizes)."""
+    def finish(self, result: Optional[JoinResult] = None) -> None:
+        """Accrue the end-of-run counters: the result count, and the
+        index and verifier-cache sizes (summed, so executors sharing one
+        statistics object — the sharded driver's combos — add up)."""
         stats = self.stats
-        stats.results = len(result.pairs)
-        if index is not None:
-            stats.index_distinct_keys = index.num_distinct_keys
-            stats.index_postings = index.num_postings
-            stats.index_bytes = index.size_bytes
-        if self.cache is not None:
-            stats.compile_time = self.cache.compile_seconds
-            stats.compiled_graphs = len(self.cache)
+        if result is not None:
+            stats.results = len(result.pairs)
+        if self.index is not None:
+            stats.index_distinct_keys += self.index.num_distinct_keys
+            stats.index_postings += self.index.num_postings
+            stats.index_bytes += self.index.size_bytes
+        stats.compile_time += self.cache.compile_seconds
+        stats.compiled_graphs += len(self.cache)
 
 
 def _reject_unbudgetable(
@@ -718,6 +967,52 @@ def _reject_unbudgetable(
     validate_backend_options(
         options.verifier, budget=budget, anchor_bound=options.anchor_bound
     )
+
+
+def _join(
+    graphs: Sequence[Graph],
+    split: Optional[int],
+    tau: int,
+    options: GSimJoinOptions,
+    budget: Optional[VerificationBudget],
+    checkpoint: Optional[Union[str, os.PathLike]],
+    meta: Optional[dict],
+    fault: Optional[FaultPlan],
+) -> JoinResult:
+    """Run the scan over ``graphs`` and verify every block in place.
+
+    ``split=None`` self-joins (pairs reported earlier graph first);
+    otherwise graphs ``[:split]`` probe the index over ``[split:]``
+    (pairs reported outer graph first).
+    """
+    stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
+    result = JoinResult(stats=stats)
+    ids = [g.graph_id for g in graphs]
+    if split is None:
+
+        def emit(r: int, s: int, outcome: Outcome) -> None:
+            add_outcome(result, outcome, ids[s], ids[r])
+
+    else:
+
+        def emit(r: int, s: int, outcome: Outcome) -> None:
+            add_outcome(result, outcome, ids[r], ids[s])
+
+    with (
+        JoinJournal.open(checkpoint, meta)
+        if checkpoint is not None
+        else contextlib.nullcontext()
+    ) as journal:
+        executor = Executor(
+            tau, options, stats, budget=budget, journal=journal,
+            injector=fault.start() if fault is not None else None,
+        )
+        executor.prepare(graphs)
+        executor.build_store()
+        for i, candidate_ids in executor.scan(split):
+            executor.verify_block(i, candidate_ids, emit)
+    executor.finish(result)
+    return result
 
 
 def execute_self_join(
@@ -740,107 +1035,12 @@ def execute_self_join(
         options = GSimJoinOptions()
     validate_collection(graphs, tau, options)
     _reject_unbudgetable(options, budget)
-
-    stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
-    result = JoinResult(stats=stats)
-    executor = Executor(tau, options, stats, budget=budget)
-
-    started = time.perf_counter()
-    profiles, prefixes, labels, _sorter = executor.prepare(graphs)
-    executor.build_store(profiles, labels, prefixes)
-    stats.index_time += time.perf_counter() - started
-
-    index = InvertedIndex()
-    unprunable: List[int] = []
-    journal = (
-        JoinJournal.open(checkpoint, self_join_meta(graphs, tau, options, budget))
+    meta = (
+        self_join_meta(graphs, tau, options, budget)
         if checkpoint is not None
         else None
     )
-    injector = fault.start() if fault is not None else None
-
-    try:
-        for i, profile in enumerate(profiles):
-            info = prefixes[i]
-            r = profile.graph
-
-            started = time.perf_counter()
-            candidate_ids = executor.collect_candidates(
-                profile, info, index, unprunable, profiles, i
-            )
-            stats.candidate_time += time.perf_counter() - started
-
-            started = time.perf_counter()
-            fresh = [
-                j for j in candidate_ids
-                if journal is None or (i, j) not in journal.completed
-            ]
-            block = (
-                executor.batch_prefilter(executor.store_row(i), fresh)
-                if executor.batch and fresh
-                else None
-            )
-            block_pos = (
-                {j: t for t, j in enumerate(fresh)}
-                if block is not None
-                else {}
-            )
-            for j in candidate_ids:
-                rec = (
-                    journal.completed.get((i, j))
-                    if journal is not None
-                    else None
-                )
-                if rec is None:
-                    if injector is not None:
-                        injector.step()
-                    tag = (
-                        block.tags[block_pos[j]]
-                        if block is not None
-                        else None
-                    )
-                    if tag is not None:
-                        outcome = VerifyOutcome(False, tag)
-                    else:
-                        outcome = executor.verify_candidate(
-                            profile, profiles[j], labels[i], labels[j],
-                            hinted=(
-                                block.hint_for(block_pos[j])
-                                if block is not None
-                                else None
-                            ),
-                        )
-                    if journal is not None:
-                        journal.append(record_of(i, j, outcome))
-                    is_result, undecided = outcome.is_result, outcome.undecided
-                    lower, upper = outcome.lower, outcome.upper
-                else:
-                    executor.replay(rec)
-                    is_result, undecided = rec.is_result, rec.undecided
-                    lower, upper = rec.lower, rec.upper
-                if is_result:
-                    result.pairs.append((profiles[j].graph.graph_id, r.graph_id))
-                elif undecided:
-                    result.undecided.append(
-                        BoundedPair(
-                            profiles[j].graph.graph_id, r.graph_id, lower, upper
-                        )
-                    )
-            stats.verify_time += time.perf_counter() - started
-
-            started = time.perf_counter()
-            if info.prunable:
-                for key in profile.prefix_keys(info.length):
-                    index.add(key, i)
-            else:
-                unprunable.append(i)
-            stats.index_time += time.perf_counter() - started
-    finally:
-        if journal is not None:
-            journal.close()
-
-    executor.finish(result, index)
-    return result
+    return _join(graphs, None, tau, options, budget, checkpoint, meta, fault)
 
 
 def execute_rs_join(
@@ -867,121 +1067,12 @@ def execute_rs_join(
     validate_collection(outer, tau, options)
     validate_collection(inner, tau, options)
     _reject_unbudgetable(options, budget)
-
-    stats = JoinStatistics(
-        num_graphs=len(outer) + len(inner), tau=tau, q=options.q
-    )
-    result = JoinResult(stats=stats)
-    executor = Executor(tau, options, stats, budget=budget)
-
-    started = time.perf_counter()
-    all_graphs = list(outer) + list(inner)
-    profiles_all, prefixes_all, labels_all, _sorter = executor.prepare(all_graphs)
-    n_outer = len(outer)
-    outer_profiles = profiles_all[:n_outer]
-    inner_profiles = profiles_all[n_outer:]
-    executor.build_store(
-        profiles_all, labels_all, prefixes_all, target_base=n_outer
-    )
-
-    index = InvertedIndex()
-    inner_unprunable: List[int] = []
-    for j, profile in enumerate(inner_profiles):
-        info = prefixes_all[n_outer + j]
-        if info.prunable:
-            for key in profile.prefix_keys(info.length):
-                index.add(key, j)
-        else:
-            inner_unprunable.append(j)
-    stats.index_time += time.perf_counter() - started
-
-    journal = (
-        JoinJournal.open(
-            checkpoint, rs_join_meta(outer, inner, tau, options, budget)
-        )
+    meta = (
+        rs_join_meta(outer, inner, tau, options, budget)
         if checkpoint is not None
         else None
     )
-    injector = fault.start() if fault is not None else None
-
-    try:
-        for i, profile in enumerate(outer_profiles):
-            info = prefixes_all[i]
-            r = profile.graph
-
-            started = time.perf_counter()
-            candidate_ids = executor.collect_candidates(
-                profile, info, index, inner_unprunable, inner_profiles,
-                len(inner_profiles),
-            )
-            stats.candidate_time += time.perf_counter() - started
-
-            started = time.perf_counter()
-            fresh = [
-                j for j in candidate_ids
-                if journal is None or (i, j) not in journal.completed
-            ]
-            block = (
-                executor.batch_prefilter(executor.store_row(i), fresh)
-                if executor.batch and fresh
-                else None
-            )
-            block_pos = (
-                {j: t for t, j in enumerate(fresh)}
-                if block is not None
-                else {}
-            )
-            for j in candidate_ids:
-                rec = (
-                    journal.completed.get((i, j))
-                    if journal is not None
-                    else None
-                )
-                if rec is None:
-                    if injector is not None:
-                        injector.step()
-                    tag = (
-                        block.tags[block_pos[j]]
-                        if block is not None
-                        else None
-                    )
-                    if tag is not None:
-                        outcome = VerifyOutcome(False, tag)
-                    else:
-                        outcome = executor.verify_candidate(
-                            profile, inner_profiles[j],
-                            labels_all[i], labels_all[n_outer + j],
-                            hinted=(
-                                block.hint_for(block_pos[j])
-                                if block is not None
-                                else None
-                            ),
-                        )
-                    if journal is not None:
-                        journal.append(record_of(i, j, outcome))
-                    is_result, undecided = outcome.is_result, outcome.undecided
-                    lower, upper = outcome.lower, outcome.upper
-                else:
-                    executor.replay(rec)
-                    is_result, undecided = rec.is_result, rec.undecided
-                    lower, upper = rec.lower, rec.upper
-                if is_result:
-                    result.pairs.append(
-                        (r.graph_id, inner_profiles[j].graph.graph_id)
-                    )
-                elif undecided:
-                    result.undecided.append(
-                        BoundedPair(
-                            r.graph_id,
-                            inner_profiles[j].graph.graph_id,
-                            lower,
-                            upper,
-                        )
-                    )
-            stats.verify_time += time.perf_counter() - started
-    finally:
-        if journal is not None:
-            journal.close()
-
-    executor.finish(result, index)
-    return result
+    return _join(
+        list(outer) + list(inner), len(outer), tau, options, budget,
+        checkpoint, meta, fault,
+    )

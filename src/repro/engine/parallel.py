@@ -1,30 +1,38 @@
-"""Multi-core GSimJoin with a fault-tolerant verification executor.
+"""Multi-core GSimJoin with a fault-tolerant verification pool.
 
 The join's phases have very different parallelism profiles: index
 construction and candidate generation are cheap and inherently
 sequential (the index-nested-loop consumes its own output), while
 verification — the filter cascade plus A* — dominates the runtime and
 is embarrassingly parallel across candidate pairs.
-:func:`execute_parallel_join` therefore runs Algorithm 1's scan once to
-*collect* the candidate pairs, then verifies them in chunks on a
-``concurrent.futures`` process pool.
+:func:`execute_parallel_join` therefore runs the driver core's scan
+(:meth:`~repro.engine.executor.Executor.scan`) once to *collect* every
+probe's candidate block, replays its journal through
+:meth:`~repro.engine.executor.Executor.verify_block` — which defers the
+fresh pairs instead of verifying them — and verifies the deferred pairs
+in chunks on a ``concurrent.futures`` process pool.
 
-Each worker lazily builds its own q-gram profile cache, so graphs are
-profiled at most once per worker regardless of how many candidate pairs
-they participate in.  The parent ships the frozen global ordering (the
-interning vocabulary, or the object-key ordering on the reference path)
-to every worker via the pool initializer, and workers sort each profile
-in it — mismatch-instance selection and the improved A* vertex order
-therefore match the sequential join exactly.
+What this module owns is the pool: each worker verifies its chunks on a
+worker-local :class:`~repro.engine.executor.Executor` built from the
+shipped options, plan order, columnar store and frozen global ordering
+(the interning vocabulary, or the object-key ordering on the reference
+path), one :meth:`~repro.engine.executor.Executor.verify_block` per run
+of pairs sharing a probe graph.  Profiles and label multisets are built
+lazily, at most once per worker and only for pairs that need them, and
+sorted in the shipped ordering, so mismatch-instance selection and the
+improved A* vertex order match the sequential join exactly.
 
 Workers return one :class:`~repro.runtime.journal.VerificationRecord`
-per pair; the parent accrues those records into the join statistics —
-including the per-stage :class:`~repro.engine.result.StageStatistics`
-rows, derived from each record's prune attribution — in chunk order, so
-results *and* per-pair statistics are identical to the sequential join
-(asserted by the test suite) while wall-clock phase timings reflect the
-parent's view (``verify_time`` is the elapsed pool time and
-``ged_time`` the summed worker search time).
+per pair (their executor journals into the chunk's record list); the
+parent folds the records into the join statistics with
+:meth:`~repro.engine.executor.Executor.accept` — including the
+per-stage :class:`~repro.engine.result.StageStatistics` rows, derived
+from each record's prune attribution — in chunk order, so results *and*
+per-pair statistics are identical to the sequential join (asserted by
+the test suite) while wall-clock phase timings reflect the parent's
+view (``verify_time`` includes the elapsed pool time and ``ged_time``
+the summed worker search time).  The sharded driver reuses the same
+pool for its ``workers > 1`` runs.
 
 Fault tolerance (``docs/ROBUSTNESS.md``): chunks are awaited with an
 optional per-chunk timeout; a timeout, a dead worker
@@ -39,37 +47,41 @@ terminates with a complete accounting: every candidate pair ends up in
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-from repro.engine.batch import (
-    MIN_BATCH_BLOCK,
-    batchable_prefix,
-    evaluate_block,
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
 )
+
 from repro.engine.executor import (
     Executor,
-    record_of,
+    Outcome,
+    add_outcome,
     self_join_meta,
 )
-from repro.engine.inverted_index import InvertedIndex
 from repro.engine.options import GSimJoinOptions, Sorter, validate_collection
-from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
-from repro.engine.stages import VerifyOutcome
-from repro.engine.verify import _filters_for, _filters_for_order, verify_pair
+from repro.engine.result import JoinResult, JoinStatistics
 from repro.exceptions import ParameterError, ReproError
-from repro.ged.compiled import VerificationCache
 from repro.ged.portfolio import validate_backend_options
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore
-from repro.grams.qgrams import extract_qgrams
+from repro.grams.qgrams import QGramProfile, extract_qgrams
 from repro.runtime.budget import VerificationBudget
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
 
-__all__ = ["execute_parallel_join", "DEFAULT_FALLBACK_BUDGET"]
+__all__ = ["execute_parallel_join", "DEFAULT_FALLBACK_BUDGET", "PoolSettings"]
 
 #: Budget applied to poisoned pairs verified in-process after
 #: ``max_retries`` — strict enough that one adversarial pair cannot
@@ -81,8 +93,141 @@ DEFAULT_FALLBACK_BUDGET = VerificationBudget(
 #: Cap on the exponential retry backoff (seconds).
 _MAX_BACKOFF = 5.0
 
-# Per-worker state, populated by the pool initializer.
-_worker: dict = {}
+Pair = Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class PoolSettings:
+    """Worker count and failure policy of a pool-verified run.
+
+    The parallel and the sharded driver share it, so both check their
+    runtime arguments and back off between retries the same way.
+
+    Raises
+    ------
+    ParameterError
+        Unless ``workers >= 1``, ``max_retries >= 0``,
+        ``retry_backoff >= 0`` and ``chunk_timeout`` is unset or
+        positive.
+    """
+
+    workers: int = 1
+    max_retries: int = 2
+    retry_backoff: float = 0.1
+    chunk_timeout: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        """Validate the settings (see the class docstring)."""
+        if self.workers < 1:
+            raise ParameterError(f"workers must be >= 1, got {self.workers}")
+        if self.max_retries < 0:
+            raise ParameterError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
+            raise ParameterError(
+                f"chunk_timeout must be > 0, got {self.chunk_timeout}"
+            )
+        if self.retry_backoff < 0:
+            raise ParameterError(
+                f"retry_backoff must be >= 0, got {self.retry_backoff}"
+            )
+
+    def backoff(self, attempt: int) -> None:
+        """Sleep before retry ``attempt`` (1-based): exponential, capped."""
+        if self.retry_backoff > 0:
+            time.sleep(
+                min(self.retry_backoff * 2 ** (attempt - 1), _MAX_BACKOFF)
+            )
+
+
+class _Lazy:
+    """A sequence whose item ``k`` is built on first access, then kept."""
+
+    __slots__ = ("_build", "_items")
+
+    def __init__(self, build: Callable[[int], Any]) -> None:
+        self._build = build
+        self._items: Dict[int, Any] = {}
+
+    def __getitem__(self, k: int) -> Any:
+        item = self._items.get(k)
+        if item is None:
+            item = self._build(k)
+            self._items[k] = item
+        return item
+
+
+class _ChunkLog:
+    """A worker executor's journal: collects each fresh record of one
+    chunk for the parent to fold in (there is nothing to replay)."""
+
+    def __init__(self) -> None:
+        self.completed: Dict[Pair, VerificationRecord] = {}
+        self.records: List[VerificationRecord] = []
+
+    def append(self, record: VerificationRecord) -> None:
+        """Collect one record."""
+        self.records.append(record)
+
+
+def _local_executor(
+    graphs: Sequence[Graph],
+    tau: int,
+    options: GSimJoinOptions,
+    sorter: Sorter,
+    budget: Optional[VerificationBudget],
+    fault: Optional[FaultPlan],
+    store: Optional[ColumnarStore],
+) -> Executor:
+    """A worker-local executor over the shipped collection.
+
+    ``options`` carry the parent's cascade order (never the raw
+    ``"auto"`` marker); profiles are built lazily and sorted in the
+    shipped global ordering; a shipped ``store`` enables the batch
+    prefilter.
+    """
+    executor = Executor(
+        tau, options, JoinStatistics(), budget=budget,
+        injector=fault.start() if fault is not None else None,
+    )
+
+    def profile(k: int) -> QGramProfile:
+        built = extract_qgrams(graphs[k], options.q)
+        sorter.sort_profile(built)
+        return built
+
+    def labels(k: int) -> Tuple:
+        g = graphs[k]
+        return g.vertex_label_multiset(), g.edge_label_multiset()
+
+    executor.profiles = _Lazy(profile)
+    executor.labels = _Lazy(labels)
+    if store is not None:
+        executor.attach_store(store)
+    return executor
+
+
+def _chunk_records(
+    executor: Executor, chunk: Sequence[Pair]
+) -> List[VerificationRecord]:
+    """Verify ``chunk`` on ``executor``, one block per run of pairs
+    sharing a probe graph; one record per pair, in chunk order."""
+    log = _ChunkLog()
+    executor.journal = log
+    start = 0
+    while start < len(chunk):
+        i = chunk[start][0]
+        end = start + 1
+        while end < len(chunk) and chunk[end][0] == i:
+            end += 1
+        executor.verify_block(i, [j for _, j in chunk[start:end]])
+        start = end
+    return log.records
+
+
+# Per-worker state, installed by the pool initializer.
+_worker: Dict[str, Executor] = {}
 
 
 def _init_worker(
@@ -94,127 +239,14 @@ def _init_worker(
     fault: Optional[FaultPlan] = None,
     store: Optional[ColumnarStore] = None,
 ) -> None:
-    _worker["graphs"] = list(graphs)
-    _worker["tau"] = tau
-    _worker["options"] = options
-    _worker["sorter"] = sorter
-    _worker["budget"] = budget
-    _worker["injector"] = fault.start() if fault is not None else None
-    _worker["profiles"] = {}
-    _worker["labels"] = {}
-    # Each worker compiles the graphs it touches once, however many
-    # candidate pairs they appear in across this worker's chunks.
-    _worker["cache"] = VerificationCache()
-    # The cascade order this worker verifies with: a tuple plan (the
-    # parent ships its auto-picked order this way — never the raw
-    # "auto" marker, which only the parent's executor interprets) or
-    # the default order otherwise.
-    plan = options.plan
-    plan_order = plan if isinstance(plan, tuple) else None
-    _worker["plan_order"] = plan_order
-    # Batch mode: the parent ships its columnar store so workers run the
-    # vectorized kernels over each chunk's same-probe runs.  The
-    # batchable prefix is derived from the same cascade ``verify_pair``
-    # will run — keeping the records' prune attribution identical to
-    # scalar workers.
-    _worker["store"] = store
-    _worker["batch_stages"] = (
-        batchable_prefix(
-            _filters_for_order(plan_order)
-            if plan_order is not None
-            else _filters_for(options.local_label, options.multicover)
-        )
-        if store is not None
-        else ()
+    _worker["executor"] = _local_executor(
+        list(graphs), tau, options, sorter, budget, fault, store
     )
 
 
-def _profile_of(i: int):
-    cached = _worker["profiles"].get(i)
-    if cached is None:
-        g = _worker["graphs"][i]
-        cached = extract_qgrams(g, _worker["options"].q)
-        _worker["sorter"].sort_profile(cached)
-        # Fork-safety waivers: this memo is per-process verification
-        # state — each worker fills and reads only its own copy, and the
-        # parent never reads it back, so worker-local divergence is the
-        # design, not a race.
-        _worker["profiles"][i] = cached  # repro: ignore[fork-safety]
-        _worker["labels"][i] = (  # repro: ignore[fork-safety]
-            g.vertex_label_multiset(), g.edge_label_multiset()
-        )
-    return cached, _worker["labels"][i]
-
-
-def _verify_chunk(chunk: List[Tuple[int, int]]) -> List[VerificationRecord]:
-    """Verify a batch of candidate pairs inside a worker process.
-
-    In batch mode the chunk's runs of consecutive pairs sharing one
-    probe graph are prefiltered through the vectorized kernels first;
-    batch-pruned pairs produce their (identical) prune records without
-    ever materializing q-gram profiles, and survivors verify with the
-    stages they already passed hinted away.  The fault injector still
-    steps once per pair in chunk order, so fault timing matches scalar
-    workers exactly.
-    """
-    options: GSimJoinOptions = _worker["options"]
-    tau: int = _worker["tau"]
-    budget: Optional[VerificationBudget] = _worker["budget"]
-    injector: Optional[FaultInjector] = _worker["injector"]
-    store: Optional[ColumnarStore] = _worker["store"]
-    batch_stages = _worker["batch_stages"]
-    records: List[VerificationRecord] = []
-    pos = 0
-    while pos < len(chunk):
-        end = pos
-        while end < len(chunk) and chunk[end][0] == chunk[pos][0]:
-            end += 1
-        run = chunk[pos:end]
-        block = (
-            evaluate_block(
-                store,
-                store.row(run[0][0]),
-                [j for _, j in run],
-                tau,
-                batch_stages,
-            )
-            if store is not None
-            and batch_stages
-            and len(run) >= MIN_BATCH_BLOCK
-            else None
-        )
-        for t, (i, j) in enumerate(run):
-            tag = block.tags[t] if block is not None else None
-            if tag is not None:
-                if injector is not None:
-                    injector.step()
-                records.append(record_of(i, j, VerifyOutcome(False, tag)))
-                continue
-            p_i, labels_i = _profile_of(i)
-            p_j, labels_j = _profile_of(j)
-            if injector is not None:
-                injector.step()
-            outcome = verify_pair(
-                p_i,
-                p_j,
-                tau,
-                labels_i,
-                labels_j,
-                use_local_label=options.local_label,
-                improved_order=options.improved_order,
-                improved_h=options.improved_h,
-                stats=None,
-                use_multicover=options.multicover,
-                verifier=options.verifier,
-                budget=budget,
-                cache=_worker["cache"],
-                anchor_bound=options.anchor_bound,
-                hinted=block.hint_for(t) if block is not None else None,
-                plan_order=_worker["plan_order"],
-            )
-            records.append(record_of(i, j, outcome))
-        pos = end
-    return records
+def _verify_chunk(chunk: List[Pair]) -> List[VerificationRecord]:
+    """Pool entry point: verify one chunk on this worker's executor."""
+    return _chunk_records(_worker["executor"], chunk)
 
 
 def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
@@ -237,7 +269,7 @@ def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
 
 
 def _fallback_verify(
-    chunk: List[Tuple[int, int]],
+    chunk: List[Pair],
     graphs: Sequence[Graph],
     tau: int,
     options: GSimJoinOptions,
@@ -252,24 +284,64 @@ def _fallback_verify(
     recorded as undecided with ``pruned_by="error"`` so the join's
     accounting stays complete.
     """
-    _init_worker(graphs, tau, options, sorter, budget, None)
+    executor = _local_executor(graphs, tau, options, sorter, budget, None, None)
     records: List[VerificationRecord] = []
-    try:
-        for i, j in chunk:
-            stats.fallback_pairs += 1
-            try:
-                records.extend(_verify_chunk([(i, j)]))
-            except ReproError:
-                stats.failed_pairs += 1
-                records.append(
-                    VerificationRecord(
-                        i=i, j=j, is_result=False, pruned_by="error",
-                        undecided=True,
-                    )
+    for i, j in chunk:
+        stats.fallback_pairs += 1
+        try:
+            records.extend(_chunk_records(executor, [(i, j)]))
+        except ReproError:
+            stats.failed_pairs += 1
+            records.append(
+                VerificationRecord(
+                    i=i, j=j, is_result=False, pruned_by="error",
+                    undecided=True,
                 )
-    finally:
-        _worker.clear()
+            )
     return records
+
+
+def verify_on_pool(
+    pairs: List[Pair],
+    graphs: Sequence[Graph],
+    tau: int,
+    options: GSimJoinOptions,
+    sorter: Sorter,
+    budget: Optional[VerificationBudget],
+    settings: PoolSettings,
+    stats: JoinStatistics,
+    chunk_size: int = 8,
+    fault: Optional[FaultPlan] = None,
+    store: Optional[ColumnarStore] = None,
+    fallback_budget: Optional[VerificationBudget] = None,
+) -> Iterator[VerificationRecord]:
+    """Verify ``pairs`` (profile positions ``(r, s)`` into ``graphs``)
+    in chunks, yielding one record per pair in chunk order.
+
+    ``workers=1`` verifies in-process, chunk by chunk as the caller
+    consumes the records (a fault propagates); otherwise every chunk
+    runs on the fault-tolerant pool of :func:`_run_chunks` first.
+    ``fallback_budget`` defaults to ``budget``, else
+    :data:`DEFAULT_FALLBACK_BUDGET`.
+    """
+    chunks = [
+        pairs[k : k + chunk_size] for k in range(0, len(pairs), chunk_size)
+    ]
+    if settings.workers == 1:
+        executor = _local_executor(
+            graphs, tau, options, sorter, budget, fault, store
+        )
+        for chunk in chunks:
+            yield from _chunk_records(executor, chunk)
+        return
+    if fallback_budget is None:
+        fallback_budget = budget if budget is not None else DEFAULT_FALLBACK_BUDGET
+    chunk_records = _run_chunks(
+        chunks, list(graphs), tau, options, sorter, budget, fault, store,
+        settings, fallback_budget, stats,
+    )
+    for idx in range(len(chunks)):
+        yield from chunk_records[idx]
 
 
 def execute_parallel_join(
@@ -304,20 +376,9 @@ def execute_parallel_join(
     """
     if options is None:
         options = GSimJoinOptions()
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    if max_retries < 0:
-        raise ParameterError(f"max_retries must be >= 0, got {max_retries}")
-    if chunk_timeout is not None and chunk_timeout <= 0:
-        raise ParameterError(
-            f"chunk_timeout must be > 0, got {chunk_timeout}"
-        )
-    if retry_backoff < 0:
-        raise ParameterError(
-            f"retry_backoff must be >= 0, got {retry_backoff}"
-        )
+    settings = PoolSettings(workers, max_retries, retry_backoff, chunk_timeout)
     validate_collection(graphs, tau, options)
     validate_backend_options(
         options.verifier, budget=budget, anchor_bound=options.anchor_bound
@@ -325,127 +386,54 @@ def execute_parallel_join(
 
     stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
     result = JoinResult(stats=stats)
-    executor = Executor(tau, options, stats, budget=budget)
+    found: Dict[Pair, Outcome] = {}
 
-    # --- Phase 1: sequential scan, collecting candidate pairs ---------
-    started = time.perf_counter()
-    profiles, prefixes, labels, sorter = executor.prepare(graphs)
-    store = executor.build_store(profiles, labels, prefixes)
-    stats.index_time += time.perf_counter() - started
+    def keep(r: int, s: int, outcome: Outcome) -> None:
+        found[r, s] = outcome
 
-    started = time.perf_counter()
-    index = InvertedIndex()
-    unprunable: List[int] = []
-    pairs: List[Tuple[int, int]] = []
-    for i, profile in enumerate(profiles):
-        info = prefixes[i]
-        candidate_ids = executor.collect_candidates(
-            profile, info, index, unprunable, profiles, i
+    with (
+        JoinJournal.open(
+            checkpoint, self_join_meta(graphs, tau, options, budget)
         )
-        pairs.extend((i, j) for j in candidate_ids)
-        if info.prunable:
-            for key in profile.prefix_keys(info.length):
-                index.add(key, i)
-        else:
-            unprunable.append(i)
-    stats.candidate_time += time.perf_counter() - started
-    stats.index_distinct_keys = index.num_distinct_keys
-    stats.index_postings = index.num_postings
-    stats.index_bytes = index.size_bytes
-
-    # --- Phase 2: replay the journal, then verify the rest in parallel
-    journal = (
-        JoinJournal.open(checkpoint, self_join_meta(graphs, tau, options, budget))
         if checkpoint is not None
-        else None
-    )
-    records: Dict[Tuple[int, int], VerificationRecord] = {}
-    try:
-        todo: List[Tuple[int, int]] = []
-        for key in pairs:
-            rec = journal.completed.get(key) if journal is not None else None
-            if rec is not None:
-                executor.replay(rec)
-                records[key] = rec
-            else:
-                todo.append(key)
+        else contextlib.nullcontext()
+    ) as journal:
+        executor = Executor(tau, options, stats, budget=budget, journal=journal)
+        executor.prepare(graphs)
+        store = executor.build_store()
+        # Phase 1: the whole scan, then the journal's replay; the fresh
+        # pairs are deferred to the pool in scan order.
+        blocks = list(executor.scan())
+        todo: List[Pair] = []
+        for i, candidate_ids in blocks:
+            executor.verify_block(i, candidate_ids, keep, defer=todo)
 
+        # Phase 2: verify the rest on the pool.  Workers receive an auto
+        # plan as the order the parent picked in prepare() (the journal
+        # header keeps the original options: the order is derived
+        # state, re-derived identically on resume).
         started = time.perf_counter()
-        # Workers receive an auto plan as the order the parent picked in
-        # prepare() (the journal header keeps the original options: the
-        # order is derived state, re-derived identically on resume).
-        worker_options = executor.worker_options()
-
-        chunks = [
-            todo[k : k + chunk_size] for k in range(0, len(todo), chunk_size)
-        ]
-        if workers == 1:
-            _init_worker(
-                list(graphs), tau, worker_options, sorter, budget, fault,
-                store,
-            )
-            try:
-                for chunk in chunks:
-                    for rec in _verify_chunk(chunk):
-                        executor.apply_worker_record(rec)
-                        records[(rec.i, rec.j)] = rec
-                        if journal is not None:
-                            journal.append(rec)
-            finally:
-                _worker.clear()
-        elif chunks:
-            chunk_records = _run_chunks(
-                chunks,
-                graphs=list(graphs),
-                tau=tau,
-                options=worker_options,
-                sorter=sorter,
-                budget=budget,
-                fault=fault,
-                store=store,
-                workers=workers,
-                max_retries=max_retries,
-                chunk_timeout=chunk_timeout,
-                retry_backoff=retry_backoff,
-                fallback_budget=(
-                    fallback_budget
-                    if fallback_budget is not None
-                    else (budget if budget is not None else DEFAULT_FALLBACK_BUDGET)
-                ),
-                stats=stats,
-            )
-            for idx in range(len(chunks)):
-                for rec in chunk_records[idx]:
-                    executor.apply_worker_record(rec)
-                    records[(rec.i, rec.j)] = rec
-                    if journal is not None:
-                        journal.append(rec)
+        for rec in verify_on_pool(
+            todo, graphs, tau, executor.worker_options(), executor.sorter,
+            budget, settings, stats, chunk_size=chunk_size, fault=fault,
+            store=store, fallback_budget=fallback_budget,
+        ):
+            executor.accept(rec, keep)
         stats.verify_time += time.perf_counter() - started
-    finally:
-        if journal is not None:
-            journal.close()
 
-    # --- Assembly: walk the candidate scan order once ------------------
-    for i, j in pairs:
-        rec = records[(i, j)]
-        if rec.is_result:
-            result.pairs.append((graphs[j].graph_id, graphs[i].graph_id))
-        elif rec.undecided:
-            result.undecided.append(
-                BoundedPair(
-                    graphs[j].graph_id,
-                    graphs[i].graph_id,
-                    rec.lower,
-                    rec.upper,
-                    "error" if rec.pruned_by == "error" else "budget",
-                )
-            )
-    stats.results = len(result.pairs)
+    # Assembly: walk the candidate scan order once.
+    ids = [g.graph_id for g in graphs]
+    for i, candidate_ids in blocks:
+        for j in candidate_ids:
+            outcome = found.get((i, j))
+            if outcome is not None:
+                add_outcome(result, outcome, ids[j], ids[i])
+    executor.finish(result)
     return result
 
 
 def _run_chunks(
-    chunks: List[List[Tuple[int, int]]],
+    chunks: List[List[Pair]],
     graphs: Sequence[Graph],
     tau: int,
     options: GSimJoinOptions,
@@ -453,11 +441,8 @@ def _run_chunks(
     budget: Optional[VerificationBudget],
     fault: Optional[FaultPlan],
     store: Optional[ColumnarStore],
-    workers: int,
-    max_retries: int,
-    chunk_timeout: Optional[float],
-    retry_backoff: float,
-    fallback_budget: Optional[VerificationBudget],
+    settings: PoolSettings,
+    fallback_budget: VerificationBudget,
     stats: JoinStatistics,
 ) -> Dict[int, List[VerificationRecord]]:
     """Run every chunk to completion, surviving worker death and hangs.
@@ -475,7 +460,7 @@ def _run_chunks(
     pending = [idx for idx in range(len(chunks))]
     while pending:
         executor = ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=settings.workers,
             initializer=_init_worker,
             initargs=(graphs, tau, options, sorter, budget, fault, store),
         )
@@ -489,7 +474,7 @@ def _run_chunks(
             for idx in pending:
                 try:
                     chunk_records[idx] = futures[idx].result(
-                        timeout=chunk_timeout
+                        timeout=settings.chunk_timeout
                     )
                 except Exception:
                     # TimeoutError (hung worker), BrokenProcessPool (dead
@@ -507,7 +492,7 @@ def _run_chunks(
             continue
         stats.chunk_retries += 1
         retries[failed] += 1
-        if retries[failed] > max_retries:
+        if retries[failed] > settings.max_retries:
             pending = [idx for idx in pending if idx != failed]
             chunk_records[failed] = _fallback_verify(
                 chunks[failed],
@@ -518,8 +503,6 @@ def _run_chunks(
                 fallback_budget,
                 stats,
             )
-        elif retry_backoff > 0:
-            time.sleep(
-                min(retry_backoff * 2 ** (retries[failed] - 1), _MAX_BACKOFF)
-            )
+        else:
+            settings.backoff(retries[failed])
     return chunk_records

@@ -16,7 +16,7 @@ took.  The rows are listed in plan order and surfaced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 __all__ = ["JoinStatistics", "JoinResult", "BoundedPair", "StageStatistics"]
@@ -126,6 +126,52 @@ class JoinStatistics:
     #: advisory parameter recommendation from the planner (never
     #: applied at runtime — see ``repro.engine.planner.advise_parameters``)
 
+    def merge(self, other: "JoinStatistics") -> None:
+        """Add ``other`` — statistics of another part of the same run
+        (a shard pair) — into this one: every counter and timing, the
+        per-backend verify tallies, and the stage rows by name in
+        first-seen order.  Run identity (``num_graphs``, ``tau``,
+        ``q``) and the planner's advice stay this object's."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for backend, count in other.verify_backends.items():
+            self.verify_backends[backend] = (
+                self.verify_backends.get(backend, 0) + count
+            )
+        rows = {row.name: row for row in self.stages}
+        for theirs in other.stages:
+            row = rows.get(theirs.name)
+            if row is None:
+                row = StageStatistics(name=theirs.name, role=theirs.role)
+                self.stages.append(row)
+                rows[row.name] = row
+            row.input += theirs.input
+            row.survivors += theirs.survivors
+            row.seconds += theirs.seconds
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The mergeable part as a JSON-ready dict (the sharded
+        manifest's per-pair record; see :meth:`from_snapshot`)."""
+        data: Dict[str, Any] = {name: getattr(self, name) for name in _COUNTERS}
+        data["verify_backends"] = dict(self.verify_backends)
+        data["stages"] = [
+            [row.name, row.role, row.input, row.survivors, row.seconds]
+            for row in self.stages
+        ]
+        return data
+
+    @classmethod
+    def from_snapshot(cls, data: Dict[str, Any]) -> "JoinStatistics":
+        """Rebuild statistics from :meth:`snapshot` output; a key an
+        older snapshot lacks stays at its zero default."""
+        stats = cls(**{name: data[name] for name in _COUNTERS if name in data})
+        stats.verify_backends = dict(data.get("verify_backends", {}))
+        stats.stages = [
+            StageStatistics(name, role, inputs, survivors, seconds)
+            for name, role, inputs, survivors, seconds in data.get("stages", [])
+        ]
+        return stats
+
     @property
     def total_time(self) -> float:
         """Summed phase wall time (index + candidates + verify)."""
@@ -227,6 +273,16 @@ class JoinStatistics:
                 f" | undecided={self.undecided} failed={self.failed_pairs}"
             )
         return text
+
+
+#: The summable counters and timings: every numeric field except the
+#: run's identity (``num_graphs``, ``tau``, ``q``).
+_COUNTERS = tuple(
+    f.name
+    for f in fields(JoinStatistics)
+    if f.name not in ("num_graphs", "tau", "q")
+    and isinstance(f.default, (int, float))
+)
 
 
 @dataclass

@@ -34,6 +34,21 @@ per-pair artifacts make the run both *bounded* and *recoverable*:
   the shard pairs not yet ``done`` (their journals replay the verified
   prefix), then merging, bit-identically to an uninterrupted run.
 
+Every sub-shard combo runs on the driver core of
+:mod:`repro.engine.executor`: one executor per combo, its
+:meth:`~repro.engine.executor.Executor.scan` in the triangle shape for a
+diagonal combo and in the index-then-probe shape for a cross combo, and
+:meth:`~repro.engine.executor.Executor.verify_block` for every probe —
+journal replay, one fault step per fresh pair, the cascade and GED.
+This module owns what is sharded about it: the survey and scatter
+passes, combo enumeration under the memory budget, the global
+``positions`` that orient and key the pairs, the spill queues (each
+candidate spills before it verifies, each result right after), the
+manifest and the per-pair statistics snapshots, merged with
+:meth:`~repro.engine.result.JoinStatistics.merge`.  With ``workers > 1``
+fresh pairs are deferred to the parallel driver's pool.  The driver
+runs the scalar cascade: it builds no columnar store per combo.
+
 Transient I/O failures (``OSError``, including injected ENOSPC) retry
 the shard pair with capped exponential backoff up to ``max_retries``
 before propagating.  The deterministic merge orders records by global
@@ -46,25 +61,23 @@ see ``docs/ROBUSTNESS.md``).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.executor import Executor, _options_meta, record_of
-from repro.engine.inverted_index import InvertedIndex
+from repro.engine.executor import Executor, Outcome, _options_meta, bounded_pair
 from repro.engine.options import GSimJoinOptions
-from repro.engine.parallel import DEFAULT_FALLBACK_BUDGET, _run_chunks
-from repro.engine.result import BoundedPair, JoinResult, JoinStatistics, StageStatistics
+from repro.engine.parallel import PoolSettings, verify_on_pool
+from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
 from repro.ged.portfolio import validate_backend_options
 from repro.exceptions import CheckpointError, MemoryBudgetError, ParameterError
 from repro.graph.graph import Graph
 from repro.graph.io import dumps_graphs, load_graphs_iter
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.journal import JoinJournal, VerificationRecord
+from repro.runtime.journal import JoinJournal
 from repro.runtime.sharded import (
     PAIR_DONE,
     PAIR_RUNNING,
@@ -84,9 +97,6 @@ __all__ = ["execute_sharded_join", "sharded_join_meta", "result_fingerprint"]
 #: once), it is not an allocator.
 _GRAPH_OVERHEAD_BYTES = 4096
 _BYTES_PER_SIZE_UNIT = 1536
-
-#: Cap on the exponential shard-pair retry backoff (seconds).
-_MAX_BACKOFF = 5.0
 
 #: Candidate pairs per worker chunk when ``workers > 1``.
 _CHUNK_SIZE = 8
@@ -322,286 +332,85 @@ def _step_io(injector: Optional[FaultInjector]) -> None:
         injector.step_io()
 
 
-def _emit_result(
-    res_q: SpillQueue,
-    rec: VerificationRecord,
-    id_lo: object,
-    id_hi: object,
+def _run_combo(
+    graphs: List[Graph],
+    positions: List[int],
+    split: Optional[int],
+    tau: int,
+    options: GSimJoinOptions,
+    budget: Optional[VerificationBudget],
+    stats: JoinStatistics,
+    journal: JoinJournal,
     injector: Optional[FaultInjector],
-) -> Tuple[int, int]:
-    """Spill one verified outcome's result/undecided contribution.
+    cand_q: SpillQueue,
+    res_q: SpillQueue,
+    pool: PoolSettings,
+    spilled: Dict[str, int],
+) -> None:
+    """One sub-shard combo through the driver core.
 
-    Returns the ``(results, undecided)`` delta (0/1 each).  Rejected
-    pairs spill nothing — the journal already proves they were decided.
+    ``split=None`` is a diagonal combo — the triangle self-scan of one
+    sub-shard; otherwise ``graphs[split:]`` is the indexed sub-shard and
+    ``graphs[:split]`` probes it.  ``positions`` are the graphs' global
+    scan positions: every pair verifies with the later one as ``r``
+    (the in-memory scan's probe orientation) and journals under the
+    global ``(hi, lo)`` key, stable across split levels.  Each candidate
+    spills before it is verified, each result or undecided pair right
+    after; with ``pool.workers > 1`` the fresh pairs are deferred to the
+    parallel driver's fault-tolerant pool (the parent keeps the fault
+    schedule, stepping once per pair at deferral).  The combo runs the
+    scalar cascade: no columnar store is built per combo.
     """
-    if rec.is_result:
+    executor = Executor(
+        tau, options, stats, budget=budget, journal=journal,
+        injector=injector, positions=positions, io_faults=True,
+    )
+    executor.prepare(graphs)
+    ids = [g.graph_id for g in graphs]
+
+    def spill_candidate(r: int, s: int) -> None:
         _step_io(injector)
-        res_q.append(
-            {"kind": "pair", "lo": rec.j, "hi": rec.i,
-             "id_lo": id_lo, "id_hi": id_hi}
-        )
-        return 1, 0
-    if rec.undecided:
+        cand_q.append({"lo": positions[s], "hi": positions[r]})
+
+    def spill_result(r: int, s: int, outcome: Outcome) -> None:
         _step_io(injector)
+        lo, hi, id_lo, id_hi = positions[s], positions[r], ids[s], ids[r]
+        if outcome.is_result:
+            spilled["pair"] += 1
+            res_q.append(
+                {"kind": "pair", "lo": lo, "hi": hi,
+                 "id_lo": id_lo, "id_hi": id_hi}
+            )
+            return
+        spilled["undecided"] += 1
+        bounded = bounded_pair(outcome, id_lo, id_hi)
         res_q.append(
             {
                 "kind": "undecided",
-                "lo": rec.j,
-                "hi": rec.i,
+                "lo": lo,
+                "hi": hi,
                 "id_lo": id_lo,
                 "id_hi": id_hi,
-                "lower": rec.lower,
-                "upper": rec.upper,
-                "reason": "error" if rec.pruned_by == "error" else "budget",
+                "lower": bounded.lower,
+                "upper": bounded.upper,
+                "reason": bounded.reason,
             }
         )
-        return 0, 1
-    return 0, 0
 
-
-class _ComboContext:
-    """Everything one sub-shard combo's verification loop needs."""
-
-    def __init__(
-        self,
-        tau: int,
-        options: GSimJoinOptions,
-        budget: Optional[VerificationBudget],
-        pair_stats: JoinStatistics,
-        journal: JoinJournal,
-        cand_q: SpillQueue,
-        res_q: SpillQueue,
-        injector: Optional[FaultInjector],
-        workers: int,
-        max_retries: int,
-        retry_backoff: float,
-        chunk_timeout: Optional[float],
-    ) -> None:
-        self.tau = tau
-        self.options = options
-        self.budget = budget
-        self.pair_stats = pair_stats
-        self.journal = journal
-        self.cand_q = cand_q
-        self.res_q = res_q
-        self.injector = injector
-        self.workers = workers
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.chunk_timeout = chunk_timeout
-        self.results = 0
-        self.undecided = 0
-
-    def handle_candidate(
-        self,
-        executor: Executor,
-        profiles: Sequence,
-        labels: Sequence,
-        r_local: int,
-        s_local: int,
-        lo: int,
-        hi: int,
-        id_lo: object,
-        id_hi: object,
-        todo: List[Tuple[int, int]],
-        todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]],
-    ) -> None:
-        """Spill one discovered candidate, then replay/verify/defer it.
-
-        ``r_local``/``s_local`` index the combo's combined graph list
-        (``r`` = the later graph by global position, matching the
-        in-memory scan's probe orientation); ``(hi, lo)`` is the global
-        journal key.  With ``workers > 1`` fresh pairs are deferred to
-        the worker pool via ``todo``.
-        """
-        _step_io(self.injector)
-        self.cand_q.append({"lo": lo, "hi": hi})
-        rec = self.journal.completed.get((hi, lo))
-        if rec is None and self.workers > 1:
-            if self.injector is not None:
-                self.injector.step()
-            todo.append((r_local, s_local))
-            todo_keys[(r_local, s_local)] = (hi, lo, id_lo, id_hi)
-            return
-        if rec is None:
-            if self.injector is not None:
-                self.injector.step()
-            outcome = executor.verify_candidate(
-                profiles[r_local], profiles[s_local],
-                labels[r_local], labels[s_local],
-            )
-            rec = record_of(hi, lo, outcome)
-            _step_io(self.injector)
-            self.journal.append(rec)
-        else:
-            executor.replay(rec)
-        d_res, d_und = _emit_result(self.res_q, rec, id_lo, id_hi, self.injector)
-        self.results += d_res
-        self.undecided += d_und
-
-    def drain_workers(
-        self,
-        executor: Executor,
-        graphs: Sequence[Graph],
-        sorter,
-        todo: List[Tuple[int, int]],
-        todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]],
-    ) -> None:
-        """Verify the deferred pairs on the process pool and accrue them.
-
-        Reuses the parallel executor's fault-tolerant chunk runner
-        (pool teardown + re-dispatch + in-process fallback), with no
-        worker-side fault injection — the parent owns the fault
-        schedule, stepping once per pair at dispatch.
-        """
-        if not todo:
-            return
-        chunks = [
-            todo[k : k + _CHUNK_SIZE] for k in range(0, len(todo), _CHUNK_SIZE)
-        ]
-        chunk_records = _run_chunks(
-            chunks,
-            graphs=list(graphs),
-            tau=self.tau,
-            options=executor.worker_options(),
-            sorter=sorter,
-            budget=self.budget,
-            fault=None,
-            store=None,
-            workers=self.workers,
-            max_retries=self.max_retries,
-            chunk_timeout=self.chunk_timeout,
-            retry_backoff=self.retry_backoff,
-            fallback_budget=(
-                self.budget if self.budget is not None
-                else DEFAULT_FALLBACK_BUDGET
-            ),
-            stats=self.pair_stats,
+    todo: Optional[List[Tuple[int, int]]] = [] if pool.workers > 1 else None
+    for i, candidate_ids in executor.scan(split):
+        executor.verify_block(
+            i, candidate_ids, spill_result, before=spill_candidate, defer=todo
         )
-        for idx in range(len(chunks)):
-            for rec in chunk_records[idx]:
-                hi, lo, id_lo, id_hi = todo_keys[(rec.i, rec.j)]
-                grec = dataclasses.replace(rec, i=hi, j=lo)
-                executor.apply_worker_record(grec)
-                _step_io(self.injector)
-                self.journal.append(grec)
-                d_res, d_und = _emit_result(
-                    self.res_q, grec, id_lo, id_hi, self.injector
-                )
-                self.results += d_res
-                self.undecided += d_und
-
-
-def _run_self_combo(ctx: _ComboContext, positions: Sequence[int],
-                    graphs: Sequence[Graph]) -> None:
-    """Triangular self-scan of one sub-shard (Algorithm 1 shape).
-
-    ``positions`` ascend, so probe ``i`` vs earlier ``j`` always gives
-    ``positions[j] < positions[i]`` — the global ``(hi, lo)`` key falls
-    straight out of the scan.
-    """
-    stats = ctx.pair_stats
-    executor = Executor(ctx.tau, ctx.options, stats, budget=ctx.budget)
-    started = time.perf_counter()
-    profiles, prefixes, labels, sorter = executor.prepare(graphs)
-    stats.index_time += time.perf_counter() - started
-
-    index = InvertedIndex()
-    unprunable: List[int] = []
-    todo: List[Tuple[int, int]] = []
-    todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]] = {}
-    for i, profile in enumerate(profiles):
-        info = prefixes[i]
+    if todo:
         started = time.perf_counter()
-        candidate_ids = executor.collect_candidates(
-            profile, info, index, unprunable, profiles, i
-        )
-        stats.candidate_time += time.perf_counter() - started
-
-        started = time.perf_counter()
-        for j in candidate_ids:
-            ctx.handle_candidate(
-                executor, profiles, labels, i, j,
-                positions[j], positions[i],
-                graphs[j].graph_id, graphs[i].graph_id,
-                todo, todo_keys,
-            )
+        for rec in verify_on_pool(
+            todo, graphs, tau, executor.worker_options(), executor.sorter,
+            budget, pool, stats, chunk_size=_CHUNK_SIZE,
+        ):
+            executor.accept(rec, spill_result)
         stats.verify_time += time.perf_counter() - started
-
-        started = time.perf_counter()
-        if info.prunable:
-            for key in profile.prefix_keys(info.length):
-                index.add(key, i)
-        else:
-            unprunable.append(i)
-        stats.index_time += time.perf_counter() - started
-    started = time.perf_counter()
-    ctx.drain_workers(executor, graphs, sorter, todo, todo_keys)
-    stats.verify_time += time.perf_counter() - started
-
-
-def _run_cross_combo(
-    ctx: _ComboContext,
-    positions_a: Sequence[int],
-    graphs_a: Sequence[Graph],
-    positions_b: Sequence[int],
-    graphs_b: Sequence[Graph],
-) -> None:
-    """Bipartite scan of two sub-shards: index side B, probe side A.
-
-    Orientation of each discovered pair is by *global* position — the
-    later graph verifies as ``r`` regardless of which side it came from
-    — so records, results and fault steps match the in-memory scan's
-    convention pair-for-pair.
-    """
-    stats = ctx.pair_stats
-    executor = Executor(ctx.tau, ctx.options, stats, budget=ctx.budget)
-    combined = list(graphs_a) + list(graphs_b)
-    n_a = len(graphs_a)
-    started = time.perf_counter()
-    profiles, prefixes, labels, sorter = executor.prepare(combined)
-    b_profiles = profiles[n_a:]
-
-    index = InvertedIndex()
-    unprunable_b: List[int] = []
-    for j, profile in enumerate(b_profiles):
-        info = prefixes[n_a + j]
-        if info.prunable:
-            for key in profile.prefix_keys(info.length):
-                index.add(key, j)
-        else:
-            unprunable_b.append(j)
-    stats.index_time += time.perf_counter() - started
-
-    todo: List[Tuple[int, int]] = []
-    todo_keys: Dict[Tuple[int, int], Tuple[int, int, object, object]] = {}
-    for i in range(n_a):
-        started = time.perf_counter()
-        candidate_ids = executor.collect_candidates(
-            profiles[i], prefixes[i], index, unprunable_b, b_profiles,
-            len(b_profiles),
-        )
-        stats.candidate_time += time.perf_counter() - started
-
-        started = time.perf_counter()
-        for j in candidate_ids:
-            pos_a, pos_b = positions_a[i], positions_b[j]
-            if pos_a > pos_b:
-                r_local, s_local = i, n_a + j
-                lo, hi = pos_b, pos_a
-                id_lo, id_hi = graphs_b[j].graph_id, graphs_a[i].graph_id
-            else:
-                r_local, s_local = n_a + j, i
-                lo, hi = pos_a, pos_b
-                id_lo, id_hi = graphs_a[i].graph_id, graphs_b[j].graph_id
-            ctx.handle_candidate(
-                executor, profiles, labels, r_local, s_local,
-                lo, hi, id_lo, id_hi, todo, todo_keys,
-            )
-        stats.verify_time += time.perf_counter() - started
-    started = time.perf_counter()
-    ctx.drain_workers(executor, combined, sorter, todo, todo_keys)
-    stats.verify_time += time.perf_counter() - started
+    executor.finish()
 
 
 def _process_pair(
@@ -616,10 +425,7 @@ def _process_pair(
     budget: Optional[VerificationBudget],
     memory: MemoryBudget,
     injector: Optional[FaultInjector],
-    workers: int,
-    max_retries: int,
-    retry_backoff: float,
-    chunk_timeout: Optional[float],
+    pool: PoolSettings,
     fsync_interval: Optional[int],
 ) -> Tuple[JoinStatistics, int, int]:
     """One attempt at one shard pair at one split level.
@@ -642,6 +448,7 @@ def _process_pair(
         tau=tau,
         q=options.q,
     )
+    spilled = {"pair": 0, "undecided": 0}
     journal = JoinJournal.open(
         os.path.join(spill_dir, f"pair-{key}.journal.jsonl"),
         _pair_meta(run_meta, key),
@@ -653,10 +460,6 @@ def _process_pair(
         ) as cand_q, SpillQueue.create(
             os.path.join(spill_dir, f"pair-{key}.results.jsonl")
         ) as res_q:
-            ctx = _ComboContext(
-                tau, options, budget, pair_stats, journal, cand_q, res_q,
-                injector, workers, max_retries, retry_backoff, chunk_timeout,
-            )
             path_a = os.path.join(spill_dir, rec_a["file"])
             path_b = os.path.join(spill_dir, rec_b["file"])
             for range_a, range_b in _combos(
@@ -670,72 +473,30 @@ def _process_pair(
                     estimate += _estimate_bytes(sizes_b)
                 memory.charge(estimate, f"shard pair {key} split {split}")
                 try:
-                    graphs_a = _load_slice(path_a, range_a[0], range_a[1])
-                    positions_a = rec_a["positions"][range_a[0] : range_a[1]]
-                    if diagonal:
-                        _run_self_combo(ctx, positions_a, graphs_a)
-                    else:
-                        graphs_b = _load_slice(path_b, range_b[0], range_b[1])
-                        positions_b = rec_b["positions"][range_b[0] : range_b[1]]
-                        _run_cross_combo(
-                            ctx, positions_a, graphs_a, positions_b, graphs_b
+                    graphs = _load_slice(path_a, range_a[0], range_a[1])
+                    positions = rec_a["positions"][range_a[0] : range_a[1]]
+                    probes = None
+                    if not diagonal:
+                        probes = len(graphs)
+                        graphs += _load_slice(path_b, range_b[0], range_b[1])
+                        positions = (
+                            positions
+                            + rec_b["positions"][range_b[0] : range_b[1]]
                         )
+                    _run_combo(
+                        graphs, positions, probes, tau, options, budget,
+                        pair_stats, journal, injector, cand_q, res_q, pool,
+                        spilled,
+                    )
                 finally:
                     memory.release(estimate)
             _step_io(injector)
             cand_q.finish()
             _step_io(injector)
             res_q.finish()
-            return pair_stats, ctx.results, ctx.undecided
+            return pair_stats, spilled["pair"], spilled["undecided"]
     finally:
         journal.close()
-
-
-# --- Statistics snapshots -----------------------------------------------
-
-#: JoinStatistics fields snapshotted per shard pair and summed globally.
-_COUNTER_FIELDS = (
-    "cand1", "cand2",
-    "pruned_by_size", "pruned_by_global_label", "pruned_by_count",
-    "pruned_by_local_label",
-    "total_prefix_length", "unprunable_graphs",
-    "index_distinct_keys", "index_postings", "index_bytes",
-    "index_time", "candidate_time", "verify_time", "ged_time",
-    "ged_calls", "ged_expansions", "compile_time", "compiled_graphs",
-    "undecided", "replayed_pairs", "chunk_retries", "fallback_pairs",
-    "failed_pairs",
-)
-
-
-def _stats_snapshot(stats: JoinStatistics) -> dict:
-    """A shard pair's statistics as a manifest-storable dict."""
-    snapshot = {name: getattr(stats, name) for name in _COUNTER_FIELDS}
-    snapshot["stages"] = [
-        [row.name, row.role, row.input, row.survivors, row.seconds]
-        for row in stats.stages
-    ]
-    return snapshot
-
-
-def _accrue_snapshot(total: JoinStatistics, snapshot: dict) -> None:
-    """Add one shard pair's snapshot into the run's global statistics.
-
-    Stage rows merge by name in first-seen order — pairs accrue in
-    sorted key order on clean runs and resumes alike, so the global
-    stage table is deterministic.
-    """
-    for name in _COUNTER_FIELDS:
-        setattr(total, name, getattr(total, name) + snapshot[name])
-    existing = {row.name: row for row in total.stages}
-    for name, role, inputs, survivors, seconds in snapshot["stages"]:
-        row = existing.get(name)
-        if row is None:
-            row = StageStatistics(name=name, role=role)
-            total.stages.append(row)
-            existing[name] = row
-        row.input += inputs
-        row.survivors += survivors
-        row.seconds += seconds
 
 
 # --- The driver ---------------------------------------------------------
@@ -791,12 +552,7 @@ def execute_sharded_join(
         raise ParameterError(f"q must be >= 0, got {options.q}")
     if shards < 1:
         raise ParameterError(f"shards must be >= 1, got {shards}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    if max_retries < 0:
-        raise ParameterError(f"max_retries must be >= 0, got {max_retries}")
-    if retry_backoff < 0:
-        raise ParameterError(f"retry_backoff must be >= 0, got {retry_backoff}")
+    pool = PoolSettings(workers, max_retries, retry_backoff, chunk_timeout)
     validate_backend_options(
         options.verifier, budget=budget, anchor_bound=options.anchor_bound
     )
@@ -847,7 +603,7 @@ def execute_sharded_join(
     for key in keys:
         entry = manifest.pair(key)
         if entry["status"] == PAIR_DONE:
-            _accrue_snapshot(stats, entry["stats"])
+            stats.merge(JoinStatistics.from_snapshot(entry["stats"]))
             continue
         a, b = (int(x) for x in key.split("-"))
         rec_a, rec_b = records[a], (records[a] if a == b else records[b])
@@ -864,8 +620,7 @@ def execute_sharded_join(
             try:
                 pair_stats, results_n, undecided_n = _process_pair(
                     key, rec_a, rec_b, split, spill_dir, run_meta, tau,
-                    options, budget, memory, injector, workers,
-                    max_retries, retry_backoff, chunk_timeout, fsync_interval,
+                    options, budget, memory, injector, pool, fsync_interval,
                 )
             except MemoryBudgetError:
                 memory.reset()
@@ -882,24 +637,17 @@ def execute_sharded_join(
                 attempt_errors += 1
                 if attempt_errors > max_retries:
                     raise
-                if retry_backoff > 0:
-                    time.sleep(
-                        min(
-                            retry_backoff * 2 ** (attempt_errors - 1),
-                            _MAX_BACKOFF,
-                        )
-                    )
+                pool.backoff(attempt_errors)
                 continue
-            snapshot = _stats_snapshot(pair_stats)
             manifest.update_pair(
                 key,
                 status=PAIR_DONE,
                 split=split,
-                stats=snapshot,
+                stats=pair_stats.snapshot(),
                 results=results_n,
                 undecided=undecided_n,
             )
-            _accrue_snapshot(stats, snapshot)
+            stats.merge(pair_stats)
             break
 
     # Merge: one fault step marks the merge boundary (kill-mid-merge

@@ -35,13 +35,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.engine.prefix import PrefixInfo, basic_prefix, minedit_prefix
 from repro.engine.result import JoinStatistics
 from repro.exceptions import ParameterError
 from repro.ged.compiled import VerificationCache
-from repro.ged.portfolio import budgeted_backends, validate_backend_options
+from repro.ged.portfolio import validate_backend_options
 from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.labels import (
     global_label_lower_bound,
@@ -53,7 +53,6 @@ from repro.grams.qgrams import QGramProfile
 from repro.runtime.budget import VerificationBudget
 
 __all__ = [
-    "BUDGETED_VERIFIERS",
     "VerifyOutcome",
     "PairContext",
     "PrepareProfiles",
@@ -67,15 +66,7 @@ __all__ = [
     "LabelFilter",
     "MulticoverFilter",
     "Verify",
-    "run_cascade",
 ]
-
-#: Deprecated alias: registry keys whose backends honour a
-#: :class:`VerificationBudget`.  Since the DFS backend grew bounded
-#: verdicts this is *every* registered verifier; kept for callers that
-#: still import the historical name (see :mod:`repro.ged.portfolio`
-#: for the capability declarations themselves).
-BUDGETED_VERIFIERS = budgeted_backends()
 
 LabelPair = Tuple[Counter, Counter]
 
@@ -509,35 +500,3 @@ class Verify:
             expansions=search.expanded, ged_seconds=elapsed,
             backend=name,
         )
-
-
-def run_cascade(
-    filters: Tuple[PairFilter, ...],
-    verify: Verify,
-    ctx: PairContext,
-    stats: Optional[JoinStatistics] = None,
-    budget: Optional[VerificationBudget] = None,
-    cache: Optional[VerificationCache] = None,
-    hinted: Optional[FrozenSet[str]] = None,
-) -> VerifyOutcome:
-    """Run the per-pair cascade, then GED, on one candidate pair.
-
-    This is the untimed fast path shared by the public ``verify_pair``
-    wrapper and the parallel workers; the executor's driver loops use
-    its timed twin (:meth:`repro.engine.executor.Executor.verify_candidate`)
-    which additionally accrues the per-stage statistics rows.
-
-    ``hinted`` names stages the batch kernels already proved *passed*
-    for this pair (see :mod:`repro.engine.batch`); they are skipped
-    without re-evaluation.  Sound for any cascade order — each filter's
-    verdict for a pair is order-independent.
-    """
-    for stage in filters:
-        if hinted is not None and stage.name in hinted:
-            continue
-        tag = stage.prune(ctx)
-        if tag is not None:
-            if stats:
-                setattr(stats, stage.counter, getattr(stats, stage.counter) + 1)
-            return VerifyOutcome(False, tag)
-    return verify.run(ctx, stats=stats, budget=budget, cache=cache)

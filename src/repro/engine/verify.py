@@ -8,28 +8,18 @@ computation, itself accelerated by the improved vertex order
 
 The cascade is built from the first-class stage objects of
 :mod:`repro.engine.stages`; :func:`verify_pair` keeps the historical
-flat-argument signature and simply runs the corresponding stage
-cascade, so standalone callers and the engine's executor share one
-implementation.
+flat-argument signature as a wrapper over the engine's one per-pair
+path, :meth:`repro.engine.executor.Executor.verify_candidate`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple
 
+from repro.engine.executor import Executor
+from repro.engine.options import GSimJoinOptions
 from repro.engine.result import JoinStatistics
-from repro.engine.stages import (
-    CountFilter,
-    GlobalLabelFilter,
-    LabelFilter,
-    MulticoverFilter,
-    PairContext,
-    PairFilter,
-    Verify,
-    VerifyOutcome,
-    run_cascade,
-)
+from repro.engine.stages import VerifyOutcome
 from repro.ged.compiled import VerificationCache
 from repro.grams.qgrams import QGramProfile
 from repro.runtime.budget import VerificationBudget
@@ -37,51 +27,6 @@ from repro.runtime.budget import VerificationBudget
 __all__ = ["VerifyOutcome", "verify_pair"]
 
 LabelPair = Tuple
-
-
-@lru_cache(maxsize=None)
-def _filters_for(
-    use_local_label: bool, use_multicover: bool
-) -> Tuple[PairFilter, ...]:
-    """The default-order cascade for one flag combination (cached)."""
-    filters = [GlobalLabelFilter(), CountFilter()]
-    if use_local_label:
-        filters.append(LabelFilter())
-    if use_multicover:
-        filters.append(MulticoverFilter())
-    return tuple(filters)
-
-
-_FILTER_CLASSES = {
-    "global-label-filter": GlobalLabelFilter,
-    "count-filter": CountFilter,
-    "local-label-filter": LabelFilter,
-    "multicover-filter": MulticoverFilter,
-}
-
-
-@lru_cache(maxsize=None)
-def _filters_for_order(order: Tuple[str, ...]) -> Tuple[PairFilter, ...]:
-    """The cascade for an explicit stage-name order (cached).
-
-    Used by the parallel workers when the driver ships a non-default
-    (e.g. auto-picked) cascade order; ``order`` is assumed
-    already validated by :func:`repro.engine.plan.build_plan`.
-    """
-    return tuple(_FILTER_CLASSES[name]() for name in order)
-
-
-@lru_cache(maxsize=None)
-def _verify_for(
-    verifier: str, improved_order: bool, improved_h: bool, anchor_bound: bool
-) -> Verify:
-    """The verify stage for one backend configuration (cached)."""
-    return Verify(
-        verifier=verifier,
-        improved_order=improved_order,
-        improved_h=improved_h,
-        anchor_bound=anchor_bound,
-    )
 
 
 def verify_pair(
@@ -111,7 +56,7 @@ def verify_pair(
     surplus keys — an extension beyond the paper's Algorithm 5 (see
     :func:`repro.grams.labels.multicover_min_edit_bound`).
     ``stats``, when given, accrues the Cand-2 counter, filter prune
-    counters, and GED timings.
+    counters, GED timings and the per-stage rows.
 
     ``verifier`` names a portfolio backend (resolved through the
     registry of :mod:`repro.ged.portfolio`): ``"compiled"`` (the
@@ -139,26 +84,35 @@ def verify_pair(
     effect — a hinted stage by definition did not prune).
 
     ``plan_order``, when given, runs the cascade in that explicit
-    stage-name order instead of the default — the parallel workers use
-    it to honour a driver-shipped plan (under ``plan="auto"``, the order
-    the parent picked once before the first pair).  Every order yields
-    the same verdict; only prune attribution shifts.
+    stage-name order instead of the default (the filters it names are
+    the ones that run).  Every order yields the same verdict; only
+    prune attribution shifts.
 
     Raises
     ------
     ParameterError
-        On an unknown verifier, or a requested feature (``budget``,
-        ``anchor_bound``) the resolved backend's declared capabilities
-        exclude.
+        On an unknown verifier, an invalid ``plan_order``, or a
+        requested feature (``budget``, ``anchor_bound``) the resolved
+        backend's declared capabilities exclude.
     """
-    ctx = PairContext(p_r, p_s, tau, labels_r, labels_s)
-    filters = (
-        _filters_for_order(plan_order)
-        if plan_order is not None
-        else _filters_for(use_local_label, use_multicover)
+    if plan_order is not None:
+        use_local_label = "local-label-filter" in plan_order
+        use_multicover = "multicover-filter" in plan_order
+    options = GSimJoinOptions(
+        local_label=use_local_label,
+        improved_order=improved_order,
+        improved_h=improved_h,
+        multicover=use_multicover,
+        verifier=verifier,
+        anchor_bound=anchor_bound,
+        plan=plan_order,
+        batch=False,
     )
-    verify = _verify_for(verifier, improved_order, improved_h, anchor_bound)
-    return run_cascade(
-        filters, verify, ctx, stats=stats, budget=budget, cache=cache,
-        hinted=hinted,
+    executor = Executor(
+        tau,
+        options,
+        stats if stats is not None else JoinStatistics(),
+        budget=budget,
+        cache=cache,
     )
+    return executor.verify_candidate(p_r, p_s, labels_r, labels_s, hinted)

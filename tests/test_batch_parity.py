@@ -62,7 +62,6 @@ def _always_batch(monkeypatch):
     """
     monkeypatch.setattr("repro.engine.batch.MIN_BATCH_BLOCK", 1)
     monkeypatch.setattr("repro.engine.executor.MIN_BATCH_BLOCK", 1)
-    monkeypatch.setattr("repro.engine.parallel.MIN_BATCH_BLOCK", 1)
 
 
 def with_batch(options, batch):

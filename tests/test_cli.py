@@ -178,6 +178,20 @@ class TestRobustnessFlags:
         ) == 0
         assert capsys.readouterr().out == expected
 
+    def test_sharded_explain_plan(self, tmp_path, capsys):
+        """The sharded path prints the plan and the merged stage table,
+        per-backend verify tallies included."""
+        path = tmp_path / "graphs.txt"
+        save_graphs(aids_like(num_graphs=80, seed=7), path)
+        assert main(
+            ["join", str(path), "--tau", "2", "--quiet",
+             "--shards", "3", "--spill-dir", str(tmp_path / "spill"),
+             "--explain-plan"]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "join plan:" in err
+        assert "verify backends:" in err
+
     def test_sharded_resume_flag(self, collection_file, tmp_path, capsys):
         spill = str(tmp_path / "spill")
         assert main(
