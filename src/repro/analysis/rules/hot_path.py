@@ -1,8 +1,7 @@
 """Hot-path allocation rule.
 
 The engine's driver loops (``engine.executor``, ``engine.stages``),
-the vectorized batch kernels ``engine.batch``, the planner's pre-join
-pair-sampling loop (``engine.planner``), their thin ``core``
+the vectorized batch kernels ``engine.batch``, their thin ``core``
 wrappers (``core.join``, ``core.search``), ``ged.astar``, the compiled
 verifier ``ged.compiled``, the interned filter kernels ``grams.vocab``
 / ``grams.mismatch``, the columnar store builder ``grams.columnar``
@@ -39,7 +38,6 @@ TARGET_MODULES = {
     "repro.core.search",
     "repro.engine.batch",
     "repro.engine.executor",
-    "repro.engine.planner",
     "repro.engine.sharded",
     "repro.engine.stages",
     "repro.ged.astar",
@@ -63,7 +61,7 @@ class HotPathAllocationRule(Rule):
     description = (
         "flag list()/dict() copies and extract_qgrams calls inside loops "
         "in core.join/core.search/engine.batch/engine.executor/"
-        "engine.planner/engine.sharded/engine.stages/ged.astar/"
+        "engine.sharded/engine.stages/ged.astar/"
         "ged.compiled/grams.columnar/grams.mismatch/grams.vocab/"
         "runtime.sharded"
     )

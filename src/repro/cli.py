@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from typing import List, Optional
 
@@ -128,22 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         "a crash or kill",
     )
     join.add_argument(
-        "--auto-plan",
-        action="store_true",
-        help="let the cost-based planner pick the filter cascade order "
-        "once, before the first pair (gsimjoin only; same result pairs, "
-        "see docs/PERFORMANCE.md)",
-    )
-    join.add_argument(
         "--explain-plan",
-        nargs="?",
-        const="table",
-        choices=["table", "json"],
-        default=None,
+        action="store_true",
         help="print the staged execution plan and the per-stage "
-        "survivor/timing table to stderr (gsimjoin only); "
-        "'json' emits a machine-readable report with estimated vs "
-        "observed selectivity/cost instead",
+        "survivor/timing table to stderr (gsimjoin only)",
     )
     join.add_argument("--quiet", action="store_true", help="print only the pairs")
     join.add_argument(
@@ -199,13 +186,7 @@ def _print_result(result, args) -> int:
         from repro.reporting import save_result_json
 
         save_result_json(result, args.json_path)
-    explain = getattr(args, "explain_plan", None)
-    if explain == "json":
-        print(
-            json.dumps(result.stats.plan_report(), indent=2),
-            file=sys.stderr,
-        )
-    elif explain:
+    if getattr(args, "explain_plan", False):
         print(result.stats.stage_table(), file=sys.stderr)
     if not args.quiet:
         print(result.stats.summary(), file=sys.stderr)
@@ -213,18 +194,16 @@ def _print_result(result, args) -> int:
 
 
 def _gsimjoin_options(args) -> GSimJoinOptions:
-    """The join options the flags select (variant, verifier, auto plan)."""
+    """The join options the flags select (variant, verifier)."""
     options = getattr(GSimJoinOptions, args.variant)(q=args.q)
     if args.verifier is not None:
         options = dataclasses.replace(options, verifier=args.verifier)
-    if args.auto_plan:
-        options = dataclasses.replace(options, plan="auto")
     return options
 
 
 def _explain_plan(args, options: GSimJoinOptions) -> None:
-    """Print the plan under ``--explain-plan`` (table form) to stderr."""
-    if args.explain_plan == "table":
+    """Print the plan under ``--explain-plan`` to stderr."""
+    if args.explain_plan:
         from repro.engine.plan import build_plan
 
         print(build_plan(options).describe(), file=sys.stderr)
@@ -267,11 +246,10 @@ def _cmd_join(args) -> int:
         budget is not None
         or args.checkpoint is not None
         or args.explain_plan
-        or args.auto_plan
         or args.verifier is not None
     ):
         raise ReproError(
-            "--budget-*/--checkpoint/--explain-plan/--auto-plan/--verifier "
+            "--budget-*/--checkpoint/--explain-plan/--verifier "
             "require --algorithm gsimjoin"
         )
     if args.shards is not None:
@@ -285,7 +263,8 @@ def _cmd_join(args) -> int:
     if args.algorithm == "gsimjoin":
         options = _gsimjoin_options(args)
         _explain_plan(args, options)
-        if args.workers > 1:
+        if args.workers != 1:
+            # gsim_join_parallel rejects workers < 1.
             from repro.core.parallel import gsim_join_parallel
 
             result = gsim_join_parallel(

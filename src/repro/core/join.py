@@ -78,8 +78,8 @@ def gsim_join(
     Raises
     ------
     ParameterError
-        On negative ``tau``/``q``, missing ids, duplicate ids, or an
-        invalid ``options.plan``.
+        On negative ``tau``/``q``, missing ids, duplicate ids, or mixed
+        directedness.
     CheckpointError
         When ``checkpoint`` names a journal from a different run.
     """
@@ -114,8 +114,9 @@ def gsim_join_rs(
     Raises
     ------
     ParameterError
-        Same validation as :func:`gsim_join`, applied to both
-        collections.
+        Same validation as :func:`gsim_join`, applied to each
+        collection; ``outer`` and ``inner`` must also agree on
+        directedness.
     CheckpointError
         When ``checkpoint`` names a journal from a different run.
     """

@@ -28,9 +28,13 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.engine.executor import Executor
 from repro.engine.inverted_index import InvertedIndex
-from repro.engine.options import GSimJoinOptions, Sorter, build_sorter
-from repro.engine.plan import JoinPlan, build_plan, reorder_pair_filters
-from repro.engine.planner import static_choice
+from repro.engine.options import (
+    GSimJoinOptions,
+    Sorter,
+    build_sorter,
+    reject_mixed_directedness,
+)
+from repro.engine.plan import JoinPlan, build_plan
 from repro.engine.prefix import PrefixInfo
 from repro.engine.result import JoinStatistics
 from repro.engine.stages import VerifyOutcome
@@ -72,13 +76,8 @@ class GSimIndex:
             raise ParameterError(f"tau_max must be >= 0, got {tau_max}")
         self.tau_max = tau_max
         self.options = options if options is not None else GSimJoinOptions()
+        # Built once; every query's executor runs this plan.
         self._plan: JoinPlan = build_plan(self.options)
-        # plan="auto": the index re-picks the cascade order from the
-        # static cost/selectivity model whenever the collection changed
-        # (lazily, on the next query), exactly as a join picks it before
-        # its first pair; queries themselves run that fixed plan.
-        self._auto = self.options.plan == "auto"
-        self._plan_stale = self._auto
         self.graphs: List[Graph] = []
         self._profiles: List[QGramProfile] = []
         self._labels: List[Tuple] = []
@@ -114,6 +113,7 @@ class GSimIndex:
             raise ParameterError("indexed graphs need an id")
         if g.graph_id in self._ids:
             raise ParameterError(f"duplicate graph id {g.graph_id!r}")
+        reject_mixed_directedness(self.graphs[:1] + [g])
 
     def _insert(self, g: Graph, profile: QGramProfile) -> None:
         self._sorter.sort_profile(profile)
@@ -125,7 +125,6 @@ class GSimIndex:
         self._ids.add(g.graph_id)
         self._prefix_lengths.append(info.length)
         self._store = None
-        self._plan_stale = self._auto
         if info.prunable:
             for key in profile.prefix_keys(info.length):
                 self._index.add(key, position)
@@ -143,34 +142,14 @@ class GSimIndex:
         Raises
         ------
         ParameterError
-            If the graph has no id or a duplicate id.
+            If the graph has no id, a duplicate id, or a directedness
+            other than the indexed graphs'.
         """
         self._validate_new(g)
         self._insert(g, extract_qgrams(g, self.options.q))
 
     def _prefix(self, profile: QGramProfile, tau: int) -> PrefixInfo:
         return self._plan.prefix.prefix_info(profile, tau)
-
-    def _refresh_auto_plan(self) -> None:
-        """Re-pick the static auto cascade order after collection changes.
-
-        Runs the planner's static model (:func:`repro.engine.planner.
-        static_choice`) over the indexed profiles at ``tau_max`` and
-        re-orders the shared plan's pair filters in place.  Deterministic
-        for a given collection, so repeated builds agree; result pairs
-        are unaffected (every order is sound) — only prune attribution
-        shifts.
-        """
-        if not self._plan_stale:
-            return
-        self._plan_stale = False
-        if not self._profiles:
-            return
-        order, _rates, _costs = static_choice(
-            self._profiles, self._labels, self.tau_max,
-            self._plan.pair_filters,
-        )
-        self._plan = reorder_pair_filters(self._plan, order)
 
     def query(
         self,
@@ -188,7 +167,8 @@ class GSimIndex:
         Raises
         ------
         ParameterError
-            If ``tau`` exceeds the index's ``tau_max`` or is negative.
+            If ``tau`` exceeds the index's ``tau_max`` or is negative, or
+            ``g``'s directedness differs from the indexed graphs'.
         """
         if tau < 0:
             raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -196,7 +176,7 @@ class GSimIndex:
             raise ParameterError(
                 f"tau={tau} exceeds the index's tau_max={self.tau_max}"
             )
-        self._refresh_auto_plan()
+        reject_mixed_directedness(self.graphs[:1] + [g])
         executor = Executor(
             tau,
             self.options,

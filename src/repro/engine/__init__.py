@@ -15,9 +15,9 @@ counts and wall time into
 
 The public API (``repro.core`` / ``repro``) is unchanged — the four
 entry points are thin wrappers over this engine — but advanced callers
-can build and inspect plans directly, and
-``GSimJoinOptions(plan=...)`` reorders the per-pair filter cascade (see
-``docs/ARCHITECTURE.md``).
+can build and inspect plans directly (see ``docs/ARCHITECTURE.md``).
+The per-pair filter cascade always runs in the paper's order,
+:data:`~repro.engine.plan.DEFAULT_FILTER_ORDER`.
 """
 
 from repro.engine.executor import (

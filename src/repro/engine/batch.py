@@ -42,18 +42,13 @@ from repro.exceptions import ParameterError
 from repro.grams.columnar import HAVE_NUMPY, ColumnarStore, SignatureRow, np
 
 __all__ = [
-    "BATCHABLE_STAGES",
     "MIN_BATCH_BLOCK",
     "BlockVerdicts",
     "resolve_batch",
-    "batchable_prefix",
     "block_multiset_intersections",
     "block_size_filter",
     "evaluate_block",
 ]
-
-#: Pair-filter stage names the batch kernels can evaluate.
-BATCHABLE_STAGES = frozenset({"global-label-filter", "count-filter"})
 
 #: Blocks smaller than this are not worth a kernel dispatch: the fixed
 #: per-call numpy overhead (~tens of µs) exceeds the scalar cascade's
@@ -93,26 +88,6 @@ def resolve_batch(options: GSimJoinOptions) -> bool:
             "batch kernels operate on interned integer signatures"
         )
     return True
-
-
-def batchable_prefix(
-    pair_filters: Sequence[PairFilter],
-) -> Tuple[PairFilter, ...]:
-    """The maximal *leading* run of batch-capable cascade stages.
-
-    Only a prefix is taken — a batched stage after a scalar one would
-    evaluate pairs the scalar stage might already have pruned, breaking
-    the first-pruning-stage attribution.  Under the default plan this
-    is ``(global-label-filter, count-filter)``; a custom plan that
-    interleaves (e.g. global, local, count) batches only the leading
-    batchable stages.
-    """
-    prefix: List[PairFilter] = []
-    for stage in pair_filters:
-        if stage.name not in BATCHABLE_STAGES:
-            break
-        prefix.append(stage)
-    return tuple(prefix)
 
 
 class BlockVerdicts:
@@ -270,10 +245,10 @@ def evaluate_block(
     tau: int,
     stages: Sequence[PairFilter],
 ) -> BlockVerdicts:
-    """Run the batchable cascade prefix over one candidate block.
+    """Run the cascade's leading batchable filters over one block.
 
-    ``stages`` must be a batchable prefix of the plan's pair filters
-    (see :func:`batchable_prefix`); they are evaluated in that order,
+    ``stages`` are the plan's first two pair filters (global label,
+    then count); they are evaluated in that order,
     pairs being charged to the first stage that prunes them.  A pair
     the count kernel cannot handle (either side not ``mergeable``)
     leaves the batch at that stage with the hints it earned; it is

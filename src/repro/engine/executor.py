@@ -63,7 +63,6 @@ from typing import (
 from repro.engine.batch import (
     MIN_BATCH_BLOCK,
     BlockVerdicts,
-    batchable_prefix,
     block_size_filter,
     evaluate_block,
     resolve_batch,
@@ -74,14 +73,10 @@ from repro.engine.options import (
     GSimJoinOptions,
     Sorter,
     build_sorter,
+    reject_mixed_directedness,
     validate_collection,
 )
-from repro.engine.plan import JoinPlan, build_plan, reorder_pair_filters
-from repro.engine.planner import (
-    advise_parameters,
-    collect_statistics,
-    static_choice,
-)
+from repro.engine.plan import JoinPlan, build_plan
 from repro.engine.prefix import PrefixInfo
 from repro.engine.result import (
     BoundedPair,
@@ -184,20 +179,14 @@ def add_outcome(
 
 
 def _options_meta(options: GSimJoinOptions) -> dict:
-    """``options`` as a journal-header dict, omitting an unset plan.
+    """``options`` as a journal-header dict, without ``batch``.
 
-    Pre-engine journals were written before the ``plan`` field existed,
-    so a defaulted plan is dropped from the header — a resumed run with
-    ``plan=None`` reproduces the historical meta byte-for-byte.  An
-    explicit plan stays in (reordering the cascade shifts journaled
-    prune attribution, so such journals must not cross plans).
-    ``batch`` is *always* dropped: the batch kernels are bit-identical
-    to the scalar cascade, so a journal written under either mode must
-    resume under the other (and reproduce the pre-batch header).
+    The batch kernels are bit-identical to the scalar cascade, so a
+    journal written under either mode must resume under the other (and
+    reproduce the pre-batch header).  A journal whose header still
+    carries a ``plan`` (a cascade order) is from a different run.
     """
     options_dict = dataclasses.asdict(options)
-    if options_dict.get("plan") is None:
-        options_dict.pop("plan", None)
     options_dict.pop("batch", None)
     return options_dict
 
@@ -368,13 +357,14 @@ class Executor:
         #: Whether this run uses the vectorized batch kernels
         #: (resolved from ``options.batch``; see repro.engine.batch).
         self.batch: bool = resolve_batch(options)
-        self._bind_cascade()
+        self._cascade = tuple(
+            (stage, self._rows[stage.name]) for stage in self.plan.pair_filters
+        )
+        # The batch kernels evaluate the cascade's leading global-label
+        # and count filters.
+        self._batch_stages = self.plan.pair_filters[:2] if self.batch else ()
         self._store: Optional[ColumnarStore] = None
         self._target_base = 0
-        # plan="auto": the first prepare() picks the cascade order once,
-        # before any pair.  A caller-supplied pre-built plan (the search
-        # index) already fixed the order.
-        self._auto = options.plan == "auto" and plan is None
 
     # --- Columnar store (batch mode) -----------------------------------
 
@@ -448,57 +438,7 @@ class Executor:
 
         self.profiles, self.prefixes = profiles, prefixes
         self.labels, self.sorter = labels, sorter
-        if self._auto:
-            self._auto = False
-            self._plan_once(profiles, labels)
         stats.index_time += time.perf_counter() - started
-
-    def _plan_once(
-        self, profiles: Sequence[QGramProfile], labels: Sequence[LabelPair]
-    ) -> None:
-        """Pick the ``plan="auto"`` cascade order before the first pair.
-
-        Re-orders the plan (and the stage rows, which stay in execution
-        order) to the static model's choice, and records the model's
-        estimated selectivity and unit cost on each cascade row so
-        ``--explain-plan`` can set them against the observed rates.
-        """
-        order, rates, costs = static_choice(
-            profiles, labels, self.tau, self.plan.pair_filters
-        )
-        self.stats.plan_advice = advise_parameters(
-            collect_statistics(profiles, labels), self.options.q, self.tau
-        )
-        self.plan = reorder_pair_filters(self.plan, order)
-        self._bind_cascade()
-        stages = self.stats.stages
-        slots = [k for k, row in enumerate(stages) if row.name in rates]
-        for k, (stage, row) in zip(slots, self._cascade):
-            stages[k] = row
-            row.estimated_selectivity = rates[stage.name]
-            row.estimated_cost = costs[stage.name]
-
-    def _bind_cascade(self) -> None:
-        """Bind the plan's pair filters to their rows and batch prefix."""
-        self._cascade = tuple(
-            (stage, self._rows[stage.name]) for stage in self.plan.pair_filters
-        )
-        self._batch_stages = (
-            batchable_prefix(self.plan.pair_filters) if self.batch else ()
-        )
-
-    def worker_options(self) -> GSimJoinOptions:
-        """The options a worker process verifies with.
-
-        Workers never plan: an ``"auto"`` plan is replaced by the order
-        this executor picked, so every pair of the run sees one cascade.
-        """
-        if self.options.plan != "auto":
-            return self.options
-        return dataclasses.replace(
-            self.options,
-            plan=tuple(stage.name for stage in self.plan.pair_filters),
-        )
 
     # --- The scan (Algorithm 1) ----------------------------------------
 
@@ -690,10 +630,10 @@ class Executor:
     def batch_prefilter(
         self, r_row: SignatureRow, js: Sequence[int]
     ) -> Optional[BlockVerdicts]:
-        """Run the batchable cascade prefix over one candidate block.
+        """Run the batched global-label and count filters over one block.
 
         Returns ``None`` when nothing can batch (scalar mode, no store,
-        empty cascade prefix, or a block smaller than
+        or a block smaller than
         :data:`~repro.engine.batch.MIN_BATCH_BLOCK` — the caller's
         scalar cascade computes the same verdicts without the kernel
         dispatch overhead).  Statistics for the *batch-pruned* pairs
@@ -718,7 +658,7 @@ class Executor:
         remaining = sum(verdicts.pruned_per_stage)
         # zip, not enumerate: evaluate_block may exit early once the
         # surviving block drops under the dispatch threshold, reporting
-        # fewer stages than the full batchable prefix.
+        # fewer stages than it was given.
         for stage, pruned_here, seconds in zip(
             self._batch_stages,
             verdicts.pruned_per_stage,
@@ -1066,6 +1006,8 @@ def execute_rs_join(
         options = GSimJoinOptions()
     validate_collection(outer, tau, options)
     validate_collection(inner, tau, options)
+    graphs = list(outer) + list(inner)
+    reject_mixed_directedness(graphs)
     _reject_unbudgetable(options, budget)
     meta = (
         rs_join_meta(outer, inner, tau, options, budget)
@@ -1073,6 +1015,5 @@ def execute_rs_join(
         else None
     )
     return _join(
-        list(outer) + list(inner), len(outer), tau, options, budget,
-        checkpoint, meta, fault,
+        graphs, len(outer), tau, options, budget, checkpoint, meta, fault
     )

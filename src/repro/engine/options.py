@@ -1,16 +1,15 @@
 """GSimJoin run configuration and collection validation.
 
 :class:`GSimJoinOptions` selects the paper's filtering level, the q-gram
-length, the interned-signature fast path, and the GED backend; the
-staged execution engine additionally reads the optional ``plan`` field
-— an explicit ordering of the per-pair filter cascade — when assembling
-a :class:`repro.engine.plan.JoinPlan` from the options.
+length, the interned-signature fast path, the batch kernels and the GED
+backend; :func:`repro.engine.plan.build_plan` turns the options into
+the :class:`repro.engine.plan.JoinPlan` a run executes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.engine.ordering import QGramOrdering, build_ordering
 from repro.exceptions import ParameterError
@@ -22,6 +21,7 @@ __all__ = [
     "GSimJoinOptions",
     "Sorter",
     "build_sorter",
+    "reject_mixed_directedness",
     "validate_collection",
 ]
 
@@ -75,21 +75,6 @@ class GSimJoinOptions:
         expansions (off by default so expansion counts stay comparable
         with the object backend).  Requires a backend declaring
         anchor-bound support (``verifier="compiled"``).
-    plan:
-        Optional explicit ordering of the per-pair filter cascade, as a
-        tuple of stage names — a strict permutation of the cascade the
-        enabled options imply (e.g. ``("count-filter",
-        "global-label-filter", "local-label-filter")`` for the full
-        variant).  ``None`` (the default) keeps the paper's order.
-        Every ordering is sound — each filter is an independent GED
-        lower bound — and produces identical result pairs; only the
-        per-filter prune attribution and timings shift.  Validated by
-        :func:`repro.engine.plan.build_plan`.  The string ``"auto"``
-        (CLI ``--auto-plan``) lets the static cost/selectivity model of
-        :mod:`repro.engine.planner` pick the order once, before the
-        first pair — result pairs stay bit-identical to every static
-        order (see ``docs/PERFORMANCE.md``).  No other string is
-        accepted.
     batch:
         Evaluate the size, global-label and count filters over whole
         candidate blocks with the vectorized numpy kernels of
@@ -112,24 +97,7 @@ class GSimJoinOptions:
     interned: bool = True
     verifier: str = "compiled"
     anchor_bound: bool = False
-    plan: Optional[Union[str, Tuple[str, ...]]] = None
     batch: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        """Normalize a list/sequence ``plan`` to a tuple (frozen field).
-
-        The only string accepted is ``"auto"`` (the static planner);
-        any other string is rejected here rather than exploding into a
-        tuple of characters.
-        """
-        if isinstance(self.plan, str):
-            if self.plan != "auto":
-                raise ParameterError(
-                    f"plan must be 'auto', None, or a tuple of stage "
-                    f"names, got {self.plan!r}"
-                )
-        elif self.plan is not None and not isinstance(self.plan, tuple):
-            object.__setattr__(self, "plan", tuple(self.plan))
 
     @classmethod
     def basic(cls, q: int = 4, interned: bool = True) -> "GSimJoinOptions":
@@ -174,6 +142,18 @@ def build_sorter(
     return build_ordering(profiles)
 
 
+def reject_mixed_directedness(graphs: Iterable[Graph]) -> None:
+    """Reject graphs that are not all directed or all undirected.
+
+    Raises
+    ------
+    ParameterError
+        When ``graphs`` holds both directed and undirected graphs.
+    """
+    if len({g.is_directed for g in graphs}) > 1:
+        raise ParameterError("cannot mix directed and undirected graphs")
+
+
 def validate_collection(
     graphs: Sequence[Graph], tau: int, options: GSimJoinOptions
 ) -> None:
@@ -197,8 +177,7 @@ def validate_collection(
         )
     if len(set(ids)) != len(ids):
         raise ParameterError("graph ids must be distinct")
-    if len({g.is_directed for g in graphs}) > 1:
-        raise ParameterError("cannot mix directed and undirected graphs in a join")
+    reject_mixed_directedness(graphs)
     from repro.ged.portfolio import validate_backend_options
 
     validate_backend_options(

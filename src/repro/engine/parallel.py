@@ -14,7 +14,7 @@ in chunks on a ``concurrent.futures`` process pool.
 
 What this module owns is the pool: each worker verifies its chunks on a
 worker-local :class:`~repro.engine.executor.Executor` built from the
-shipped options, plan order, columnar store and frozen global ordering
+shipped options, columnar store and frozen global ordering
 (the interning vocabulary, or the object-key ordering on the reference
 path), one :meth:`~repro.engine.executor.Executor.verify_block` per run
 of pairs sharing a probe graph.  Profiles and label multisets are built
@@ -182,10 +182,9 @@ def _local_executor(
 ) -> Executor:
     """A worker-local executor over the shipped collection.
 
-    ``options`` carry the parent's cascade order (never the raw
-    ``"auto"`` marker); profiles are built lazily and sorted in the
-    shipped global ordering; a shipped ``store`` enables the batch
-    prefilter.
+    ``options`` are the parent executor's, so the worker builds the same
+    plan; profiles are built lazily and sorted in the shipped global
+    ordering; a shipped ``store`` enables the batch prefilter.
     """
     executor = Executor(
         tau, options, JoinStatistics(), budget=budget,
@@ -408,13 +407,11 @@ def execute_parallel_join(
         for i, candidate_ids in blocks:
             executor.verify_block(i, candidate_ids, keep, defer=todo)
 
-        # Phase 2: verify the rest on the pool.  Workers receive an auto
-        # plan as the order the parent picked in prepare() (the journal
-        # header keeps the original options: the order is derived
-        # state, re-derived identically on resume).
+        # Phase 2: verify the rest on the pool.  Workers build their
+        # plan from the parent executor's options.
         started = time.perf_counter()
         for rec in verify_on_pool(
-            todo, graphs, tau, executor.worker_options(), executor.sorter,
+            todo, graphs, tau, executor.options, executor.sorter,
             budget, settings, stats, chunk_size=chunk_size, fault=fault,
             store=store, fallback_budget=fallback_budget,
         ):

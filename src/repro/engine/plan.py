@@ -5,11 +5,8 @@ tuple of first-class stage objects from :mod:`repro.engine.stages` —
 from a :class:`~repro.engine.options.GSimJoinOptions`.  The structural
 stages (prepare, prefix, candidates, size filter, verify) are fixed by
 the algorithm's shape; the per-pair filter cascade in the middle is the
-reorderable part, and ``GSimJoinOptions(plan=...)`` may supply any
-strict permutation of the enabled filter names.  Every ordering is
-sound (each filter is an independent GED lower bound over shared,
-cached intermediates) and yields identical result pairs; only prune
-attribution and stage timings shift.
+enabled subset of :data:`DEFAULT_FILTER_ORDER`, always in the paper's
+order (Algorithm 6: cheapest bound first).
 
 ``JoinPlan.describe()`` renders the plan for the CLI's
 ``--explain-plan``.
@@ -18,7 +15,7 @@ attribution and stage timings shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.engine.options import GSimJoinOptions
 from repro.engine.stages import (
@@ -34,12 +31,10 @@ from repro.engine.stages import (
     SizeFilter,
     Verify,
 )
-from repro.exceptions import ParameterError
 
 __all__ = [
     "JoinPlan",
     "build_plan",
-    "reorder_pair_filters",
     "DEFAULT_FILTER_ORDER",
 ]
 
@@ -61,12 +56,12 @@ _FILTER_FACTORIES = {
 
 @dataclass(frozen=True)
 class JoinPlan:
-    """An ordered, validated stage list for one join/search run.
+    """The ordered stage list for one join/search run.
 
     ``stages`` always reads: one ``prepare`` stage, one ``prefix``
     stage, the ``candidates`` stage, the fused ``candidate-filter``
-    (size) stage, zero or more ``pair-filter`` stages, and the
-    ``verify`` stage — in execution order.
+    (size) stage, two to four ``pair-filter`` stages (global label and
+    count first), and the ``verify`` stage — in execution order.
     """
 
     stages: Tuple[object, ...]
@@ -116,102 +111,32 @@ class JoinPlan:
 def build_plan(options: GSimJoinOptions) -> JoinPlan:
     """Assemble the :class:`JoinPlan` that ``options`` implies.
 
-    The per-pair cascade defaults to the enabled subset of
-    :data:`DEFAULT_FILTER_ORDER`; ``options.plan`` may reorder it but
-    must name exactly the enabled filters (a strict permutation).
-    ``plan="auto"`` builds the same default-order plan — the executor
-    re-orders it once, picked before the first pair by the static model
-    of :mod:`repro.engine.planner`.
-
-    Raises
-    ------
-    ParameterError
-        When ``options.plan`` names an unknown stage, repeats a name,
-        omits an enabled filter, or includes a disabled one.
+    The per-pair cascade is the enabled subset of
+    :data:`DEFAULT_FILTER_ORDER`: the global label and count filters
+    always, the local label filter with ``local_label``, the multicover
+    bound with ``multicover``.
     """
-    enabled = ["global-label-filter", "count-filter"]
-    if options.local_label:
-        enabled.append("local-label-filter")
-    if options.multicover:
-        enabled.append("multicover-filter")
-
-    order = [name for name in DEFAULT_FILTER_ORDER if name in enabled]
-    if options.plan is not None and options.plan != "auto":
-        requested = list(options.plan)
-        unknown = [n for n in requested if n not in _FILTER_FACTORIES]
-        if unknown:
-            raise ParameterError(
-                f"plan names unknown stages {unknown!r}; "
-                f"reorderable stages are {sorted(_FILTER_FACTORIES)!r}"
-            )
-        duplicates = sorted(
-            {n for n in requested if requested.count(n) > 1}
-        )
-        if duplicates:
-            raise ParameterError(
-                f"plan repeats stage name(s) {duplicates!r}; each enabled "
-                f"pair filter must appear exactly once"
-            )
-        if sorted(requested) != sorted(order):
-            raise ParameterError(
-                f"plan must be a permutation of the enabled pair filters "
-                f"{order!r}, got {tuple(requested)!r}"
-            )
-        order = requested
-
-    prefix_stage = MinEditFilter() if options.minedit_prefix else BasicPrefix()
-    return _assemble(options, prefix_stage, order)
-
-
-def _assemble(
-    options: GSimJoinOptions, prefix_stage: object, order: "list[str]"
-) -> JoinPlan:
-    """Instantiate the stage tuple for a validated filter ``order``."""
+    enabled = {
+        "global-label-filter": True,
+        "count-filter": True,
+        "local-label-filter": options.local_label,
+        "multicover-filter": options.multicover,
+    }
     stages = (
         PrepareProfiles(),
-        prefix_stage,
+        MinEditFilter() if options.minedit_prefix else BasicPrefix(),
         PrefixCandidates(),
         SizeFilter(),
-        *(_FILTER_FACTORIES[name]() for name in order),
+        *(
+            _FILTER_FACTORIES[name]()
+            for name in DEFAULT_FILTER_ORDER
+            if enabled[name]
+        ),
         Verify(
             verifier=options.verifier,
             improved_order=options.improved_order,
             improved_h=options.improved_h,
             anchor_bound=options.anchor_bound,
         ),
-    )
-    return JoinPlan(stages=stages)
-
-
-def reorder_pair_filters(
-    plan: JoinPlan, order: Tuple[str, ...]
-) -> JoinPlan:
-    """``plan`` with its pair-filter cascade re-ordered to ``order``.
-
-    Reuses the existing stage *objects* (the structural stages keep
-    their identity and any accrued state; only the cascade positions
-    change).  Used to apply the ``plan="auto"`` order picked before the
-    first pair — ``order`` must be a permutation of the plan's current
-    filter names.
-
-    Raises
-    ------
-    ParameterError
-        When ``order`` is not a permutation of the plan's pair filters.
-    """
-    by_name = {stage.name: stage for stage in plan.pair_filters}
-    if sorted(order) != sorted(by_name):
-        raise ParameterError(
-            f"reorder must permute the plan's pair filters "
-            f"{tuple(sorted(by_name))!r}, got {tuple(order)!r}"
-        )
-    reordered = tuple(by_name[name] for name in order)
-    stages = (
-        plan.prepare,
-        plan.prefix,
-        plan.candidates,
-        plan.size_filter,
-        *reordered,
-        plan.verify,
     )
     return JoinPlan(stages=stages)

@@ -60,22 +60,11 @@ class StageStatistics:
     input: int = 0
     survivors: int = 0
     seconds: float = 0.0
-    estimated_selectivity: Optional[float] = None
-    #: planner-estimated pass rate (``plan="auto"`` runs only)
-    estimated_cost: Optional[float] = None
-    #: planner unit cost in relative units (``plan="auto"`` runs only)
 
     @property
     def pruned(self) -> int:
         """Units the stage removed (``input - survivors``)."""
         return self.input - self.survivors
-
-    @property
-    def observed_selectivity(self) -> Optional[float]:
-        """Observed pass rate (``survivors / input``); ``None`` if idle."""
-        if self.input <= 0:
-            return None
-        return self.survivors / self.input
 
 
 @dataclass
@@ -122,16 +111,12 @@ class JoinStatistics:
     stages: List[StageStatistics] = field(default_factory=list)
     #: one row per plan stage, in plan order (filled by the engine)
 
-    plan_advice: Dict[str, Any] = field(default_factory=dict)
-    #: advisory parameter recommendation from the planner (never
-    #: applied at runtime — see ``repro.engine.planner.advise_parameters``)
-
     def merge(self, other: "JoinStatistics") -> None:
         """Add ``other`` — statistics of another part of the same run
         (a shard pair) — into this one: every counter and timing, the
         per-backend verify tallies, and the stage rows by name in
         first-seen order.  Run identity (``num_graphs``, ``tau``,
-        ``q``) and the planner's advice stay this object's."""
+        ``q``) stays this object's."""
         for name in _COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         for backend, count in other.verify_backends.items():
@@ -183,35 +168,13 @@ class JoinStatistics:
         return self.total_prefix_length / self.num_graphs if self.num_graphs else 0.0
 
     def stage_table(self) -> str:
-        """The per-stage breakdown as an aligned text table.
-
-        When the planner annotated the stages (``plan="auto"`` runs),
-        three columns are appended: the planner's estimated pass rate
-        (``est.sel``), the observed pass rate (``obs.sel``) and the
-        estimated unit cost in relative units (``est.cost``).
-        """
+        """The per-stage breakdown as an aligned text table."""
         if not self.stages:
             return "(no stage statistics recorded)"
-        planned = any(
-            s.estimated_selectivity is not None for s in self.stages
-        )
-        header = ["stage", "role", "input", "survivors", "pruned", "seconds"]
-        if planned:
-            header += ["est.sel", "obs.sel", "est.cost"]
-        rows = [tuple(header)]
+        rows = [("stage", "role", "input", "survivors", "pruned", "seconds")]
         for s in self.stages:
-            row = [s.name, s.role, str(s.input), str(s.survivors),
-                   str(s.pruned), f"{s.seconds:.4f}"]
-            if planned:
-                est = s.estimated_selectivity
-                obs = s.observed_selectivity
-                cost = s.estimated_cost
-                row += [
-                    "-" if est is None else f"{est:.3f}",
-                    "-" if obs is None else f"{obs:.3f}",
-                    "-" if cost is None else f"{cost:.2f}",
-                ]
-            rows.append(tuple(row))
+            rows.append((s.name, s.role, str(s.input), str(s.survivors),
+                         str(s.pruned), f"{s.seconds:.4f}"))
         widths = [
             max(len(row[col]) for row in rows)
             for col in range(len(rows[0]))
@@ -229,33 +192,6 @@ class JoinStatistics:
             )
             lines.append(f"verify backends: {breakdown}")
         return "\n".join(lines)
-
-    def plan_report(self) -> Dict[str, Any]:
-        """The planner-facing view of the run as a JSON-ready dict.
-
-        Consumed by the CLI's ``--explain-plan=json``: one entry per
-        stage with estimated vs observed selectivity and cost, and any
-        advisory parameter recommendation.
-        """
-        return {
-            "stages": [
-                {
-                    "name": s.name,
-                    "role": s.role,
-                    "input": s.input,
-                    "survivors": s.survivors,
-                    "pruned": s.pruned,
-                    "seconds": s.seconds,
-                    "estimated_selectivity": s.estimated_selectivity,
-                    "observed_selectivity": s.observed_selectivity,
-                    "estimated_cost": s.estimated_cost,
-                }
-                for s in self.stages
-            ],
-            "plan_advice": dict(self.plan_advice),
-            "verify_backends": dict(self.verify_backends),
-            "memo_hits": self.memo_hits,
-        }
 
     def summary(self) -> str:
         """One-line human-readable summary (used by examples/benchmarks)."""

@@ -405,7 +405,7 @@ def _run_combo(
     if todo:
         started = time.perf_counter()
         for rec in verify_on_pool(
-            todo, graphs, tau, executor.worker_options(), executor.sorter,
+            todo, graphs, tau, executor.options, executor.sorter,
             budget, pool, stats, chunk_size=_CHUNK_SIZE,
         ):
             executor.accept(rec, spill_result)

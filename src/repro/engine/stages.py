@@ -19,15 +19,15 @@ Stage taxonomy (``role``):
   fused into the probe loop exactly as in Algorithm 1;
 * ``pair-filter``      — :class:`GlobalLabelFilter`,
   :class:`CountFilter`, :class:`LabelFilter`,
-  :class:`MulticoverFilter`: the per-pair Verify cascade, reorderable
-  via ``GSimJoinOptions(plan=...)``;
+  :class:`MulticoverFilter`: the per-pair Verify cascade, always in
+  the paper's order (``repro.engine.plan.DEFAULT_FILTER_ORDER``);
 * ``verify``           — :class:`Verify`: the exact GED computation on
   the survivors, with budget-bounded verdicts.
 
 The per-pair cascade runs over a :class:`PairContext` that caches the
 mismatching-q-gram computation, so whichever filter needs it first pays
-for it and the rest reuse it — reordered plans stay sound and pay no
-extra ``CompareQGrams`` calls.
+for it and the rest reuse it — at most one ``CompareQGrams`` call per
+pair.
 """
 
 from __future__ import annotations
@@ -142,8 +142,7 @@ class PairContext:
         Computed with the count filter's ``tau`` bailout: when
         ``count_pruned`` is set the structure is partial and only the
         count filter may act on it (the other filters pass the pair
-        through so the count filter prunes it, whatever the plan
-        order — see :class:`CountFilter`).
+        through — see :class:`CountFilter`).
         """
         m = self._mismatch
         if m is None:
@@ -293,8 +292,7 @@ class LabelFilter(PairFilter):
         mismatch = ctx.mismatch
         if mismatch.count_pruned:
             # Partial mismatch data (the merge bailed out): only the
-            # count filter may act on it.  Pass the pair through; the
-            # count filter prunes it wherever the plan placed it.
+            # count filter may act on it.  Pass the pair through.
             return None
         r, s = ctx.p_r.graph, ctx.p_s.graph
         eps4 = local_label_lower_bound(

@@ -45,7 +45,6 @@ def verify_pair(
     cache: Optional[VerificationCache] = None,
     anchor_bound: bool = False,
     hinted: Optional[FrozenSet[str]] = None,
-    plan_order: Optional[Tuple[str, ...]] = None,
 ) -> VerifyOutcome:
     """Run Algorithm 6 on one candidate pair.
 
@@ -83,21 +82,13 @@ def verify_pair(
     are skipped without re-evaluation (and without prune-counter
     effect — a hinted stage by definition did not prune).
 
-    ``plan_order``, when given, runs the cascade in that explicit
-    stage-name order instead of the default (the filters it names are
-    the ones that run).  Every order yields the same verdict; only
-    prune attribution shifts.
-
     Raises
     ------
     ParameterError
-        On an unknown verifier, an invalid ``plan_order``, or a
-        requested feature (``budget``, ``anchor_bound``) the resolved
-        backend's declared capabilities exclude.
+        On an unknown verifier, or a requested feature (``budget``,
+        ``anchor_bound``) the resolved backend's declared capabilities
+        exclude.
     """
-    if plan_order is not None:
-        use_local_label = "local-label-filter" in plan_order
-        use_multicover = "multicover-filter" in plan_order
     options = GSimJoinOptions(
         local_label=use_local_label,
         improved_order=improved_order,
@@ -105,7 +96,6 @@ def verify_pair(
         multicover=use_multicover,
         verifier=verifier,
         anchor_bound=anchor_bound,
-        plan=plan_order,
         batch=False,
     )
     executor = Executor(

@@ -188,17 +188,10 @@ def test_hot_path_covers_spill_substrate():
     assert lines_for("hot-path-alloc", path) == [7, 8]
 
 
-def test_hot_path_covers_planner():
-    path = FIXTURES / "repro" / "engine" / "planner.py"
-    # Lines 9 (list copy) and 10 (dict copy) sit inside the for loop;
-    # 13 carries `# repro: ignore[hot-path-alloc]` and is suppressed.
-    assert lines_for("hot-path-alloc", path) == [9, 10]
-
-
-def test_layering_covers_planner():
-    # The planner lives in the engine layer: importing repro.core from
-    # it is an upward dependency and must be flagged (line 3).
-    path = FIXTURES / "repro" / "engine" / "planner.py"
+def test_layering_covers_engine_plan():
+    # The plan module lives in the engine layer: importing repro.core
+    # from it is an upward dependency and must be flagged (line 3).
+    path = FIXTURES / "repro" / "engine" / "plan.py"
     assert lines_for("layering", path) == [3]
 
 
@@ -207,7 +200,6 @@ def test_hot_path_rule_targets_compiled_module():
 
     assert "repro.ged.compiled" in TARGET_MODULES
     assert "repro.engine.executor" in TARGET_MODULES
-    assert "repro.engine.planner" in TARGET_MODULES
     assert "repro.engine.stages" in TARGET_MODULES
     assert "repro.engine.batch" in TARGET_MODULES
     assert "repro.grams.columnar" in TARGET_MODULES

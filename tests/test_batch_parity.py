@@ -8,7 +8,7 @@ same result pairs in the same order, same distances, same prune-counter
 statistics and the same per-stage
 :class:`~repro.engine.result.StageStatistics` input/survivor counts —
 across join variants, thresholds, q-gram lengths, directed graphs,
-custom filter plans, R×S joins, parallel workers, index queries with
+R×S joins, parallel workers, index queries with
 streaming inserts (overflow ids) and external query graphs, gram-less
 collections, and the empty collection.  The scalar path is the frozen
 oracle; these tests are the contract that lets the kernels evolve.
@@ -275,22 +275,6 @@ class TestSelfJoinParity:
     def test_empty_collection(self):
         batched = gsim_join([], 2, GSimJoinOptions(batch=True))
         scalar = gsim_join([], 2, GSimJoinOptions(batch=False))
-        assert_full_parity(batched, scalar)
-
-    @pytest.mark.parametrize(
-        "plan",
-        [
-            ("count-filter", "global-label-filter", "local-label-filter"),
-            ("local-label-filter", "global-label-filter", "count-filter"),
-            ("global-label-filter", "local-label-filter", "count-filter"),
-        ],
-    )
-    def test_custom_plans(self, plan):
-        """Reordered cascades batch only their batchable prefix."""
-        graphs = labeled_collection(22, seed=37)
-        options = dataclasses.replace(GSimJoinOptions.full(), plan=plan)
-        batched = gsim_join(graphs, 3, with_batch(options, True))
-        scalar = gsim_join(graphs, 3, with_batch(options, False))
         assert_full_parity(batched, scalar)
 
     def test_budgeted_undecided_channel(self):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.join import GSimJoinOptions, gsim_join, gsim_join_rs
 from repro.core.parallel import gsim_join_parallel
+from repro.engine.executor import self_join_meta
 from repro.exceptions import CheckpointError, InjectedFaultError, ParameterError
 from repro.graph import assign_ids, load_graphs, save_graphs
 from repro.runtime import FaultPlan
@@ -170,6 +171,22 @@ class TestResumeGuards:
         gsim_join(molecule_collection(12, seed=29), 1, checkpoint=journal)
         with pytest.raises(CheckpointError, match="different run"):
             gsim_join(molecule_collection(12, seed=31), 1, checkpoint=journal)
+
+    @pytest.mark.parametrize(
+        "plan",
+        ["auto", ["count-filter", "global-label-filter", "local-label-filter"]],
+        ids=["auto", "permutation"],
+    )
+    def test_plan_bearing_journal_refused(self, tmp_path, plan):
+        """A journal whose header options carry a cascade ``plan`` (as
+        written when the order was selectable) is a different run."""
+        graphs = molecule_collection(12, seed=29)
+        meta = self_join_meta(graphs, 1, GSimJoinOptions(), None)
+        meta["options"]["plan"] = plan
+        journal = tmp_path / "join.jsonl"
+        JoinJournal.open(journal, meta).close()
+        with pytest.raises(CheckpointError, match="different run"):
+            gsim_join(graphs, 1, checkpoint=journal)
 
     def test_completed_run_resumes_as_pure_replay(self, tmp_path):
         graphs = molecule_collection(16, seed=37)

@@ -105,6 +105,15 @@ class TestCliExtensions:
         ) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_join_rejects_workers_below_one(self, tiny_file, capsys, workers):
+        assert main(
+            ["join", tiny_file, "--tau", "1", "--workers", workers]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "workers must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_gxl_collection(self, tmp_path, capsys):
         from repro.datasets import figure1_graphs
         from repro.graph.gxl import save_gxl

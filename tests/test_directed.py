@@ -16,10 +16,12 @@ from repro import (
     GSimJoinOptions,
     assign_ids,
     gsim_join,
+    gsim_join_rs,
     naive_join,
 )
 from repro.baselines import appfull_join, kat_join
 from repro.core import extract_qgrams
+from repro.datasets import aids_like
 from repro.exceptions import GraphError, ParameterError
 from repro.ged import (
     beam_search_ged,
@@ -44,6 +46,16 @@ def digraph(vertex_labels, edges, graph_id=None) -> Graph:
     for u, v, label in edges:
         g.add_edge(u, v, label)
     return g
+
+
+def directed_copy(g: Graph, graph_id=None) -> Graph:
+    """``g`` with directed semantics, one arc per undirected edge."""
+    d = Graph(g.graph_id if graph_id is None else graph_id, directed=True)
+    for v in g.vertices():
+        d.add_vertex(v, g.vertex_label(v))
+    for u, v, label in g.edges():
+        d.add_edge(u, v, label)
+    return d
 
 
 @st.composite
@@ -258,6 +270,24 @@ class TestDirectedJoins:
         u.add_vertex(0, "A")
         with pytest.raises(ParameterError, match="mix"):
             gsim_join([d, u], tau=1)
+        # R×S sides are validated together (ids may repeat across R and
+        # S), and an index checks every insert and query graph.
+        outer = aids_like(20, seed=1)[:10]
+        inner = [directed_copy(g) for g in outer]
+        gs = aids_like(30, seed=1)
+        d3 = directed_copy(gs[3], graph_id="d3")
+        cases = [
+            lambda: gsim_join_rs(outer, inner, 2),
+            lambda: GSimIndex(gs + [d3]),
+            lambda: GSimIndex(gs).add(d3),
+            lambda: GSimIndex(gs).query(d3, 2),
+        ]
+        for case in cases:
+            with pytest.raises(
+                ParameterError,
+                match="cannot mix directed and undirected graphs",
+            ):
+                case()
 
     def test_baselines_reject_directed(self):
         graphs = self.random_digraph_collection(seed=3, size=4)

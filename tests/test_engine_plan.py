@@ -1,32 +1,22 @@
 """The staged execution engine's plan layer and stage statistics.
 
-Covers :func:`repro.engine.plan.build_plan` (assembly + validation),
-plan reordering via ``GSimJoinOptions(plan=...)`` (identical pairs,
-shifted prune attribution), ``JoinPlan.describe()``, the per-stage
-survivor/timing rows on :class:`JoinStatistics`, their export through
+Covers :func:`repro.engine.plan.build_plan` (assembly in the paper's
+cascade order), ``JoinPlan.describe()``, the per-stage survivor/timing
+rows on :class:`JoinStatistics`, their export through
 ``repro.reporting``, and the CLI's ``--explain-plan`` flag.
 """
 
 import dataclasses
 
-import pytest
-
 from repro.cli import main
 from repro.core.join import GSimJoinOptions, gsim_join
-from repro.core.search import GSimIndex
 from repro.engine.plan import DEFAULT_FILTER_ORDER, build_plan
-from repro.exceptions import ParameterError
 from repro.graph import save_graphs
 from repro.reporting import result_to_dict
 
 from .test_join import molecule_collection
 
 TAU = 2
-
-
-def planned(base, *names):
-    """``base`` options with the cascade reordered to ``names``."""
-    return dataclasses.replace(base, plan=names)
 
 
 # ------------------------------------------------------- plan assembly
@@ -77,126 +67,6 @@ def test_describe_lists_numbered_stages():
         assert line.lstrip().startswith(f"{pos}. ")
     assert "[pair-filter]" in text
     assert "[verify]" in text
-
-
-# ----------------------------------------------------- plan validation
-
-
-def test_plan_with_unknown_stage_rejected():
-    options = planned(GSimJoinOptions.full(), "verify", "count-filter")
-    with pytest.raises(ParameterError, match="unknown stages"):
-        build_plan(options)
-
-
-def test_plan_missing_enabled_filter_rejected():
-    options = planned(
-        GSimJoinOptions.full(), "count-filter", "global-label-filter"
-    )
-    with pytest.raises(ParameterError, match="permutation"):
-        build_plan(options)
-
-
-def test_plan_naming_disabled_filter_rejected():
-    options = planned(
-        GSimJoinOptions.basic(),
-        "global-label-filter", "count-filter", "multicover-filter",
-    )
-    with pytest.raises(ParameterError, match="permutation"):
-        build_plan(options)
-
-
-def test_plan_with_duplicate_filter_rejected():
-    options = planned(GSimJoinOptions.basic(), "count-filter", "count-filter")
-    with pytest.raises(ParameterError, match="repeats stage name"):
-        build_plan(options)
-
-
-def test_plan_with_duplicate_of_enabled_set_rejected():
-    # Same multiset size as the enabled filters, but one name repeated:
-    # the duplicate diagnosis must name the offender, not the generic
-    # permutation message.
-    options = planned(
-        GSimJoinOptions.full(),
-        "count-filter", "count-filter", "global-label-filter",
-    )
-    with pytest.raises(
-        ParameterError, match=r"repeats stage name\(s\) \['count-filter'\]"
-    ):
-        build_plan(options)
-
-
-def test_plan_rejects_unknown_string():
-    with pytest.raises(ParameterError, match="plan must be 'auto'"):
-        GSimJoinOptions(plan="fastest")
-
-
-def test_plan_auto_string_survives_post_init():
-    options = GSimJoinOptions(plan="auto")
-    assert options.plan == "auto"
-    # build_plan treats "auto" as the default order; the adaptive
-    # planner re-orders inside the executor, not here.
-    assert build_plan(options).stage_names() == build_plan(
-        GSimJoinOptions()
-    ).stage_names()
-
-
-# ---------------------------------------------------- plan reordering
-
-
-def test_reordered_plan_returns_identical_pairs():
-    """Any permutation of the cascade is sound: same pairs and same
-    verification count; only prune attribution may shift."""
-    graphs = molecule_collection(16, seed=11)
-    default = gsim_join(graphs, TAU, options=GSimJoinOptions.full())
-    reordered_options = planned(
-        GSimJoinOptions.full(),
-        "count-filter", "local-label-filter", "global-label-filter",
-    )
-    assert build_plan(reordered_options).stage_names()[4:7] == (
-        "count-filter",
-        "local-label-filter",
-        "global-label-filter",
-    )
-    reordered = gsim_join(graphs, TAU, options=reordered_options)
-    assert reordered.pairs == default.pairs
-    assert reordered.stats.cand1 == default.stats.cand1
-    assert reordered.stats.results == default.stats.results
-    total_pruned = lambda s: (  # noqa: E731
-        s.pruned_by_global_label + s.pruned_by_count + s.pruned_by_local_label
-    )
-    assert total_pruned(reordered.stats) == total_pruned(default.stats)
-
-
-def test_reordered_plan_shifts_prune_attribution():
-    graphs = molecule_collection(16, seed=11)
-    default = gsim_join(graphs, TAU, options=GSimJoinOptions.full())
-    count_first = gsim_join(
-        graphs,
-        TAU,
-        options=planned(
-            GSimJoinOptions.full(),
-            "count-filter", "global-label-filter", "local-label-filter",
-        ),
-    )
-    # The count filter now sees pairs the global label filter used to
-    # prune first.
-    assert count_first.stats.pruned_by_count >= default.stats.pruned_by_count
-    assert count_first.pairs == default.pairs
-
-
-def test_index_honours_query_plan():
-    graphs = molecule_collection(14, seed=13)
-    default = GSimIndex(graphs, tau_max=TAU)
-    reordered = GSimIndex(
-        graphs,
-        tau_max=TAU,
-        options=planned(
-            GSimJoinOptions.full(),
-            "count-filter", "local-label-filter", "global-label-filter",
-        ),
-    )
-    for g in molecule_collection(4, seed=17):
-        assert reordered.query(g, TAU) == default.query(g, TAU)
 
 
 # ------------------------------------------------- stage statistics
