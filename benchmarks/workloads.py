@@ -5,7 +5,7 @@ Every figure of the paper is a projection of a small set of join runs
 the PROTEIN-like dataset).  Runs are memoized here so each configuration
 executes exactly once per benchmark session, and each ``bench_fig*``
 module formats its own figure from the captured
-:class:`~repro.core.result.JoinStatistics`.
+:class:`~repro.engine.result.JoinStatistics`.
 
 Scales are environment-tunable (defaults keep the full harness at
 laptop-scale; the paper's full sizes are |AIDS| = 4000, |PROTEIN| = 600):
@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 
 from repro import GSimJoinOptions, gsim_join
 from repro.baselines import appfull_join, kat_join
-from repro.core.result import JoinResult
+from repro.engine.result import JoinResult
 from repro.datasets import aids_like, protein_like
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"

@@ -37,8 +37,6 @@ MUTATING_METHODS = {
 #: Modules whose functions must be pure in their parameters.
 TARGET_MODULES = {
     "repro.grams",
-    "repro.core.count_filter",
-    "repro.core.prefix",
     "repro.engine.count_filter",
     "repro.engine.prefix",
 }

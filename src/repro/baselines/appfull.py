@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.core.result import JoinResult, JoinStatistics
+from repro.engine.result import JoinResult, JoinStatistics
 from repro.exceptions import ParameterError
 from repro.ged.astar import graph_edit_distance_detailed
 from repro.ged.cost import induced_edit_cost

@@ -28,10 +28,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.count_filter import passes_size_filter
-from repro.core.inverted_index import InvertedIndex
+from repro.engine.count_filter import passes_size_filter
+from repro.engine.inverted_index import InvertedIndex
 from repro.grams.labels import global_label_lower_bound
-from repro.core.result import JoinResult, JoinStatistics
+from repro.engine.result import JoinResult, JoinStatistics
 from repro.exceptions import ParameterError
 from repro.ged.astar import graph_edit_distance_detailed
 from repro.graph.graph import Graph, Vertex

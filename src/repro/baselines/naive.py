@@ -11,8 +11,8 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from repro.core.count_filter import passes_size_filter
-from repro.core.result import JoinResult, JoinStatistics
+from repro.engine.count_filter import passes_size_filter
+from repro.engine.result import JoinResult, JoinStatistics
 from repro.exceptions import ParameterError
 from repro.ged.astar import graph_edit_distance_detailed
 from repro.graph.graph import Graph

@@ -24,7 +24,7 @@ from repro.core.join import GSimJoinOptions, gsim_join
 from repro.datasets import aids_like, protein_like
 from repro.exceptions import ReproError
 from repro.ged import graph_edit_distance
-from repro.ged.portfolio import registered_names
+from repro.ged.portfolio import BACKENDS
 from repro.graph import assign_ids, collection_statistics, load_graphs, save_graphs
 from repro.runtime import VerificationBudget
 
@@ -63,11 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     join.add_argument(
         "--verifier",
-        choices=registered_names(),
+        choices=sorted(BACKENDS),
         default=None,
-        help="GED backend from the portfolio registry: 'compiled' "
-        "(default), 'astar'/'object', 'dfs', or 'auto' (per-pair "
-        "hardness dispatch; gsimjoin only)",
+        help="GED backend: 'compiled' (default), 'astar'/'object', "
+        "'dfs', or 'auto' (per-pair hardness dispatch; gsimjoin only)",
     )
     join.add_argument(
         "--budget-expansions",

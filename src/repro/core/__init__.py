@@ -1,14 +1,14 @@
 """The paper's contribution: path q-grams, filter cascade, GSimJoin."""
 
 from repro.core.estimate import JoinSizeEstimate, estimate_join_size
-from repro.core.count_filter import (
+from repro.engine.count_filter import (
     common_qgram_count,
     count_lower_bound,
     passes_count_filter,
     passes_size_filter,
     size_lower_bound,
 )
-from repro.core.inverted_index import InvertedIndex
+from repro.engine.inverted_index import InvertedIndex
 from repro.core.join import GSimJoinOptions, gsim_join, gsim_join_rs
 from repro.grams.labels import (
     connected_gram_components,
@@ -18,12 +18,12 @@ from repro.grams.labels import (
 )
 from repro.grams.minedit import min_edit_exact, min_edit_lower_bound, min_prefix_length
 from repro.grams.mismatch import MismatchResult, compare_qgrams, mismatching_grams
-from repro.core.ordering import QGramOrdering, build_ordering
+from repro.engine.ordering import QGramOrdering, build_ordering
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 from repro.core.parallel import gsim_join_parallel
-from repro.core.prefix import PrefixInfo, basic_prefix, minedit_prefix
+from repro.engine.prefix import PrefixInfo, basic_prefix, minedit_prefix
 from repro.grams.qgrams import QGram, QGramProfile, extract_qgrams, qgram_key
-from repro.core.result import (
+from repro.engine.result import (
     BoundedPair,
     JoinResult,
     JoinStatistics,
@@ -31,7 +31,7 @@ from repro.core.result import (
 )
 from repro.core.search import GSimIndex
 from repro.core.sharded import gsim_join_sharded, result_fingerprint
-from repro.core.verify import VerifyOutcome, verify_pair
+from repro.engine.verify import VerifyOutcome, verify_pair
 
 __all__ = [
     "gsim_join",

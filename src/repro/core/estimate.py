@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.count_filter import passes_size_filter
+from repro.engine.count_filter import passes_size_filter
 from repro.grams.labels import global_label_lower_bound
 from repro.exceptions import ParameterError
 from repro.ged.approximate import ged_bounds

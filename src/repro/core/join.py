@@ -55,10 +55,10 @@ def gsim_join(
     """Self-join: all pairs within edit distance ``tau`` (Algorithm 1).
 
     Graphs must carry distinct ids (:func:`repro.graph.assign_ids`).
-    Returns a :class:`~repro.core.result.JoinResult` whose ``pairs`` hold
+    Returns a :class:`~repro.engine.result.JoinResult` whose ``pairs`` hold
     ``(r.graph_id, s.graph_id)`` tuples ordered by scan position, and
     whose ``stats`` carry every quantity the paper's figures plot —
-    including one :class:`~repro.core.result.StageStatistics` row per
+    including one :class:`~repro.engine.result.StageStatistics` row per
     plan stage in ``stats.stages``.
 
     Robustness knobs (``docs/ROBUSTNESS.md``) — all default-off, and

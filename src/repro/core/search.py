@@ -18,7 +18,7 @@ and unseen q-gram keys conservatively sort last.
 Queries run on the staged execution engine: the index builds its
 :class:`~repro.engine.plan.JoinPlan` once and drives a per-query
 :class:`~repro.engine.executor.Executor` over it, so a caller-supplied
-:class:`~repro.core.result.JoinStatistics` accumulates per-stage
+:class:`~repro.engine.result.JoinStatistics` accumulates per-stage
 survivor counts and timings across queries exactly like a join run's.
 """
 

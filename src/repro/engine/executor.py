@@ -86,7 +86,6 @@ from repro.engine.result import (
 )
 from repro.engine.stages import PairContext, VerifyOutcome
 from repro.ged.compiled import VerificationCache
-from repro.ged.portfolio import validate_backend_options
 from repro.graph.graph import Graph
 from repro.grams.columnar import (
     ColumnarStore,
@@ -900,15 +899,6 @@ class Executor:
         stats.compiled_graphs += len(self.cache)
 
 
-def _reject_unbudgetable(
-    options: GSimJoinOptions, budget: Optional[VerificationBudget]
-) -> None:
-    """Registry-driven capability gate for the requested features."""
-    validate_backend_options(
-        options.verifier, budget=budget, anchor_bound=options.anchor_bound
-    )
-
-
 def _join(
     graphs: Sequence[Graph],
     split: Optional[int],
@@ -974,7 +964,6 @@ def execute_self_join(
     if options is None:
         options = GSimJoinOptions()
     validate_collection(graphs, tau, options)
-    _reject_unbudgetable(options, budget)
     meta = (
         self_join_meta(graphs, tau, options, budget)
         if checkpoint is not None
@@ -1008,7 +997,6 @@ def execute_rs_join(
     validate_collection(inner, tau, options)
     graphs = list(outer) + list(inner)
     reject_mixed_directedness(graphs)
-    _reject_unbudgetable(options, budget)
     meta = (
         rs_join_meta(outer, inner, tau, options, budget)
         if checkpoint is not None

@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.engine.ordering import QGramOrdering, build_ordering
 from repro.exceptions import ParameterError
+from repro.ged.portfolio import resolve_backend
 from repro.grams.qgrams import QGramProfile
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 from repro.graph.graph import Graph
@@ -55,8 +56,8 @@ class GSimJoinOptions:
         (``interned=False``, retained for the parity property tests);
         only speed differs.
     verifier:
-        Exact GED backend for the surviving candidates, resolved
-        through the portfolio registry of :mod:`repro.ged.portfolio`:
+        Exact GED backend for the surviving candidates, one of the
+        names of :data:`repro.ged.portfolio.BACKENDS`:
         ``"compiled"`` (the default — the integer-array A* of
         :mod:`repro.ged.compiled`, with per-collection graph
         compilation cached across candidate pairs; bit-identical
@@ -69,12 +70,6 @@ class GSimJoinOptions:
         hard low-diversity pairs and ``"compiled"`` otherwise — same
         result pairs as every single backend; choices recorded in
         ``JoinStatistics.verify_backends``).
-    anchor_bound:
-        Enable the compiled backend's optional anchor-aware lower
-        bound: identical pairs and distances, potentially fewer A*
-        expansions (off by default so expansion counts stay comparable
-        with the object backend).  Requires a backend declaring
-        anchor-bound support (``verifier="compiled"``).
     batch:
         Evaluate the size, global-label and count filters over whole
         candidate blocks with the vectorized numpy kernels of
@@ -96,7 +91,6 @@ class GSimJoinOptions:
     multicover: bool = False
     interned: bool = True
     verifier: str = "compiled"
-    anchor_bound: bool = False
     batch: Optional[bool] = None
 
     @classmethod
@@ -163,8 +157,7 @@ def validate_collection(
     ------
     ParameterError
         On negative ``tau``/``q``, missing or duplicate graph ids,
-        mixed directedness, an unknown verifier, or ``anchor_bound``
-        with a backend whose declared capabilities exclude it.
+        mixed directedness, or an unknown verifier.
     """
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -178,8 +171,4 @@ def validate_collection(
     if len(set(ids)) != len(ids):
         raise ParameterError("graph ids must be distinct")
     reject_mixed_directedness(graphs)
-    from repro.ged.portfolio import validate_backend_options
-
-    validate_backend_options(
-        options.verifier, anchor_bound=options.anchor_bound
-    )
+    resolve_backend(options.verifier)

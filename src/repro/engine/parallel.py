@@ -73,7 +73,6 @@ from repro.engine.executor import (
 from repro.engine.options import GSimJoinOptions, Sorter, validate_collection
 from repro.engine.result import JoinResult, JoinStatistics
 from repro.exceptions import ParameterError, ReproError
-from repro.ged.portfolio import validate_backend_options
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore
 from repro.grams.qgrams import QGramProfile, extract_qgrams
@@ -379,9 +378,6 @@ def execute_parallel_join(
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     settings = PoolSettings(workers, max_retries, retry_backoff, chunk_timeout)
     validate_collection(graphs, tau, options)
-    validate_backend_options(
-        options.verifier, budget=budget, anchor_bound=options.anchor_bound
-    )
 
     stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
     result = JoinResult(stats=stats)

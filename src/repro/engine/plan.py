@@ -136,7 +136,6 @@ def build_plan(options: GSimJoinOptions) -> JoinPlan:
             verifier=options.verifier,
             improved_order=options.improved_order,
             improved_h=options.improved_h,
-            anchor_bound=options.anchor_bound,
         ),
     )
     return JoinPlan(stages=stages)

@@ -71,7 +71,7 @@ from repro.engine.executor import Executor, Outcome, _options_meta, bounded_pair
 from repro.engine.options import GSimJoinOptions
 from repro.engine.parallel import PoolSettings, verify_on_pool
 from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
-from repro.ged.portfolio import validate_backend_options
+from repro.ged.portfolio import resolve_backend
 from repro.exceptions import CheckpointError, MemoryBudgetError, ParameterError
 from repro.graph.graph import Graph
 from repro.graph.io import dumps_graphs, load_graphs_iter
@@ -534,8 +534,9 @@ def execute_sharded_join(
     Raises
     ------
     ParameterError
-        On invalid ``tau``/``shards``/``workers``/retry settings,
-        missing or duplicate graph ids, or mixed directedness.
+        On invalid ``tau``/``shards``/``workers``/retry settings, an
+        unknown verifier, missing or duplicate graph ids, or mixed
+        directedness.
     CheckpointError
         When ``spill_dir`` already holds a manifest and ``resume`` is
         false, when the manifest belongs to a different run, or when a
@@ -553,9 +554,7 @@ def execute_sharded_join(
     if shards < 1:
         raise ParameterError(f"shards must be >= 1, got {shards}")
     pool = PoolSettings(workers, max_retries, retry_backoff, chunk_timeout)
-    validate_backend_options(
-        options.verifier, budget=budget, anchor_bound=options.anchor_bound
-    )
+    resolve_backend(options.verifier)
     spill_dir = os.fspath(spill_dir)
     os.makedirs(spill_dir, exist_ok=True)
 

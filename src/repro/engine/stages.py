@@ -39,9 +39,8 @@ from typing import Optional, Tuple
 
 from repro.engine.prefix import PrefixInfo, basic_prefix, minedit_prefix
 from repro.engine.result import JoinStatistics
-from repro.exceptions import ParameterError
 from repro.ged.compiled import VerificationCache
-from repro.ged.portfolio import validate_backend_options
+from repro.ged.portfolio import resolve_backend
 from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.labels import (
     global_label_lower_bound,
@@ -340,53 +339,38 @@ class MulticoverFilter(PairFilter):
 class Verify:
     """Exact GED on the filter survivors (``role="verify"``).
 
-    Resolves the configured backend through the portfolio registry
-    (:mod:`repro.ged.portfolio`) — the compiled integer-array A*, the
-    object-graph A*, the DFS branch-and-bound, or the ``"auto"``
-    per-pair hardness dispatcher — and wraps it with the improved
-    vertex order (Algorithm 7), the improved heuristic (Algorithm 8),
-    budget-bounded verdicts, and the :class:`VerificationCache`'s
-    pair-level verdict memo.
+    Looks the configured backend up in
+    :data:`repro.ged.portfolio.BACKENDS` — the compiled integer-array
+    A*, the object-graph A*, the DFS branch-and-bound, or the
+    ``"auto"`` per-pair hardness dispatcher — and wraps it with the
+    improved vertex order (Algorithm 7), the improved heuristic
+    (Algorithm 8), budget-bounded verdicts, and the
+    :class:`VerificationCache`'s pair-level verdict memo.
     """
 
     name = "verify"
     role = "verify"
-    __slots__ = (
-        "verifier", "improved_order", "improved_h", "anchor_bound",
-        "_backend",
-    )
+    __slots__ = ("verifier", "improved_order", "improved_h", "_backend")
 
     def __init__(
-        self,
-        verifier: str,
-        improved_order: bool,
-        improved_h: bool,
-        anchor_bound: bool = False,
+        self, verifier: str, improved_order: bool, improved_h: bool
     ) -> None:
         """Configure the GED backend and its optimizations.
 
         Raises
         ------
         ParameterError
-            On an unknown verifier, or ``anchor_bound`` with a backend
-            that does not declare anchor-bound support.
+            On an unknown verifier.
         """
         self.verifier = verifier
         self.improved_order = improved_order
         self.improved_h = improved_h
-        self.anchor_bound = anchor_bound
-        self._backend = validate_backend_options(
-            verifier, anchor_bound=anchor_bound
-        )
+        self._backend = resolve_backend(verifier)
 
     @property
     def detail(self) -> str:
         """Plan-description line naming the configured backend."""
-        caps = self._backend.capabilities
-        return (
-            f"exact GED via the {self._backend.name!r} backend "
-            f"({caps.memory_profile} memory)"
-        )
+        return f"exact GED via the {self._backend.name!r} backend"
 
     def run(
         self,
@@ -408,12 +392,6 @@ class Verify:
         index query or top-k probe), the memo answers without running
         any search — ``backend="memo"``, zero expansions, no
         ``ged_calls`` tick.
-
-        Raises
-        ------
-        ParameterError
-            On a ``budget`` with a backend whose capabilities exclude
-            budgeted verification.
         """
         p_r, p_s, tau = ctx.p_r, ctx.p_s, ctx.tau
         r, s = p_r.graph, p_s.graph
@@ -437,10 +415,6 @@ class Verify:
                     False, "ged", exact, lower=lower, upper=upper,
                     backend="memo",
                 )
-        if budget is not None and not self._backend.capabilities.supports_budget:
-            validate_backend_options(
-                self.verifier, budget=budget, anchor_bound=self.anchor_bound
-            )
         order = (
             mismatch_vertex_order(r, ctx.mismatch.mismatch_r)
             if self.improved_order
@@ -451,7 +425,6 @@ class Verify:
         search = backend.verify(
             r, s, tau, budget,
             order=order, improved_h=self.improved_h, q=p_r.q, cache=cache,
-            anchor_bound=self.anchor_bound,
         )
         elapsed = time.perf_counter() - started
         if cache is not None:

@@ -43,7 +43,6 @@ def verify_pair(
     verifier: str = "astar",
     budget: Optional[VerificationBudget] = None,
     cache: Optional[VerificationCache] = None,
-    anchor_bound: bool = False,
     hinted: Optional[FrozenSet[str]] = None,
 ) -> VerifyOutcome:
     """Run Algorithm 6 on one candidate pair.
@@ -57,8 +56,8 @@ def verify_pair(
     ``stats``, when given, accrues the Cand-2 counter, filter prune
     counters, GED timings and the per-stage rows.
 
-    ``verifier`` names a portfolio backend (resolved through the
-    registry of :mod:`repro.ged.portfolio`): ``"compiled"`` (the
+    ``verifier`` names a backend of
+    :data:`repro.ged.portfolio.BACKENDS`: ``"compiled"`` (the
     integer-array A* of :mod:`repro.ged.compiled`, bit-identical to the
     object backend), ``"astar"``/``"object"`` (the object-graph A* of
     :mod:`repro.ged.astar`; two names for one backend), ``"dfs"``
@@ -66,15 +65,13 @@ def verify_pair(
     dispatch).  ``cache`` supplies the per-collection
     :class:`VerificationCache` — compiled-graph reuse plus the
     pair-level verdict memo (one is created ad hoc when omitted, which
-    forfeits cross-pair reuse).  ``anchor_bound`` enables the compiled
-    backend's optional anchor-aware lower bound — same results,
-    potentially fewer expansions.
+    forfeits cross-pair reuse).
 
     ``budget`` caps the search effort; on exhaustion the outcome is
     decided from the bounded verdict when possible (``upper <= tau``
     accepts, ``lower > tau`` rejects) and marked ``undecided``
-    otherwise — never an exception or a hang.  Every registered
-    backend honours budgets (the DFS backend returns its admissible
+    otherwise — never an exception or a hang.  Every backend honours
+    budgets (the DFS backend returns its admissible
     root bound and bipartite incumbent as the bracket).
 
     ``hinted`` names cascade stages the batch kernels of
@@ -85,9 +82,7 @@ def verify_pair(
     Raises
     ------
     ParameterError
-        On an unknown verifier, or a requested feature (``budget``,
-        ``anchor_bound``) the resolved backend's declared capabilities
-        exclude.
+        On an unknown verifier.
     """
     options = GSimJoinOptions(
         local_label=use_local_label,
@@ -95,7 +90,6 @@ def verify_pair(
         improved_h=improved_h,
         multicover=use_multicover,
         verifier=verifier,
-        anchor_bound=anchor_bound,
         batch=False,
     )
     executor = Executor(

@@ -31,14 +31,13 @@ across all candidate pairs of a join (each graph appears in many
 pairs), together with the label interners and the subgraph-profile
 memo of the gated heuristic term.
 
-**Bit-identical contract.**  With ``anchor_bound=False`` (the default)
-the backend reproduces the object A* exactly: identical distances,
-``exceeded_threshold`` decisions, expansion/generation counts, and —
-under a :class:`~repro.runtime.budget.VerificationBudget` — identical
+**Bit-identical contract.**  The backend reproduces the object A*
+exactly: identical distances, ``exceeded_threshold`` decisions,
+expansion/generation counts, and — under a
+:class:`~repro.runtime.budget.VerificationBudget` — identical
 ``lower``/``upper`` bounded verdicts, because states carry identical
 ``f`` values and are generated in the same order with the same
-tie-breaking.  The optional anchor-aware bound (:func:`_anchor_bound`)
-tightens pruning and may reduce expansions; distances never change.
+tie-breaking.
 """
 
 from __future__ import annotations
@@ -338,8 +337,8 @@ def _extension_cost_int(
 
     The integer twin of :func:`repro.ged.astar._extension_cost`,
     charging vertex cost plus every edge between ``u``/``v`` and the
-    previously mapped part — used by the greedy upper bound and the
-    anchor bound (the main loop inlines a faster neighbor-list form).
+    previously mapped part — used by the greedy upper bound (the main
+    loop inlines a faster neighbor-list form).
     """
     if v < 0:
         delta = 1
@@ -437,81 +436,6 @@ def _gated_extra(
     )
 
 
-def _anchor_bound(
-    cr: CompiledGraph,
-    cs: CompiledGraph,
-    order: Sequence[int],
-    mapping: Tuple[int, ...],
-    used: int,
-    k1: int,
-) -> int:
-    """Anchor-aware completion lower bound (branch-match style).
-
-    For each unmapped ``r`` vertex ``w``, the true completion pays at
-    least ``min`` over images ``v ∈ unused ∪ {ε}`` of the vertex cost
-    plus the cost of ``w``'s *anchored* edges — edges to already-mapped
-    vertices, whose images are fixed, so mapping ``w`` to ``v``
-    determines each anchored edge's fate.  Anchored edges of distinct
-    unmapped vertices are distinct edges (each has exactly one unmapped
-    endpoint) and vertex operations are disjoint, so the per-vertex
-    minima add up; dropping injectivity keeps it a lower bound.
-    Insertions are not counted — the bound is taken ``max``-wise
-    against the label bound, never added.
-    """
-    n, m = cr.n, cs.n
-    radj, sadj = cr.adj, cs.adj
-    directed = cr.directed
-    total = 0
-    for idx in range(k1, n):
-        w = order[idx]
-        anchored = []
-        w_row = w * n
-        for j in range(k1):
-            uj = order[j]
-            el = radj[w_row + uj]
-            rev = radj[uj * n + w] if directed else 0
-            if el or rev:
-                anchored.append((j, el, rev))
-        lw = cr.vlab[w]
-        best = 1
-        for _j, el, rev in anchored:
-            if el:
-                best += 1
-            if rev:
-                best += 1
-        if best > 1 or anchored:
-            for v in range(m):
-                if (used >> v) & 1:
-                    continue
-                cost = 0 if cs.vlab[v] == lw else 1
-                if cost >= best:
-                    continue
-                v_row = v * m
-                for j, el, rev in anchored:
-                    x = mapping[j]
-                    if el:
-                        sl = sadj[v_row + x] if x >= 0 else 0
-                        if sl != el:
-                            cost += 1
-                    if rev:
-                        sl = sadj[x * m + v] if x >= 0 else 0
-                        if sl != rev:
-                            cost += 1
-                    if cost >= best:
-                        break
-                if cost < best:
-                    best = cost
-                    if best == 0:
-                        break
-        else:
-            for v in range(m):
-                if not (used >> v) & 1 and cs.vlab[v] == lw:
-                    best = 0
-                    break
-        total += best
-    return total
-
-
 def compiled_ged_detailed(
     cr: CompiledGraph,
     cs: CompiledGraph,
@@ -523,7 +447,6 @@ def compiled_ged_detailed(
     h_tau: int = 0,
     max_remaining: Optional[int] = 8,
     subgraph_cache: Optional[dict] = None,
-    anchor_bound: bool = False,
 ) -> GedSearchResult:
     """A* over compiled graphs — the integer twin of
     :func:`repro.ged.astar.graph_edit_distance_detailed`.
@@ -546,9 +469,6 @@ def compiled_ged_detailed(
         Memo for the gated term's subgraph profiles, normally
         :attr:`VerificationCache.subgraph_cache` so extraction is paid
         once per distinct remainder across the whole join.
-    anchor_bound:
-        Enable the anchor-aware lower bound (off by default): tighter
-        pruning, same distances, expansion counts may shrink.
 
     Raises
     ------
@@ -656,10 +576,6 @@ def compiled_ged_detailed(
         )
         if extra > start_f:
             start_f = extra
-    if anchor_bound and n:
-        anchored = _anchor_bound(cr, cs, order, (), 0, 0)
-        if anchored > start_f:
-            start_f = anchored
 
     if n == 0:
         distance = m + num_s_edges
@@ -839,12 +755,6 @@ def compiled_ged_detailed(
                         gated_cache[gate_key] = extra
                     if extra > h2:
                         h2 = extra
-                if anchor_bound:
-                    anchored = _anchor_bound(
-                        cr, cs, order, mapping + (v,), used2, k1
-                    )
-                    if anchored > h2:
-                        h2 = anchored
             f2 = g2 + h2
             if threshold is not None and f2 > threshold:
                 continue

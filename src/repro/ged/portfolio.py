@@ -1,28 +1,25 @@
-"""The verifier portfolio: first-class GED backends behind one protocol.
+"""The verifier portfolio: the exact-GED backends behind one surface.
 
-The join's verification stage historically selected its exact-GED
-engine by string (``verifier="compiled"|"object"|"astar"|"dfs"``), and
-every driver re-encoded the capability rules — which backends honour a
-:class:`~repro.runtime.budget.VerificationBudget`, which support the
-anchor bound, which need the compilation cache — as scattered
-special-cases.  This module makes the backends first-class:
+The Verify stage runs every filter survivor through an exact
+threshold search (the paper's A*, Algorithms 7–8) and picks the search
+by name — ``GSimJoinOptions.verifier``.  :data:`BACKENDS` maps every
+accepted name to a backend singleton:
 
-* :class:`BackendCapabilities` declares, per backend, whether budgets /
-  bounded verdicts / the anchor bound are supported, the search's
-  memory profile, and whether it runs over
-  :class:`~repro.ged.compiled.CompiledGraph` arrays;
-* :class:`VerifierBackend` is the uniform surface — ``verify(r, s,
-  tau, budget) -> GedSearchResult`` — every backend implements;
-* a process-wide **registry** maps names (and aliases) to backend
-  singletons; :func:`resolve_backend` is the single place an unknown
-  verifier string is rejected, and :func:`validate_backend_options` is
-  the single capability check, naming the offending backend *and* its
-  declared capabilities;
-* :class:`AutoBackend` (``verifier="auto"``) is a per-pair hardness
-  dispatcher: a pure, deterministic function of the pair's sizes, the
-  threshold and the label-multiset diversity picks the concrete
-  backend, so parallel and sharded runs agree with sequential ones
-  bit-for-bit.
+* ``"compiled"`` — the integer-array A* of :mod:`repro.ged.compiled`,
+  the default;
+* ``"object"`` / ``"astar"`` — the object-graph A* of
+  :mod:`repro.ged.astar`, two names for one backend;
+* ``"dfs"`` — the depth-first branch-and-bound of :mod:`repro.ged.dfs`;
+* ``"auto"`` — :class:`AutoBackend`, a per-pair hardness dispatcher: a
+  pure, deterministic function of the pair's sizes, the threshold and
+  the label-multiset diversity picks ``"dfs"`` or ``"compiled"``, so
+  parallel and sharded runs agree with sequential ones bit-for-bit.
+
+Every backend implements the same :meth:`VerifierBackend.verify` and
+honours a :class:`~repro.runtime.budget.VerificationBudget` with the
+same ``lower <= ged <= upper`` bracket on exhaustion, so no option
+needs a per-backend check; :func:`resolve_backend` is the one place an
+unknown name is rejected.
 
 Hardness model (why the dispatcher is shaped this way): the A* keeps a
 best-first frontier whose size explodes exactly when the label bound is
@@ -39,77 +36,39 @@ thresholds below were calibrated on the mixed-hardness row of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError
 from repro.ged.astar import GedSearchResult, graph_edit_distance_detailed
 from repro.ged.compiled import VerificationCache, compiled_ged_detailed
+from repro.ged.dfs import dfs_ged_compiled
 from repro.ged.heuristics import label_heuristic, make_local_label_heuristic
 from repro.graph.graph import Graph, Vertex
 from repro.runtime.budget import VerificationBudget
 
 __all__ = [
-    "BackendCapabilities",
     "VerifierBackend",
     "ObjectAStarBackend",
     "CompiledAStarBackend",
     "DfsBackend",
     "AutoBackend",
-    "register_backend",
+    "BACKENDS",
     "resolve_backend",
-    "registered_backends",
-    "registered_names",
-    "budgeted_backends",
-    "validate_backend_options",
 ]
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What one verifier backend declares it can do.
-
-    ``memory_profile`` is descriptive (``"frontier"`` for best-first
-    searches holding an open list, ``"constant"`` for path-only
-    branch-and-bound); ``uses_compiled_cache`` tells the drivers the
-    backend profits from a shared :class:`VerificationCache` (every
-    driver now creates one unconditionally, but the flag still feeds
-    the capability table in ``docs/ARCHITECTURE.md`` and the
-    registry-driven error messages).
-    """
-
-    supports_budget: bool
-    supports_bounded_verdicts: bool
-    supports_anchor_bound: bool
-    memory_profile: str
-    uses_compiled_cache: bool
-
-    def describe(self) -> str:
-        """One-line rendering for error messages and plan output."""
-        flags = [
-            f"budget={'yes' if self.supports_budget else 'no'}",
-            f"bounded_verdicts={'yes' if self.supports_bounded_verdicts else 'no'}",
-            f"anchor_bound={'yes' if self.supports_anchor_bound else 'no'}",
-            f"memory={self.memory_profile}",
-        ]
-        return ", ".join(flags)
-
-
 class VerifierBackend:
-    """Base of every portfolio backend (register instances, not classes).
+    """Base of every portfolio backend.
 
-    Subclasses set ``name`` (the canonical registry key), optional
-    ``aliases``, and ``capabilities``, and implement :meth:`verify`.
-    :meth:`select` exists for dispatchers: concrete backends return
-    themselves, :class:`AutoBackend` returns the backend its hardness
-    model picks for the pair — callers always invoke
-    ``backend.select(...).verify(...)`` so the dispatch point is
+    Subclasses set ``name`` (the name verify attribution records) and
+    implement :meth:`verify`.  :meth:`select` exists for dispatchers:
+    concrete backends return themselves, :class:`AutoBackend` returns
+    the backend its hardness model picks for the pair — callers always
+    invoke ``backend.select(...).verify(...)`` so the dispatch point is
     uniform.
     """
 
     name: str = ""
-    aliases: Tuple[str, ...] = ()
-    capabilities: BackendCapabilities
 
     def verify(
         self,
@@ -122,7 +81,6 @@ class VerifierBackend:
         improved_h: bool = False,
         q: int = 0,
         cache: Optional[VerificationCache] = None,
-        anchor_bound: bool = False,
     ) -> GedSearchResult:
         """Decide ``ged(r, s) <= tau`` (exactly, or bounded under budget).
 
@@ -166,14 +124,6 @@ class ObjectAStarBackend(VerifierBackend):
     """The object-graph A* reference (:mod:`repro.ged.astar`)."""
 
     name = "object"
-    aliases = ("astar",)
-    capabilities = BackendCapabilities(
-        supports_budget=True,
-        supports_bounded_verdicts=True,
-        supports_anchor_bound=False,
-        memory_profile="frontier",
-        uses_compiled_cache=False,
-    )
 
     def verify(
         self,
@@ -186,7 +136,6 @@ class ObjectAStarBackend(VerifierBackend):
         improved_h: bool = False,
         q: int = 0,
         cache: Optional[VerificationCache] = None,
-        anchor_bound: bool = False,
     ) -> GedSearchResult:
         heuristic = (
             make_local_label_heuristic(q, tau) if improved_h
@@ -203,14 +152,6 @@ class CompiledAStarBackend(VerifierBackend):
     to the object backend and the join's default."""
 
     name = "compiled"
-    aliases = ()
-    capabilities = BackendCapabilities(
-        supports_budget=True,
-        supports_bounded_verdicts=True,
-        supports_anchor_bound=True,
-        memory_profile="frontier",
-        uses_compiled_cache=True,
-    )
 
     def verify(
         self,
@@ -223,14 +164,12 @@ class CompiledAStarBackend(VerifierBackend):
         improved_h: bool = False,
         q: int = 0,
         cache: Optional[VerificationCache] = None,
-        anchor_bound: bool = False,
     ) -> GedSearchResult:
         cr, cs, int_order, cache = _compile_pair(r, s, cache, order)
         return compiled_ged_detailed(
             cr, cs, threshold=tau, vertex_order=int_order, budget=budget,
             improved_h=improved_h, q=q, h_tau=tau,
             subgraph_cache=cache.subgraph_cache,
-            anchor_bound=anchor_bound,
         )
 
 
@@ -239,14 +178,6 @@ class DfsBackend(VerifierBackend):
     compiled arrays: constant memory, budget-aware bounded verdicts."""
 
     name = "dfs"
-    aliases = ()
-    capabilities = BackendCapabilities(
-        supports_budget=True,
-        supports_bounded_verdicts=True,
-        supports_anchor_bound=False,
-        memory_profile="constant",
-        uses_compiled_cache=True,
-    )
 
     def verify(
         self,
@@ -259,10 +190,7 @@ class DfsBackend(VerifierBackend):
         improved_h: bool = False,
         q: int = 0,
         cache: Optional[VerificationCache] = None,
-        anchor_bound: bool = False,
     ) -> GedSearchResult:
-        from repro.ged.dfs import dfs_ged_compiled
-
         cr, cs, int_order, cache = _compile_pair(r, s, cache, order)
         return dfs_ged_compiled(
             cr, cs, threshold=tau, vertex_order=int_order, budget=budget,
@@ -287,21 +215,10 @@ class AutoBackend(VerifierBackend):
     :meth:`select` is a pure function of ``(sizes, tau, vertex-label
     diversity)`` — no timing, no randomness — so every execution mode
     (sequential, parallel workers, sharded drains, journal replay)
-    dispatches identically and result parity is structural.  The
-    declared capabilities are the *intersection* of the dispatch
-    targets' capabilities: budgets are fine (both targets bound them),
-    the anchor bound is not (the DFS target has no anchor pruning).
+    dispatches identically and result parity is structural.
     """
 
     name = "auto"
-    aliases = ()
-    capabilities = BackendCapabilities(
-        supports_budget=True,
-        supports_bounded_verdicts=True,
-        supports_anchor_bound=False,
-        memory_profile="adaptive",
-        uses_compiled_cache=True,
-    )
 
     def verify(
         self,
@@ -314,11 +231,10 @@ class AutoBackend(VerifierBackend):
         improved_h: bool = False,
         q: int = 0,
         cache: Optional[VerificationCache] = None,
-        anchor_bound: bool = False,
     ) -> GedSearchResult:
         return self.select(r, s, tau).verify(
             r, s, tau, budget, order=order, improved_h=improved_h, q=q,
-            cache=cache, anchor_bound=anchor_bound,
+            cache=cache,
         )
 
     def select(
@@ -352,95 +268,33 @@ class AutoBackend(VerifierBackend):
         return _COMPILED
 
 
-# --------------------------------------------------------------- registry
+_OBJECT = ObjectAStarBackend()
+_COMPILED = CompiledAStarBackend()
+_DFS = DfsBackend()
 
-_REGISTRY: Dict[str, VerifierBackend] = {}
-
-
-def register_backend(backend: VerifierBackend) -> VerifierBackend:
-    """Register ``backend`` under its name and every alias.
-
-    Later registrations win — tests and experiments may shadow a
-    built-in backend for the lifetime of the process.
-    """
-    for key in (backend.name,) + tuple(backend.aliases):
-        _REGISTRY[key] = backend
-    return backend
+#: Every accepted verifier name and its backend singleton.
+BACKENDS: Dict[str, VerifierBackend] = {
+    "compiled": _COMPILED,
+    "object": _OBJECT,
+    "astar": _OBJECT,
+    "dfs": _DFS,
+    "auto": AutoBackend(),
+}
 
 
 def resolve_backend(name: str) -> VerifierBackend:
-    """The backend registered under ``name`` (or an alias).
+    """The backend of :data:`BACKENDS` named ``name``.
 
     Raises
     ------
     ParameterError
-        Naming the unknown verifier and listing the registered ones.
+        Naming the unknown verifier and listing every backend.
     """
-    backend = _REGISTRY.get(name)
+    backend = BACKENDS.get(name)
     if backend is None:
-        known = sorted({b.name for b in _REGISTRY.values()})
+        known = sorted({b.name for b in BACKENDS.values()})
         raise ParameterError(
             f"unknown verifier {name!r} (registered backends: "
             f"{', '.join(known)})"
         )
     return backend
-
-
-def registered_backends() -> List[VerifierBackend]:
-    """The distinct registered backends, sorted by canonical name."""
-    seen: Dict[str, VerifierBackend] = {}
-    for backend in _REGISTRY.values():
-        seen.setdefault(backend.name, backend)
-    return [seen[name] for name in sorted(seen)]
-
-
-def registered_names() -> List[str]:
-    """Every registry key (canonical names and aliases), sorted."""
-    return sorted(_REGISTRY)
-
-
-def budgeted_backends() -> frozenset:
-    """Every registry key whose backend honours a budget."""
-    return frozenset(
-        key for key, backend in _REGISTRY.items()
-        if backend.capabilities.supports_budget
-    )
-
-
-def validate_backend_options(
-    verifier: str,
-    budget: Optional[VerificationBudget] = None,
-    anchor_bound: bool = False,
-) -> VerifierBackend:
-    """Resolve ``verifier`` and check the requested features against its
-    declared capabilities — the single capability gate every driver
-    (options validation, sequential/parallel/sharded joins, the index)
-    goes through.
-
-    Raises
-    ------
-    ParameterError
-        On an unknown verifier, or when ``budget``/``anchor_bound`` is
-        requested from a backend whose capabilities exclude it; the
-        message names the backend and its capability declaration.
-    """
-    backend = resolve_backend(verifier)
-    caps = backend.capabilities
-    if budget is not None and not caps.supports_budget:
-        raise ParameterError(
-            f"verifier {backend.name!r} does not support budgeted "
-            f"verification (declared capabilities: {caps.describe()})"
-        )
-    if anchor_bound and not caps.supports_anchor_bound:
-        raise ParameterError(
-            f"anchor_bound requires a backend with anchor-bound support; "
-            f"verifier {backend.name!r} declares: {caps.describe()} "
-            f"(use the 'compiled' verifier)"
-        )
-    return backend
-
-
-_OBJECT = register_backend(ObjectAStarBackend())
-_COMPILED = register_backend(CompiledAStarBackend())
-_DFS = register_backend(DfsBackend())
-_AUTO = register_backend(AutoBackend())

@@ -88,7 +88,7 @@ class QGramProfile:
         The q-gram length used.
     grams:
         Every q-gram instance (the multiset ``Q_r``), in enumeration
-        order until :meth:`repro.core.ordering.QGramOrdering.sort_profile`
+        order until :meth:`repro.engine.ordering.QGramOrdering.sort_profile`
         reorders them in the global q-gram ordering.
     key_counts:
         The key multiset as a :class:`collections.Counter`.

@@ -106,7 +106,7 @@ class QGramVocabulary:
 def build_vocabulary(profiles: Iterable[QGramProfile]) -> QGramVocabulary:
     """Build the vocabulary over ``profiles`` in global-ordering rank.
 
-    The rank is the same ordering :func:`repro.core.ordering.
+    The rank is the same ordering :func:`repro.engine.ordering.
     build_ordering` sorts by — ascending document frequency (number of
     profiles containing the key) with a deterministic lexicographic
     tie-break on ``repr`` — computed once here instead of inside every

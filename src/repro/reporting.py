@@ -2,8 +2,8 @@
 
 Join runs produce structured numbers (Cand-1/Cand-2, prune counters,
 phase timings) that downstream pipelines want machine-readable.  This
-module serializes :class:`~repro.core.result.JoinResult` /
-:class:`~repro.core.result.JoinStatistics` to JSON and the result pairs
+module serializes :class:`~repro.engine.result.JoinResult` /
+:class:`~repro.engine.result.JoinStatistics` to JSON and the result pairs
 to CSV, using only the standard library.
 """
 
@@ -16,7 +16,7 @@ import json
 import os
 from typing import Union
 
-from repro.core.result import JoinResult, JoinStatistics
+from repro.engine.result import JoinResult, JoinStatistics
 
 __all__ = [
     "stats_to_dict",
@@ -49,7 +49,7 @@ def result_to_dict(result: JoinResult) -> dict:
 
     Each ``undecided`` entry carries the pair ids, the best known
     ``lower``/``upper`` GED bounds, and the ``reason`` (``"budget"`` or
-    ``"error"``) — see :class:`~repro.core.result.BoundedPair`.
+    ``"error"``) — see :class:`~repro.engine.result.BoundedPair`.
     """
     return {
         "pairs": [list(pair) for pair in result.pairs],

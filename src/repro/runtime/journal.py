@@ -94,7 +94,7 @@ class VerificationRecord:
 
     ``i``/``j`` are scan positions in the join's candidate enumeration
     (stable across runs because candidate generation is deterministic).
-    ``pruned_by`` mirrors :class:`repro.core.verify.VerifyOutcome`;
+    ``pruned_by`` mirrors :class:`repro.engine.stages.VerifyOutcome`;
     ``expansions``/``ged_seconds`` are the A* cost actually paid, so a
     resumed run's statistics replay what the original run measured.
     ``lower``/``upper`` carry the bounded verdict of a budget-exhausted

@@ -38,8 +38,8 @@ from repro.core import (
     minedit_prefix,
     passes_size_filter,
 )
-from repro.core.prefix import PrefixInfo
-from repro.core.result import BoundedPair, JoinResult, JoinStatistics
+from repro.engine.prefix import PrefixInfo
+from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
 from repro.exceptions import ParameterError
 from repro.ged.astar import graph_edit_distance_detailed
 from repro.ged.compiled import VerificationCache, compiled_ged_detailed
@@ -96,7 +96,6 @@ def legacy_verify_pair(
     verifier="astar",
     budget=None,
     cache=None,
-    anchor_bound=False,
 ):
     """Pre-refactor Algorithm 6 cascade, copied verbatim."""
     r, s = p_r.graph, p_s.graph
@@ -147,8 +146,6 @@ def legacy_verify_pair(
         if improved_order
         else input_vertex_order(r)
     )
-    if anchor_bound and verifier != "compiled":
-        raise ParameterError("anchor_bound requires the 'compiled' verifier")
     started = time.perf_counter()
     if verifier == "dfs":
         if budget is not None:
@@ -174,7 +171,7 @@ def legacy_verify_pair(
         search = compiled_ged_detailed(
             cr, cs, threshold=tau, vertex_order=int_order, budget=budget,
             improved_h=improved_h, q=p_r.q, h_tau=tau,
-            subgraph_cache=cache.subgraph_cache, anchor_bound=anchor_bound,
+            subgraph_cache=cache.subgraph_cache,
         )
     elif verifier in ("astar", "object"):
         heuristic = (
@@ -234,8 +231,6 @@ def _validate(graphs, tau, options):
         raise ParameterError("graph ids must be distinct")
     if len({g.is_directed for g in graphs}) > 1:
         raise ParameterError("cannot mix directed and undirected graphs in a join")
-    if options.anchor_bound and options.verifier != "compiled":
-        raise ParameterError("anchor_bound requires the 'compiled' verifier")
 
 
 def _build_sorter(profiles, options):
@@ -415,7 +410,6 @@ def legacy_gsim_join(
                         verifier=options.verifier,
                         budget=budget,
                         cache=cache,
-                        anchor_bound=options.anchor_bound,
                     )
                     if journal is not None:
                         journal.append(_record_of(i, j, outcome))
@@ -551,7 +545,6 @@ def legacy_gsim_join_rs(outer, inner, tau, options=None, budget=None):
                 verifier=options.verifier,
                 budget=budget,
                 cache=cache,
-                anchor_bound=options.anchor_bound,
             )
             if outcome.is_result:
                 result.pairs.append(
@@ -681,7 +674,6 @@ def legacy_gsim_join_serial_parallel(
                     verifier=options.verifier,
                     budget=budget,
                     cache=cache,
-                    anchor_bound=options.anchor_bound,
                 )
                 rec = _record_of(i, j, outcome)
                 _replay_record(stats, rec)
@@ -818,7 +810,6 @@ class LegacyGSimIndex:
                 use_multicover=self.options.multicover,
                 verifier=self.options.verifier,
                 cache=self._cache,
-                anchor_bound=self.options.anchor_bound,
             )
             if outcome.is_result:
                 matches.append((self.graphs[j].graph_id, outcome.ged))

@@ -26,7 +26,7 @@ import pytest
 from repro import GSimJoinOptions, assign_ids, gsim_join, gsim_join_rs
 from repro.core.parallel import gsim_join_parallel
 from repro.core.search import GSimIndex
-from repro.core.result import JoinStatistics
+from repro.engine.result import JoinStatistics
 
 # Captured at import time: the real dispatch threshold, before the
 # autouse fixture below patches the consuming modules down to 1.

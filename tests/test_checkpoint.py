@@ -173,16 +173,23 @@ class TestResumeGuards:
             gsim_join(molecule_collection(12, seed=31), 1, checkpoint=journal)
 
     @pytest.mark.parametrize(
-        "plan",
-        ["auto", ["count-filter", "global-label-filter", "local-label-filter"]],
-        ids=["auto", "permutation"],
+        "key, value",
+        [
+            ("plan", "auto"),
+            ("plan", ["count-filter", "global-label-filter", "local-label-filter"]),
+            ("anchor_bound", False),
+            ("anchor_bound", True),
+        ],
+        ids=["auto", "permutation", "anchor_bound-false", "anchor_bound-true"],
     )
-    def test_plan_bearing_journal_refused(self, tmp_path, plan):
-        """A journal whose header options carry a cascade ``plan`` (as
-        written when the order was selectable) is a different run."""
+    def test_plan_bearing_journal_refused(self, tmp_path, key, value):
+        """A journal whose header options carry a deleted option — a
+        cascade ``plan`` (as written when the order was selectable) or
+        ``anchor_bound`` (as written when the compiled A* had that
+        knob, even at its ``False`` default) — is a different run."""
         graphs = molecule_collection(12, seed=29)
         meta = self_join_meta(graphs, 1, GSimJoinOptions(), None)
-        meta["options"]["plan"] = plan
+        meta["options"][key] = value
         journal = tmp_path / "join.jsonl"
         JoinJournal.open(journal, meta).close()
         with pytest.raises(CheckpointError, match="different run"):

@@ -6,8 +6,7 @@ distances, the same ``exceeded_threshold`` decisions, the same
 expansion/generation counts, and — through the join — the same
 ``JoinResult`` pairs, statistics and budgeted ``undecided`` brackets,
 across seeds, q-gram lengths, thresholds, sequential and parallel
-executors, with and without budgets and checkpointing.  Only the
-optional anchor-aware bound may change (reduce) expansion counts.
+executors, with and without budgets and checkpointing.
 """
 
 import random
@@ -172,30 +171,6 @@ class TestSearchParity:
             for field in SEARCH_FIELDS:
                 assert getattr(obj, field) == getattr(comp, field), field
 
-    def test_anchor_bound_same_answers_never_more_expansions(self):
-        rng = random.Random(7)
-        cache = VerificationCache()
-        checked = 0
-        for _ in range(80):
-            r = random_pair_graph(rng, rng.randrange(1, 7), False)
-            s = random_pair_graph(rng, rng.randrange(1, 7), False)
-            tau = rng.choice([1, 2, 3, None])
-            obj, _, cr, cs, order = run_both(
-                r, s, tau=tau, q=2, improved=False,
-                use_mismatch_order=False, budget=None, cache=cache,
-            )
-            anchored = compiled_ged_detailed(
-                cr, cs, threshold=tau,
-                vertex_order=[cr.index_of[v] for v in order],
-                anchor_bound=True,
-            )
-            assert anchored.distance == obj.distance
-            assert anchored.exceeded_threshold == obj.exceeded_threshold
-            assert anchored.expanded <= obj.expanded
-            if anchored.expanded < obj.expanded:
-                checked += 1
-        assert checked > 0  # the tighter bound actually pruned somewhere
-
     def test_parameter_validation(self):
         g = random_pair_graph(random.Random(1), 3, False)
         d = random_pair_graph(random.Random(1), 3, True)
@@ -286,22 +261,6 @@ class TestJoinParity:
         assert 0 < compiled.stats.compiled_graphs <= len(graphs)
         assert compiled.stats.compile_time >= 0.0
         assert reference.stats.compiled_graphs == 0
-
-    def test_anchor_bound_join_same_pairs_fewer_or_equal_expansions(self):
-        graphs = labeled_collection(12, seed=31)
-        options = GSimJoinOptions.full(q=2)
-        plain = gsim_join(graphs, 3, options=options)
-        anchored = gsim_join(
-            graphs, 3, options=replace(options, anchor_bound=True)
-        )
-        assert anchored.pairs == plain.pairs
-        assert anchored.stats.ged_expansions <= plain.stats.ged_expansions
-
-    def test_anchor_bound_requires_compiled_verifier(self):
-        graphs = labeled_collection(6, seed=1)
-        bad = replace(GSimJoinOptions.full(), verifier="object", anchor_bound=True)
-        with pytest.raises(ParameterError, match="anchor_bound"):
-            gsim_join(graphs, 1, options=bad)
 
 
 # ------------------------------------------------------- budgets, executors

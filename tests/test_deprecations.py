@@ -20,7 +20,6 @@ INTERNAL_IMPORTS = [
     "repro.core.join",
     "repro.core.parallel",
     "repro.core.search",
-    "repro.core.verify",
     "repro.engine",
     "repro.engine.executor",
     "repro.engine.parallel",

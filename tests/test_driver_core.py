@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.join import gsim_join, gsim_join_rs
 from repro.core.parallel import gsim_join_parallel
-from repro.core.result import JoinStatistics
+from repro.engine.result import JoinStatistics
 from repro.core.search import GSimIndex
 from repro.core.sharded import gsim_join_sharded, result_fingerprint
 from repro.datasets import aids_like

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.join import GSimJoinOptions, gsim_join, gsim_join_rs
 from repro.core.parallel import gsim_join_parallel
-from repro.core.result import JoinStatistics
+from repro.engine.result import JoinStatistics
 from repro.core.search import GSimIndex
 from repro.exceptions import InjectedFaultError
 from repro.runtime import FaultPlan, VerificationBudget

@@ -1,12 +1,12 @@
 """Cross-backend differential suite for the verifier portfolio.
 
-Every backend registered in :mod:`repro.ged.portfolio` must agree on
+Every backend of :data:`repro.ged.portfolio.BACKENDS` must agree on
 exact distances (checked against the brute-force reference), budgeted
 DFS must return sound lower/upper brackets, and the ``"auto"``
 hardness dispatcher must produce bit-identical join results against
 every single-backend run — sequentially, in parallel, sharded, and
-across a checkpoint resume.  The registry itself (aliases, unknown
-names, capability validation) is unit-tested here too.
+across a checkpoint resume.  The name → backend table itself
+(aliases, unknown names) is unit-tested here too.
 """
 
 import random
@@ -25,12 +25,9 @@ from repro.ged.portfolio import (
     AUTO_MAX_DISTINCT_LABELS,
     AUTO_MIN_TAU,
     AUTO_MIN_VERTICES,
+    BACKENDS,
     AutoBackend,
-    budgeted_backends,
-    registered_backends,
-    registered_names,
     resolve_backend,
-    validate_backend_options,
 )
 from repro.ged.reference import brute_force_ged
 from repro.graph.generators import random_labeled_graph
@@ -46,7 +43,7 @@ ALL_VERIFIERS = ("compiled", "object", "astar", "dfs", "auto")
 
 class TestRegistry:
     def test_names_cover_every_backend_and_alias(self):
-        assert set(registered_names()) >= set(ALL_VERIFIERS)
+        assert set(BACKENDS) >= set(ALL_VERIFIERS)
 
     def test_aliases_resolve_to_the_same_singleton(self):
         assert resolve_backend("astar") is resolve_backend("object")
@@ -54,29 +51,6 @@ class TestRegistry:
     def test_unknown_verifier_lists_registered_backends(self):
         with pytest.raises(ParameterError, match="registered backends"):
             resolve_backend("ilp")
-
-    def test_every_backend_declares_budget_support(self):
-        assert budgeted_backends() >= set(ALL_VERIFIERS)
-
-    def test_capability_error_names_backend_and_declaration(self):
-        with pytest.raises(ParameterError, match="'dfs'.*anchor_bound=no"):
-            validate_backend_options("dfs", anchor_bound=True)
-        with pytest.raises(ParameterError, match="'auto'.*anchor_bound=no"):
-            validate_backend_options("auto", anchor_bound=True)
-
-    def test_compiled_supports_every_requested_feature(self):
-        backend = validate_backend_options(
-            "compiled",
-            budget=VerificationBudget(max_expansions=1),
-            anchor_bound=True,
-        )
-        assert backend.name == "compiled"
-
-    def test_capability_describe_renders_all_flags(self):
-        caps = resolve_backend("dfs").capabilities
-        text = caps.describe()
-        assert "budget=yes" in text
-        assert "memory=constant" in text
 
 
 # ------------------------------------------------- distance differential
@@ -89,7 +63,7 @@ def test_all_backends_agree_on_exact_distances(pair, tau):
     decisions match the brute-force reference."""
     r, s, _ = pair
     exact = brute_force_ged(r, s)
-    for backend in registered_backends():
+    for backend in BACKENDS.values():
         search = backend.verify(r, s, tau)
         if exact <= tau:
             assert not search.exceeded_threshold, backend.name
@@ -104,7 +78,7 @@ def test_all_backends_agree_with_improved_heuristic(pair, q):
     r, s, k = pair
     tau = min(k + 1, 3)
     exact = brute_force_ged(r, s)
-    for backend in registered_backends():
+    for backend in BACKENDS.values():
         search = backend.verify(r, s, tau, improved_h=True, q=q)
         if exact <= tau:
             assert search.distance == exact, backend.name

@@ -15,7 +15,7 @@ import pytest
 
 from repro import GSimJoinOptions, assign_ids, gsim_join, gsim_join_rs
 from repro.core.search import GSimIndex
-from repro.core.result import JoinStatistics
+from repro.engine.result import JoinStatistics
 from repro.grams.minedit import min_prefix_length, min_prefix_length_direct
 from repro.grams.qgrams import extract_qgrams
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
