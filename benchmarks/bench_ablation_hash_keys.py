@@ -12,7 +12,7 @@ import time
 
 from workloads import AIDS_Q, dataset, format_table, write_series
 
-from repro.core import build_ordering, extract_qgrams
+from repro.core import build_vocabulary, extract_qgrams
 
 
 def _index_and_probe(profiles, key_of):
@@ -34,9 +34,9 @@ def test_ablation_hash_vs_tuple_keys(benchmark):
 
     def compute():
         profiles = [extract_qgrams(g, AIDS_Q) for g in graphs]
-        ordering = build_ordering(profiles)
+        vocab = build_vocabulary(profiles)
         for p in profiles:
-            ordering.sort_profile(p)
+            vocab.sort_profile(p)
 
         rows = []
         t_tuple, keys_tuple, hits_tuple = _index_and_probe(profiles, lambda k: k)

@@ -11,7 +11,7 @@ import time
 
 from workloads import PROT_Q, dataset, format_table, write_series
 
-from repro.core import build_ordering, extract_qgrams, min_prefix_length
+from repro.core import build_vocabulary, extract_qgrams, min_prefix_length
 from repro.grams.minedit import min_edit_exact
 
 
@@ -38,9 +38,9 @@ def test_ablation_minedit_solver(benchmark):
 
     def compute():
         profiles = [extract_qgrams(g, PROT_Q) for g in graphs]
-        ordering = build_ordering(profiles)
+        vocab = build_vocabulary(profiles)
         for p in profiles:
-            ordering.sort_profile(p)
+            vocab.sort_profile(p)
 
         rows = []
         for tau in (1, 2, 3, 4):

@@ -24,7 +24,6 @@ ORDER = (
     + [f"fig6{c}" for c in "abcdefghi"]
     + [f"fig7{c}" for c in "abcdefghijklmno"]
     + [
-        "pipeline_trajectory",
         "ged_trajectory",
         "ablation_hash_keys",
         "ablation_minedit_solver",
@@ -46,12 +45,9 @@ def build_report() -> str:
         "`pytest benchmarks/ --benchmark-only`, then re-run "
         "`python benchmarks/make_report.py`.",
         "",
-        "The machine-readable perf trajectory `BENCH_pipeline.json` (repo "
-        "root) tracks the interned fast path against the object-key "
-        "reference pipeline; regenerate it with `PYTHONPATH=src python "
-        "benchmarks/bench_pipeline_trajectory.py` (also rewritten by the "
-        "full benchmark run).  See `docs/PERFORMANCE.md` for the "
-        "methodology.",
+        "Performance claims come from the benchmark ledger "
+        "(`benchmarks/ledger/`, declared by `BENCHMARK.json`); see "
+        "`docs/PERFORMANCE.md` for the methodology.",
         "",
     ]
     seen = set()

@@ -10,7 +10,7 @@ Run:  python examples/filter_anatomy.py
 """
 
 from repro.core import (
-    build_ordering,
+    build_vocabulary,
     compare_qgrams,
     count_lower_bound,
     extract_qgrams,
@@ -53,9 +53,9 @@ def main() -> None:
     print(f"\nCount filtering (Example 4): need >= {bound} common q-grams")
 
     # --- Minimum edit filtering (Section IV) ---------------------------
-    ordering = build_ordering([p_r, p_s])
-    ordering.sort_profile(p_r)
-    ordering.sort_profile(p_s)
+    vocab = build_vocabulary([p_r, p_s])
+    vocab.sort_profile(p_r)
+    vocab.sort_profile(p_s)
     for name, profile in (("r", p_r), ("s", p_s)):
         basic = tau * profile.d_path + 1
         minedit = min_prefix_length(profile.grams, tau, profile.d_path)

@@ -14,7 +14,7 @@ Run:  python examples/qgram_lineage.py
 """
 
 from repro import GSimJoinOptions, gsim_join
-from repro.core import build_ordering, extract_qgrams, min_edit_exact
+from repro.core import build_vocabulary, extract_qgrams, min_edit_exact
 from repro.datasets import aids_like, figure1_graphs
 from repro.strings import (
     min_edits_destroying,
@@ -55,7 +55,7 @@ def main() -> None:
 
     r, _ = figure1_graphs()
     profile = extract_qgrams(r, 1)
-    build_ordering([profile]).sort_profile(profile)
+    build_vocabulary([profile]).sort_profile(profile)
     edits = min_edit_exact(profile.grams, cap=5)
     print(f"{r.graph_id!r} has {profile.size} path 1-grams; destroying all "
           f"of them needs {edits} edits (minimum hitting set, NP-hard "

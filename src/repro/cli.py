@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--verifier",
         choices=sorted(BACKENDS),
         default=None,
-        help="GED backend: 'compiled' (default), 'astar'/'object', "
-        "'dfs', or 'auto' (per-pair hardness dispatch; gsimjoin only)",
+        help="GED backend: 'compiled' (default), 'dfs', or 'auto' "
+        "(per-pair hardness dispatch; gsimjoin only)",
     )
     join.add_argument(
         "--budget-expansions",
@@ -246,9 +246,10 @@ def _cmd_join(args) -> int:
         or args.checkpoint is not None
         or args.explain_plan
         or args.verifier is not None
+        or args.workers != 1
     ):
         raise ReproError(
-            "--budget-*/--checkpoint/--explain-plan/--verifier "
+            "--budget-*/--checkpoint/--explain-plan/--verifier/--workers "
             "require --algorithm gsimjoin"
         )
     if args.shards is not None:

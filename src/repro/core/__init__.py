@@ -18,7 +18,6 @@ from repro.grams.labels import (
 )
 from repro.grams.minedit import min_edit_exact, min_edit_lower_bound, min_prefix_length
 from repro.grams.mismatch import MismatchResult, compare_qgrams, mismatching_grams
-from repro.engine.ordering import QGramOrdering, build_ordering
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 from repro.core.parallel import gsim_join_parallel
 from repro.engine.prefix import PrefixInfo, basic_prefix, minedit_prefix
@@ -31,7 +30,7 @@ from repro.engine.result import (
 )
 from repro.core.search import GSimIndex
 from repro.core.sharded import gsim_join_sharded, result_fingerprint
-from repro.engine.verify import VerifyOutcome, verify_pair
+from repro.engine.stages import VerifyOutcome
 
 __all__ = [
     "gsim_join",
@@ -54,8 +53,6 @@ __all__ = [
     "passes_count_filter",
     "size_lower_bound",
     "passes_size_filter",
-    "QGramOrdering",
-    "build_ordering",
     "QGramVocabulary",
     "build_vocabulary",
     "PrefixInfo",
@@ -73,7 +70,6 @@ __all__ = [
     "connected_gram_components",
     "InvertedIndex",
     "VerifyOutcome",
-    "verify_pair",
     "estimate_join_size",
     "JoinSizeEstimate",
 ]

@@ -35,7 +35,7 @@ import os
 from typing import Optional, Sequence, Union
 
 from repro.engine.executor import execute_rs_join, execute_self_join
-from repro.engine.options import GSimJoinOptions, Sorter
+from repro.engine.options import GSimJoinOptions
 from repro.engine.result import JoinResult
 from repro.graph.graph import Graph
 from repro.runtime.budget import VerificationBudget

@@ -30,7 +30,6 @@ from repro.engine.executor import Executor
 from repro.engine.inverted_index import InvertedIndex
 from repro.engine.options import (
     GSimJoinOptions,
-    Sorter,
     build_sorter,
     reject_mixed_directedness,
 )
@@ -43,6 +42,7 @@ from repro.ged.compiled import VerificationCache
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore, build_columnar_store
 from repro.grams.qgrams import QGramProfile, extract_qgrams
+from repro.grams.vocab import QGramVocabulary
 
 __all__ = ["GSimIndex"]
 
@@ -97,10 +97,10 @@ class GSimIndex:
 
         initial = list(graphs)
         initial_profiles = [extract_qgrams(g, self.options.q) for g in initial]
-        # Freeze the ordering on the initial collection (or empty):
-        # either an interning vocabulary (ids in global-ordering rank,
-        # the default) or the repr-tokenized object-key ordering.
-        self._sorter: Sorter = build_sorter(initial_profiles, self.options)
+        # Freeze the ordering on the initial collection (or empty): an
+        # interning vocabulary, ids in global-ordering rank; later
+        # inserts intern unseen keys as overflow ids that sort last.
+        self._sorter: QGramVocabulary = build_sorter(initial_profiles)
         for g, profile in zip(initial, initial_profiles):
             self._validate_new(g)
             self._insert(g, profile)

@@ -35,7 +35,7 @@ from repro.engine.result import (
     JoinStatistics,
     StageStatistics,
 )
-from repro.engine.verify import VerifyOutcome, verify_pair
+from repro.engine.stages import VerifyOutcome
 
 __all__ = [
     "Executor",
@@ -53,5 +53,4 @@ __all__ = [
     "JoinStatistics",
     "StageStatistics",
     "VerifyOutcome",
-    "verify_pair",
 ]

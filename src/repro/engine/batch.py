@@ -62,18 +62,15 @@ def resolve_batch(options: GSimJoinOptions) -> bool:
     """Decide whether this run batches, validating an explicit request.
 
     ``batch=None`` (the default) resolves to "yes" exactly when numpy
-    is importable and the pipeline runs on interned signatures — the
-    object-key reference path (``interned=False``) stays the scalar
-    parity oracle.  An explicit ``batch=True`` must be honorable.
+    is importable.  An explicit ``batch=True`` must be honorable.
 
     Raises
     ------
     ParameterError
-        On ``batch=True`` without numpy installed, or combined with
-        ``interned=False``.
+        On ``batch=True`` without numpy installed.
     """
     if options.batch is None:
-        return HAVE_NUMPY and options.interned
+        return HAVE_NUMPY
     if not options.batch:
         return False
     if not HAVE_NUMPY:
@@ -81,11 +78,6 @@ def resolve_batch(options: GSimJoinOptions) -> bool:
             "GSimJoinOptions(batch=True) requires numpy, which is not "
             "installed; install the 'fast' extra (pip install "
             "'repro[fast]') or leave batch unset to use the scalar path"
-        )
-    if not options.interned:
-        raise ParameterError(
-            "GSimJoinOptions(batch=True) requires interned=True: the "
-            "batch kernels operate on interned integer signatures"
         )
     return True
 

@@ -71,7 +71,6 @@ from repro.engine.count_filter import passes_size_filter
 from repro.engine.inverted_index import InvertedIndex
 from repro.engine.options import (
     GSimJoinOptions,
-    Sorter,
     build_sorter,
     reject_mixed_directedness,
     validate_collection,
@@ -94,6 +93,7 @@ from repro.grams.columnar import (
     np,
 )
 from repro.grams.qgrams import QGramProfile, extract_qgrams
+from repro.grams.vocab import QGramVocabulary
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
@@ -338,7 +338,7 @@ class Executor:
         self.profiles: Sequence[QGramProfile] = ()
         self.prefixes: Sequence[PrefixInfo] = ()
         self.labels: Sequence[LabelPair] = ()
-        self.sorter: Optional[Sorter] = None
+        self.sorter: Optional[QGramVocabulary] = None
         self.index: Optional[InvertedIndex] = None
         existing = {row.name: row for row in stats.stages}
         self._rows: Dict[str, StageStatistics] = {}
@@ -403,7 +403,7 @@ class Executor:
         stats, tau = self.stats, self.tau
         started = time.perf_counter()
         profiles = [extract_qgrams(g, self.options.q) for g in graphs]
-        sorter = build_sorter(profiles, self.options)
+        sorter = build_sorter(profiles)
         for profile in profiles:
             sorter.sort_profile(profile)
         prepared = time.perf_counter()
@@ -773,8 +773,7 @@ class Executor:
     ) -> VerifyOutcome:
         """Run the plan's pair-filter cascade, then GED, on one pair.
 
-        Statistics semantics are those of the historical
-        ``verify_pair`` (prune counters, Cand-2, GED timings), plus the
+        Accrues the prune counters, Cand-2, the GED timings and the
         per-stage rows.  ``hinted`` names stages the batch kernels
         already proved passed for this pair; they are skipped (accruing
         their input/survivor counts — the batch kernel already charged

@@ -5,10 +5,9 @@ contains the key (Algorithm 1 builds it on the fly while scanning the
 collection, so at the time graph ``r`` probes, the index holds exactly
 the earlier graphs).
 
-Keys are any hashable value.  The interned pipeline indexes dense
-integer ids from :class:`repro.grams.vocab.QGramVocabulary` (cheaper to
-hash and compare than path-label tuples); the reference pipeline keeps
-indexing the object keys themselves — the index is agnostic.
+Keys are any hashable value.  The join indexes dense integer ids from
+:class:`repro.grams.vocab.QGramVocabulary` (cheaper to hash and compare
+than path-label tuples).
 
 The index also reports its memory footprint the way the paper measures
 it: each q-gram is hashed to a 4-byte integer and each posting is a

@@ -1,17 +1,16 @@
 """GSimJoin run configuration and collection validation.
 
 :class:`GSimJoinOptions` selects the paper's filtering level, the q-gram
-length, the interned-signature fast path, the batch kernels and the GED
-backend; :func:`repro.engine.plan.build_plan` turns the options into
-the :class:`repro.engine.plan.JoinPlan` a run executes.
+length, the batch kernels and the GED backend;
+:func:`repro.engine.plan.build_plan` turns the options into the
+:class:`repro.engine.plan.JoinPlan` a run executes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from repro.engine.ordering import QGramOrdering, build_ordering
 from repro.exceptions import ParameterError
 from repro.ged.portfolio import resolve_backend
 from repro.grams.qgrams import QGramProfile
@@ -20,7 +19,6 @@ from repro.graph.graph import Graph
 
 __all__ = [
     "GSimJoinOptions",
-    "Sorter",
     "build_sorter",
     "reject_mixed_directedness",
     "validate_collection",
@@ -47,22 +45,13 @@ class GSimJoinOptions:
         Additionally apply the set-multicover minimum-edit bound over
         partially matched surplus keys — a sound extension beyond the
         paper (off in the paper-faithful variants).
-    interned:
-        Run the pipeline on interned integer q-gram signatures — the
-        global ordering becomes a pure integer sort, the inverted index
-        is keyed by small ints, and ``CompareQGrams`` is a linear merge
-        over sorted id arrays (see :mod:`repro.grams.vocab`).  Results
-        are bit-identical to the object-key reference path
-        (``interned=False``, retained for the parity property tests);
-        only speed differs.
     verifier:
         Exact GED backend for the surviving candidates, one of the
         names of :data:`repro.ged.portfolio.BACKENDS`:
         ``"compiled"`` (the default — the integer-array A* of
         :mod:`repro.ged.compiled`, with per-collection graph
         compilation cached across candidate pairs; bit-identical
-        results), ``"object"``/``"astar"`` (the object-graph A*
-        reference implementation, two names for one backend),
+        results with the object-graph A* of :mod:`repro.ged.astar`),
         ``"dfs"`` (depth-first branch-and-bound with a bipartite
         incumbent — an extension; same answers, O(|V|) memory,
         budget-aware with sound lower/upper brackets on exhaustion) or
@@ -76,9 +65,9 @@ class GSimJoinOptions:
         :mod:`repro.engine.batch` against the columnar signature store
         (:mod:`repro.grams.columnar`), survivors falling through to the
         scalar cascade with hints.  ``None`` (the default) enables
-        batching exactly when numpy is importable and ``interned=True``;
-        ``True`` requires both (a clear :class:`~repro.exceptions.
-        ParameterError` otherwise); ``False`` forces the scalar path —
+        batching exactly when numpy is importable; ``True`` requires it
+        (a clear :class:`~repro.exceptions.ParameterError` otherwise);
+        ``False`` forces the scalar path —
         the parity oracle, bit-identical in pairs, distances and
         per-stage statistics (asserted by ``tests/test_batch_parity.py``).
     """
@@ -89,51 +78,46 @@ class GSimJoinOptions:
     improved_order: bool = True
     improved_h: bool = True
     multicover: bool = False
-    interned: bool = True
     verifier: str = "compiled"
     batch: Optional[bool] = None
 
     @classmethod
-    def basic(cls, q: int = 4, interned: bool = True) -> "GSimJoinOptions":
+    def basic(cls, q: int = 4) -> "GSimJoinOptions":
         """The paper's *Basic GSimJoin* configuration."""
         return cls(q=q, minedit_prefix=False, local_label=False,
-                   improved_order=False, improved_h=False, interned=interned)
+                   improved_order=False, improved_h=False)
 
     @classmethod
-    def minedit(cls, q: int = 4, interned: bool = True) -> "GSimJoinOptions":
+    def minedit(cls, q: int = 4) -> "GSimJoinOptions":
         """The paper's *+ MinEdit* configuration."""
         return cls(q=q, minedit_prefix=True, local_label=False,
-                   improved_order=True, improved_h=False, interned=interned)
+                   improved_order=True, improved_h=False)
 
     @classmethod
-    def full(cls, q: int = 4, interned: bool = True) -> "GSimJoinOptions":
+    def full(cls, q: int = 4) -> "GSimJoinOptions":
         """The paper's *+ Local Label* (complete GSimJoin) configuration."""
         return cls(q=q, minedit_prefix=True, local_label=True,
-                   improved_order=True, improved_h=True, interned=interned)
+                   improved_order=True, improved_h=True)
 
     @classmethod
-    def extended(cls, q: int = 4, interned: bool = True) -> "GSimJoinOptions":
+    def extended(cls, q: int = 4) -> "GSimJoinOptions":
         """``full()`` plus this library's multicover filter extension."""
         return cls(q=q, minedit_prefix=True, local_label=True,
-                   improved_order=True, improved_h=True, multicover=True,
-                   interned=interned)
+                   improved_order=True, improved_h=True, multicover=True)
 
     def with_q(self, q: int) -> "GSimJoinOptions":
         """This configuration with a different q-gram length."""
         return replace(self, q=q)
 
 
-#: Either global-ordering implementation — both expose ``sort_profile``.
-Sorter = Union[QGramVocabulary, QGramOrdering]
+def build_sorter(profiles: Sequence[QGramProfile]) -> QGramVocabulary:
+    """The global ordering over ``profiles``: the interning vocabulary
+    of :mod:`repro.grams.vocab`, ids in ascending document frequency.
 
-
-def build_sorter(
-    profiles: Sequence[QGramProfile], options: GSimJoinOptions
-) -> Sorter:
-    """The configured global-ordering implementation over ``profiles``."""
-    if options.interned:
-        return build_vocabulary(profiles)
-    return build_ordering(profiles)
+    Every driver builds its ordering through this one name, so the
+    benchmark ledger times the step wherever it runs.
+    """
+    return build_vocabulary(profiles)
 
 
 def reject_mixed_directedness(graphs: Iterable[Graph]) -> None:

@@ -14,10 +14,10 @@ in chunks on a ``concurrent.futures`` process pool.
 
 What this module owns is the pool: each worker verifies its chunks on a
 worker-local :class:`~repro.engine.executor.Executor` built from the
-shipped options, columnar store and frozen global ordering
-(the interning vocabulary, or the object-key ordering on the reference
-path), one :meth:`~repro.engine.executor.Executor.verify_block` per run
-of pairs sharing a probe graph.  Profiles and label multisets are built
+shipped options, columnar store and frozen global ordering (the
+interning vocabulary), one
+:meth:`~repro.engine.executor.Executor.verify_block` per run of pairs
+sharing a probe graph.  Profiles and label multisets are built
 lazily, at most once per worker and only for pairs that need them, and
 sorted in the shipped ordering, so mismatch-instance selection and the
 improved A* vertex order match the sequential join exactly.
@@ -70,12 +70,13 @@ from repro.engine.executor import (
     add_outcome,
     self_join_meta,
 )
-from repro.engine.options import GSimJoinOptions, Sorter, validate_collection
+from repro.engine.options import GSimJoinOptions, validate_collection
 from repro.engine.result import JoinResult, JoinStatistics
 from repro.exceptions import ParameterError, ReproError
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore
 from repro.grams.qgrams import QGramProfile, extract_qgrams
+from repro.grams.vocab import QGramVocabulary
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
@@ -174,7 +175,7 @@ def _local_executor(
     graphs: Sequence[Graph],
     tau: int,
     options: GSimJoinOptions,
-    sorter: Sorter,
+    sorter: QGramVocabulary,
     budget: Optional[VerificationBudget],
     fault: Optional[FaultPlan],
     store: Optional[ColumnarStore],
@@ -232,7 +233,7 @@ def _init_worker(
     graphs: Sequence[Graph],
     tau: int,
     options: GSimJoinOptions,
-    sorter: Sorter,
+    sorter: QGramVocabulary,
     budget: Optional[VerificationBudget] = None,
     fault: Optional[FaultPlan] = None,
     store: Optional[ColumnarStore] = None,
@@ -271,7 +272,7 @@ def _fallback_verify(
     graphs: Sequence[Graph],
     tau: int,
     options: GSimJoinOptions,
-    sorter: Sorter,
+    sorter: QGramVocabulary,
     budget: Optional[VerificationBudget],
     stats: JoinStatistics,
 ) -> List[VerificationRecord]:
@@ -304,7 +305,7 @@ def verify_on_pool(
     graphs: Sequence[Graph],
     tau: int,
     options: GSimJoinOptions,
-    sorter: Sorter,
+    sorter: QGramVocabulary,
     budget: Optional[VerificationBudget],
     settings: PoolSettings,
     stats: JoinStatistics,
@@ -430,7 +431,7 @@ def _run_chunks(
     graphs: Sequence[Graph],
     tau: int,
     options: GSimJoinOptions,
-    sorter: Sorter,
+    sorter: QGramVocabulary,
     budget: Optional[VerificationBudget],
     fault: Optional[FaultPlan],
     store: Optional[ColumnarStore],

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.grams.minedit import min_prefix_length, min_prefix_length_direct
+from repro.grams.minedit import min_prefix_length_direct
 from repro.grams.qgrams import QGramProfile
 from repro.exceptions import ParameterError
 
@@ -56,17 +56,12 @@ def minedit_prefix(profile: QGramProfile, tau: int) -> PrefixInfo:
     """Minimum edit filtering prefix of Lemma 3 (Algorithm 4).
 
     ``profile.grams`` must already be sorted in the global ordering
-    (see :meth:`repro.grams.vocab.QGramVocabulary.sort_profile` /
-    :meth:`repro.engine.ordering.QGramOrdering.sort_profile`).  Interned
-    profiles (a signature is attached) take the direct single-sweep
-    implementation of Algorithm 4; the object-key reference path keeps
-    the paper's double binary search as a frozen oracle — both return
-    identical lengths.
+    (see :meth:`repro.grams.vocab.QGramVocabulary.sort_profile`).  Runs
+    the direct single-sweep implementation of Algorithm 4; the paper's
+    double binary search (:func:`repro.grams.minedit.min_prefix_length`)
+    returns identical lengths and is kept as its test oracle.
     """
-    if profile.signature is not None:
-        length = min_prefix_length_direct(profile.grams, tau, profile.d_path)
-    else:
-        length = min_prefix_length(profile.grams, tau, profile.d_path)
+    length = min_prefix_length_direct(profile.grams, tau, profile.d_path)
     if length is None:
         return PrefixInfo(length=profile.size, prunable=False)
     return PrefixInfo(length=length, prunable=True)

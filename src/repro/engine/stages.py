@@ -89,7 +89,7 @@ class VerifyOutcome:
     single pair so the outcome can be journaled and replayed exactly.
 
     ``backend`` names the portfolio backend that produced a GED verdict
-    (``"compiled"``/``"object"``/``"dfs"`` — under ``verifier="auto"``
+    (``"compiled"``/``"dfs"`` — under ``verifier="auto"``
     the dispatcher's per-pair choice — or ``"memo"`` when the verdict
     came from the :class:`VerificationCache`'s pair-level memo without
     running a search); ``None`` for filter prunes.
@@ -261,7 +261,7 @@ class GlobalLabelFilter(PairFilter):
 class CountFilter(PairFilter):
     """Count filtering via mismatching q-gram counts (Lemma 1).
 
-    ``compare_qgrams`` is given ``tau`` so the interned merge bails out
+    ``compare_qgrams`` is given ``tau`` so the signature merge bails out
     as soon as a count bound is exceeded; the (cached) result's
     ``count_pruned`` flag is this filter's verdict.
     """
@@ -313,8 +313,8 @@ class MulticoverFilter(PairFilter):
     """Set-multicover minimum-edit bound over partially matched surplus
     keys — this library's sound extension beyond Algorithm 5.
 
-    Prunes with tag ``"multicover"`` but feeds the local-label counter,
-    matching the historical accounting of ``verify_pair``.
+    Prunes with tag ``"multicover"`` but feeds the local-label counter
+    (the historical accounting).
     """
 
     name = "multicover-filter"
@@ -341,7 +341,7 @@ class Verify:
 
     Looks the configured backend up in
     :data:`repro.ged.portfolio.BACKENDS` — the compiled integer-array
-    A*, the object-graph A*, the DFS branch-and-bound, or the
+    A*, the DFS branch-and-bound, or the
     ``"auto"`` per-pair hardness dispatcher — and wraps it with the
     improved vertex order (Algorithm 7), the improved heuristic
     (Algorithm 8), budget-bounded verdicts, and the
@@ -383,9 +383,8 @@ class Verify:
 
         Accrues ``cand2``, ``ged_calls``, ``ged_expansions``,
         ``ged_time``, per-backend call counts and ``undecided`` into
-        ``stats`` exactly as the historical ``verify_pair`` did;
-        ``ged_time`` starts *after* the vertex-order computation so
-        timing semantics are unchanged.
+        ``stats``; ``ged_time`` starts *after* the vertex-order
+        computation so timing semantics are unchanged.
 
         When ``cache`` carries a decided verdict for this graph-identity
         pair at this threshold (an earlier search of an overlapping

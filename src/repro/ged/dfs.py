@@ -28,8 +28,8 @@ branch-and-bound over :class:`~repro.ged.compiled.CompiledGraph` arrays
 with the per-depth remainder tables of the compiled A* — the form the
 ``"dfs"`` portfolio backend uses in joins.
 
-The module exists both as a practical alternative verifier (usable via
-``verify_pair`` through the benchmarks' ablation) and as an independent
+The module exists both as a practical alternative verifier
+(``GSimJoinOptions(verifier="dfs")``) and as an independent
 implementation to cross-check the A* search in the test suite.
 """
 

@@ -6,9 +6,8 @@ by name — ``GSimJoinOptions.verifier``.  :data:`BACKENDS` maps every
 accepted name to a backend singleton:
 
 * ``"compiled"`` — the integer-array A* of :mod:`repro.ged.compiled`,
-  the default;
-* ``"object"`` / ``"astar"`` — the object-graph A* of
-  :mod:`repro.ged.astar`, two names for one backend;
+  the default (bit-identical to the object-graph A* of
+  :mod:`repro.ged.astar`, which stays the reference implementation);
 * ``"dfs"`` — the depth-first branch-and-bound of :mod:`repro.ged.dfs`;
 * ``"auto"`` — :class:`AutoBackend`, a per-pair hardness dispatcher: a
   pure, deterministic function of the pair's sizes, the threshold and
@@ -39,16 +38,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError
-from repro.ged.astar import GedSearchResult, graph_edit_distance_detailed
+from repro.ged.astar import GedSearchResult
 from repro.ged.compiled import VerificationCache, compiled_ged_detailed
 from repro.ged.dfs import dfs_ged_compiled
-from repro.ged.heuristics import label_heuristic, make_local_label_heuristic
 from repro.graph.graph import Graph, Vertex
 from repro.runtime.budget import VerificationBudget
 
 __all__ = [
     "VerifierBackend",
-    "ObjectAStarBackend",
     "CompiledAStarBackend",
     "DfsBackend",
     "AutoBackend",
@@ -120,36 +117,10 @@ def _compile_pair(
     return cr, cs, int_order, cache
 
 
-class ObjectAStarBackend(VerifierBackend):
-    """The object-graph A* reference (:mod:`repro.ged.astar`)."""
-
-    name = "object"
-
-    def verify(
-        self,
-        r: Graph,
-        s: Graph,
-        tau: int,
-        budget: Optional[VerificationBudget] = None,
-        *,
-        order: Optional[Sequence[Vertex]] = None,
-        improved_h: bool = False,
-        q: int = 0,
-        cache: Optional[VerificationCache] = None,
-    ) -> GedSearchResult:
-        heuristic = (
-            make_local_label_heuristic(q, tau) if improved_h
-            else label_heuristic
-        )
-        return graph_edit_distance_detailed(
-            r, s, threshold=tau, heuristic=heuristic, vertex_order=order,
-            budget=budget,
-        )
-
-
 class CompiledAStarBackend(VerifierBackend):
     """The integer-array A* (:mod:`repro.ged.compiled`), bit-identical
-    to the object backend and the join's default."""
+    to the object-graph A* of :mod:`repro.ged.astar` and the join's
+    default."""
 
     name = "compiled"
 
@@ -268,15 +239,12 @@ class AutoBackend(VerifierBackend):
         return _COMPILED
 
 
-_OBJECT = ObjectAStarBackend()
 _COMPILED = CompiledAStarBackend()
 _DFS = DfsBackend()
 
 #: Every accepted verifier name and its backend singleton.
 BACKENDS: Dict[str, VerifierBackend] = {
     "compiled": _COMPILED,
-    "object": _OBJECT,
-    "astar": _OBJECT,
     "dfs": _DFS,
     "auto": AutoBackend(),
 }
@@ -292,9 +260,8 @@ def resolve_backend(name: str) -> VerifierBackend:
     """
     backend = BACKENDS.get(name)
     if backend is None:
-        known = sorted({b.name for b in BACKENDS.values()})
         raise ParameterError(
             f"unknown verifier {name!r} (registered backends: "
-            f"{', '.join(known)})"
+            f"{', '.join(sorted(BACKENDS))})"
         )
     return backend

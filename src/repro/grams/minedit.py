@@ -15,11 +15,11 @@ by the Slavík ratio gives a fast certified lower bound (Algorithm 2).
 
 Two implementations of Algorithm 4 coexist.  ``min_prefix_length`` is
 the paper's double binary search (greedy bracket, then exact), kept
-verbatim as the reference-path oracle.  ``min_prefix_length_direct``
-computes the same prefix with a single bounded branch-and-bound over
-hitting vertices — the interned fast path uses it (see
-``docs/PERFORMANCE.md``); both return bit-identical results, asserted
-property-style in ``tests/test_vocab.py``.
+verbatim as the oracle.  ``min_prefix_length_direct`` computes the same
+prefix with a single bounded branch-and-bound over hitting vertices —
+the join uses it (see ``docs/PERFORMANCE.md``); both return
+bit-identical results, asserted property-style in
+``tests/test_vocab.py``.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def min_prefix_length_direct(
     tau: int,
     d_path: int,
 ) -> Optional[int]:
-    """Algorithm 4 as a single bounded search (the interned fast path).
+    """Algorithm 4 as a single bounded search (the join's implementation).
 
     Same contract and bit-identical results as
     :func:`min_prefix_length`, computed without binary searching: the

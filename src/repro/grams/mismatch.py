@@ -20,10 +20,12 @@ Two implementations produce bit-identical results:
   one linear merge over the two sorted id arrays yields ε₂/ε₃, the
   mismatch instances, the absent-key flags and the surplus runs in a
   single pass, bailing out early once a count bound is exceeded;
-* the **object-key reference path** — the historical Counter-based
-  computation, kept both for un-interned profiles (e.g. the subgraph
-  profiles of the improved A* heuristic) and as the oracle the property
-  tests compare the merge against.
+* the **Counter path** — the historical Counter-based computation over
+  object keys, taken by every profile without a total signature: the
+  unsorted subgraph profiles of the improved A* heuristic
+  (:func:`repro.ged.heuristics.local_label_terms`) and ``GSimIndex``
+  profiles carrying overflow ids.  The property tests also use it as
+  the oracle of the merge.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class MismatchResult:
         generalization of instance-level min-edit to partially matched
         keys (see :mod:`repro.setcover.multicover`).  On the merge path
         the groups are slices of the contiguous surplus runs recorded
-        during the one-pass merge; on the reference path they are built
+        during the one-pass merge; on the Counter path they are built
         from the surplus counts cached by :func:`compare_qgrams`
         (computed once, not re-derived per call).
         """
@@ -207,7 +209,7 @@ def mismatching_grams(p: QGramProfile, other: QGramProfile) -> List[QGram]:
 def _counter_compare(
     p_r: QGramProfile, p_s: QGramProfile, tau: Optional[int]
 ) -> MismatchResult:
-    """The object-key reference path (historical Counter computation)."""
+    """The Counter path (historical computation over object keys)."""
     surplus_r = _surplus_counts(p_r, p_s)
     surplus_s = _surplus_counts(p_s, p_r)
     mr = _pick_instances(p_r, surplus_r)
@@ -244,7 +246,7 @@ def _merge_compare(
     """One-pass linear merge over two sorted interned id arrays.
 
     Produces ε₂/ε₃, the mismatch instances (earliest in the global
-    ordering, exactly the reference path's selection — surplus runs are
+    ordering, exactly the Counter path's selection — surplus runs are
     contiguous in the sorted gram lists), the absent-key masks and the
     surplus runs together, bailing out as soon as a count bound is
     exceeded when ``tau`` is given (the pair is then pruned whatever the
@@ -361,7 +363,7 @@ def compare_qgrams(
 
     When both profiles carry a total interned signature from the same
     vocabulary, the comparison is a single linear merge over the sorted
-    id arrays; otherwise the object-key reference path runs.  Both
+    id arrays; otherwise the Counter path runs.  Both
     produce identical results.  ``tau``, when given, enables the count
     filter's early bailout: once ``ε > τ·D_path`` on either side the
     result comes back with ``count_pruned=True`` (and possibly partial

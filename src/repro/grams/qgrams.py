@@ -88,7 +88,7 @@ class QGramProfile:
         The q-gram length used.
     grams:
         Every q-gram instance (the multiset ``Q_r``), in enumeration
-        order until :meth:`repro.engine.ordering.QGramOrdering.sort_profile`
+        order until :meth:`repro.grams.vocab.QGramVocabulary.sort_profile`
         reorders them in the global q-gram ordering.
     key_counts:
         The key multiset as a :class:`collections.Counter`.
@@ -101,15 +101,14 @@ class QGramProfile:
     signature:
         Interned integer ids of the (sorted) grams, aligned index by
         index — attached by :meth:`repro.grams.vocab.QGramVocabulary.
-        sort_profile`; ``None`` until then (the object-key reference
-        path never attaches one).
+        sort_profile`; ``None`` until then.
     signature_total:
         ``True`` when the signature contains only frozen-range ids, so
         ascending id *is* the global ordering and two such signatures
         from the same vocabulary can be compared by a pure integer
         merge.  ``False`` when overflow ids are present (streaming
         inserts/queries) — pairwise comparison then falls back to the
-        object-key path.
+        Counter path of :func:`repro.grams.mismatch.compare_qgrams`.
     signature_source:
         The vocabulary that interned the signature (identity-compared by
         :func:`repro.grams.mismatch.compare_qgrams` so signatures from
@@ -149,7 +148,7 @@ class QGramProfile:
         ranked by its token instead (used for overflow ids, which rank
         by key ``repr``) and the signature is marked non-mergeable.
         Equal ids keep their enumeration order: the sort is stable,
-        matching the historical object-key sort exactly.
+        matching a sort by object key exactly.
         """
         if sort_token is None:
             order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -164,9 +163,9 @@ class QGramProfile:
     def prefix_keys(self, length: int) -> Sequence[object]:
         """The first ``length`` index/probe keys in the global ordering.
 
-        Interned ids when a signature is attached (the fast pipeline),
-        otherwise the grams' object keys — both are valid inverted-index
-        keys, so join/search code is agnostic to the representation.
+        Interned ids when a signature is attached (every profile the
+        engine sorts), otherwise the grams' object keys — both are
+        valid inverted-index keys.
         """
         signature = self.signature
         if signature is not None:

@@ -20,8 +20,9 @@ add` / ``query``) get fresh *overflow* ids past the frozen range.  They
 preserve the "unknown sorts last" contract exactly: overflow ids rank
 after every frozen id and among themselves by the key's ``repr`` (the
 historical tie-break), and a profile containing any overflow id is
-marked non-mergeable so pairwise comparison falls back to the object-key
-reference path for that profile only.
+marked non-mergeable so pairwise comparison falls back to the Counter
+path of :func:`repro.grams.mismatch.compare_qgrams` for that profile
+only.
 """
 
 from __future__ import annotations
@@ -106,11 +107,10 @@ class QGramVocabulary:
 def build_vocabulary(profiles: Iterable[QGramProfile]) -> QGramVocabulary:
     """Build the vocabulary over ``profiles`` in global-ordering rank.
 
-    The rank is the same ordering :func:`repro.engine.ordering.
-    build_ordering` sorts by — ascending document frequency (number of
-    profiles containing the key) with a deterministic lexicographic
-    tie-break on ``repr`` — computed once here instead of inside every
-    later sort comparison.
+    The rank is ascending document frequency (number of profiles
+    containing the key) with a deterministic lexicographic tie-break on
+    ``repr`` — computed once here instead of inside every later sort
+    comparison.
     """
     df: Dict[Key, int] = {}
     for profile in profiles:

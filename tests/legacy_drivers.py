@@ -20,6 +20,17 @@ and ``repro.runtime``.  ``tests/test_engine_parity.py`` runs these
 drivers against the engine-backed ones and asserts bit-identical pairs,
 statistics, expansion counts, bounded verdicts and journal interop.
 
+The drivers also keep the two alternate paths the library itself no
+longer ships, as oracles for the engine's one path:
+
+* ``object_keys=True`` sorts profiles in the object-key ordering of
+  ``tests/object_key_ordering.py`` instead of interning them, so the
+  inverted index is keyed by q-gram tuples, ``compare_qgrams`` takes its
+  Counter path and minimum edit filtering runs the paper's double
+  binary search (``tests/test_vocab.py``);
+* ``verifier="astar"`` (or ``"object"``) verifies with the object-graph
+  A* of ``repro.ged.astar`` (``tests/test_compiled_ged.py``).
+
 Do not "improve" this file; it is deliberately frozen history.
 """
 
@@ -34,7 +45,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 from repro.core import (
     InvertedIndex,
     basic_prefix,
-    build_ordering,
     minedit_prefix,
     passes_size_filter,
 )
@@ -50,6 +60,7 @@ from repro.grams.labels import (
     local_label_lower_bound,
     multicover_min_edit_bound,
 )
+from repro.grams.minedit import min_prefix_length
 from repro.grams.mismatch import compare_qgrams
 from repro.grams.qgrams import QGramProfile, extract_qgrams
 from repro.grams.vocab import build_vocabulary
@@ -57,6 +68,8 @@ from repro.graph.graph import Graph
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
+
+from .object_key_ordering import build_ordering
 
 BUDGETED_VERIFIERS = frozenset({"astar", "object", "compiled"})
 
@@ -233,10 +246,22 @@ def _validate(graphs, tau, options):
         raise ParameterError("cannot mix directed and undirected graphs in a join")
 
 
-def _build_sorter(profiles, options):
-    if options.interned:
-        return build_vocabulary(profiles)
-    return build_ordering(profiles)
+def _build_sorter(profiles, object_keys):
+    if object_keys:
+        return build_ordering(profiles)
+    return build_vocabulary(profiles)
+
+
+def _prefix_info(profile, tau, options):
+    if not options.minedit_prefix:
+        return basic_prefix(profile, tau)
+    if profile.signature is not None:
+        return minedit_prefix(profile, tau)
+    # Object-key profiles: the paper's double binary search.
+    length = min_prefix_length(profile.grams, tau, profile.d_path)
+    if length is None:
+        return PrefixInfo(length=profile.size, prunable=False)
+    return PrefixInfo(length=length, prunable=True)
 
 
 def _journal_meta(graphs, tau, options, budget):
@@ -300,17 +325,13 @@ def _replay_record(stats, rec):
     stats.replayed_pairs += 1
 
 
-def _prepare_profiles(graphs, tau, options, stats):
+def _prepare_profiles(graphs, tau, options, stats, object_keys):
     profiles = [extract_qgrams(g, options.q) for g in graphs]
-    sorter = _build_sorter(profiles, options)
+    sorter = _build_sorter(profiles, object_keys)
     prefixes = []
     for profile in profiles:
         sorter.sort_profile(profile)
-        info = (
-            minedit_prefix(profile, tau)
-            if options.minedit_prefix
-            else basic_prefix(profile, tau)
-        )
+        info = _prefix_info(profile, tau, options)
         prefixes.append(info)
         stats.total_prefix_length += info.length
         if not info.prunable:
@@ -328,6 +349,7 @@ def legacy_gsim_join(
     budget=None,
     checkpoint=None,
     fault=None,
+    object_keys=False,
 ):
     """Pre-refactor ``gsim_join`` (Algorithm 1), copied verbatim."""
     from repro.core.join import GSimJoinOptions
@@ -346,7 +368,7 @@ def legacy_gsim_join(
 
     started = time.perf_counter()
     profiles, prefixes, labels, _sorter = _prepare_profiles(
-        graphs, tau, options, stats
+        graphs, tau, options, stats, object_keys
     )
     stats.index_time += time.perf_counter() - started
 
@@ -450,7 +472,9 @@ def legacy_gsim_join(
     return result
 
 
-def legacy_gsim_join_rs(outer, inner, tau, options=None, budget=None):
+def legacy_gsim_join_rs(
+    outer, inner, tau, options=None, budget=None, object_keys=False
+):
     """Pre-refactor ``gsim_join_rs``, copied verbatim (no checkpoint)."""
     from repro.core.join import GSimJoinOptions
 
@@ -472,15 +496,11 @@ def legacy_gsim_join_rs(outer, inner, tau, options=None, budget=None):
     started = time.perf_counter()
     all_graphs = list(outer) + list(inner)
     profiles_all = [extract_qgrams(g, options.q) for g in all_graphs]
-    sorter = _build_sorter(profiles_all, options)
+    sorter = _build_sorter(profiles_all, object_keys)
     prefixes_all = []
     for profile in profiles_all:
         sorter.sort_profile(profile)
-        info = (
-            minedit_prefix(profile, tau)
-            if options.minedit_prefix
-            else basic_prefix(profile, tau)
-        )
+        info = _prefix_info(profile, tau, options)
         prefixes_all.append(info)
         stats.total_prefix_length += info.length
         if not info.prunable:
@@ -578,6 +598,7 @@ def legacy_gsim_join_serial_parallel(
     chunk_size=8,
     budget=None,
     checkpoint=None,
+    object_keys=False,
 ):
     """Pre-refactor ``gsim_join_parallel`` with ``workers=1``.
 
@@ -597,7 +618,7 @@ def legacy_gsim_join_serial_parallel(
 
     started = time.perf_counter()
     profiles, prefixes, labels, sorter = _prepare_profiles(
-        graphs, tau, options, stats
+        graphs, tau, options, stats, object_keys
     )
     stats.index_time += time.perf_counter() - started
 
@@ -707,7 +728,7 @@ def legacy_gsim_join_serial_parallel(
 class LegacyGSimIndex:
     """Pre-refactor ``repro.core.search.GSimIndex``, copied verbatim."""
 
-    def __init__(self, graphs=(), tau_max=2, options=None):
+    def __init__(self, graphs=(), tau_max=2, options=None, object_keys=False):
         from repro.core.join import GSimJoinOptions
 
         if tau_max < 0:
@@ -726,7 +747,7 @@ class LegacyGSimIndex:
 
         initial = list(graphs)
         initial_profiles = [extract_qgrams(g, self.options.q) for g in initial]
-        self._sorter = _build_sorter(initial_profiles, self.options)
+        self._sorter = _build_sorter(initial_profiles, object_keys)
         for g, profile in zip(initial, initial_profiles):
             self._validate_new(g)
             self._insert(g, profile)
@@ -759,9 +780,7 @@ class LegacyGSimIndex:
         self._insert(g, extract_qgrams(g, self.options.q))
 
     def _prefix(self, profile, tau):
-        if self.options.minedit_prefix:
-            return minedit_prefix(profile, tau)
-        return basic_prefix(profile, tau)
+        return _prefix_info(profile, tau, self.options)
 
     def query(self, g, tau, stats=None):
         if tau < 0:

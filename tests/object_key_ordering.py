@@ -1,10 +1,15 @@
-"""Global q-gram ordering by ascending document frequency.
+"""The object-key global q-gram ordering — a test oracle.
 
 Prefix filtering (Lemma 2) needs every graph's q-gram multiset sorted in
 one *global* ordering ``O``.  Rare q-grams make the best prefix members
 — their inverted lists are short and they generate few candidates — so
 the ordering is ascending document frequency (number of graphs containing
 the q-gram), with a deterministic lexicographic tie-break on the key.
+
+The join sorts by :class:`repro.grams.vocab.QGramVocabulary` ids, which
+rank keys in this same order.  This module keeps the direct form — a
+``(document frequency, repr(key))`` token per key, no signature attached
+— as the object-key oracle of ``tests/legacy_drivers.py``.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from repro.graph.generators import random_labeled_graph
 from repro.grams.columnar import HAVE_NUMPY
 from repro.runtime.budget import VerificationBudget
 
+from .legacy_drivers import legacy_gsim_join
 from .test_vocab import (
     PARITY_STATS,
     VARIANTS,
@@ -155,7 +156,7 @@ class TestKernels:
         graphs = labeled_collection(8, seed=21)
         options = GSimJoinOptions()
         profiles = [extract_qgrams(g, options.q) for g in graphs]
-        sorter = build_sorter(profiles, options)
+        sorter = build_sorter(profiles)
         for p in profiles:
             sorter.sort_profile(p)
         labels = [
@@ -198,7 +199,7 @@ class TestKernels:
         graphs = labeled_collection(6, seed=22, num_labels=2)
         options = GSimJoinOptions()
         profiles = [extract_qgrams(g, options.q) for g in graphs]
-        sorter = build_sorter(profiles, options)
+        sorter = build_sorter(profiles)
         for p in profiles:
             sorter.sort_profile(p)
         labels = [
@@ -209,7 +210,7 @@ class TestKernels:
         # A foreign profile: sorted in a *different* vocabulary.
         outside = labeled_collection(1, seed=97, num_labels=6)[0]
         q_profile = extract_qgrams(outside, options.q)
-        foreign_sorter = build_sorter([q_profile], options)
+        foreign_sorter = build_sorter([q_profile])
         foreign_sorter.sort_profile(q_profile)
         row = store.external_row(
             q_profile,
@@ -428,29 +429,17 @@ class TestBatchResolution:
         assert result.pairs == scalar.pairs
 
     @requires_numpy
-    def test_batch_true_requires_interned(self):
-        graphs = labeled_collection(4, seed=75)
-        with pytest.raises(ParameterError, match="interned"):
-            gsim_join(
-                graphs, 1, GSimJoinOptions(interned=False, batch=True)
-            )
-
-    def test_reference_path_never_batches(self):
-        executor = Executor(
-            1, GSimJoinOptions(interned=False), JoinStatistics()
-        )
-        assert executor.batch is False
-
-    @requires_numpy
     def test_default_resolution_batches_interned_runs(self):
         executor = Executor(1, GSimJoinOptions(), JoinStatistics())
         assert executor.batch is True
 
     @requires_numpy
     def test_object_key_reference_path_parity(self):
-        """interned=False (scalar by construction) still agrees."""
+        """The object-key oracle (scalar by construction) still agrees."""
         graphs = labeled_collection(18, seed=77)
         batched = gsim_join(graphs, 2, GSimJoinOptions(batch=True))
-        reference = gsim_join(graphs, 2, GSimJoinOptions(interned=False))
+        reference = legacy_gsim_join(
+            graphs, 2, GSimJoinOptions(), object_keys=True
+        )
         assert batched.pairs == reference.pairs
         assert_stat_parity(batched.stats, reference.stats)

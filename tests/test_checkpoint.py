@@ -3,8 +3,7 @@
 The hard case runs in a sacrificial subprocess that ``os._exit(1)``\\ s
 mid-verification (via the ``kill`` fault), leaving a write-through
 journal behind; the parent resumes from that journal and must produce
-exactly the result of an uninterrupted run, on both the interned and
-the object-key pipeline.
+exactly the result of an uninterrupted run.
 """
 
 import subprocess
@@ -29,16 +28,15 @@ KILL_AT = 5
 
 DRIVER = """
 import sys
-from repro.core.join import GSimJoinOptions, gsim_join
+from repro.core.join import gsim_join
 from repro.graph import assign_ids, load_graphs
 from repro.runtime import FaultPlan
 
-collection, checkpoint, interned = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+collection, checkpoint = sys.argv[1], sys.argv[2]
 graphs = assign_ids(load_graphs(collection))
 gsim_join(
     graphs,
     {tau},
-    options=GSimJoinOptions(interned=interned),
     checkpoint=checkpoint,
     fault=FaultPlan("kill", at={kill_at}),
 )
@@ -46,18 +44,15 @@ gsim_join(
 
 RS_DRIVER = """
 import sys
-from repro.core.join import GSimJoinOptions, gsim_join_rs
+from repro.core.join import gsim_join_rs
 from repro.graph import assign_ids, load_graphs
 from repro.runtime import FaultPlan
 
-outer, inner, checkpoint, interned = (
-    sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4] == "1"
-)
+outer, inner, checkpoint = sys.argv[1], sys.argv[2], sys.argv[3]
 gsim_join_rs(
     assign_ids(load_graphs(outer)),
     assign_ids(load_graphs(inner)),
     {tau},
-    options=GSimJoinOptions(interned=interned),
     checkpoint=checkpoint,
     fault=FaultPlan("kill", at={kill_at}),
 )
@@ -80,13 +75,11 @@ def collection(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("interned", [True, False])
 class TestKilledJoinResumes:
-    def test_subprocess_kill_then_resume(self, collection, tmp_path, interned):
+    def test_subprocess_kill_then_resume(self, collection, tmp_path):
         journal = tmp_path / "join.jsonl"
         proc = subprocess.run(
-            [sys.executable, "-c", DRIVER, str(collection), str(journal),
-             "1" if interned else "0"],
+            [sys.executable, "-c", DRIVER, str(collection), str(journal)],
             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
             capture_output=True,
             timeout=120,
@@ -96,18 +89,16 @@ class TestKilledJoinResumes:
         assert journal.exists()
 
         graphs = assign_ids(load_graphs(collection))
-        options = GSimJoinOptions(interned=interned)
-        clean = gsim_join(graphs, TAU, options=options)
-        resumed = gsim_join(graphs, TAU, options=options, checkpoint=journal)
+        clean = gsim_join(graphs, TAU)
+        resumed = gsim_join(graphs, TAU, checkpoint=journal)
         assert_same_result(resumed, clean)
         # The kill fired at verification KILL_AT, after KILL_AT - 1
         # records had been flushed — all of them must be replayed.
         assert resumed.stats.replayed_pairs == KILL_AT - 1
 
 
-@pytest.mark.parametrize("interned", [True, False])
 class TestKilledRSJoinResumes:
-    def test_subprocess_kill_then_resume(self, tmp_path, interned):
+    def test_subprocess_kill_then_resume(self, tmp_path):
         outer_path = tmp_path / "outer.txt"
         inner_path = tmp_path / "inner.txt"
         save_graphs(molecule_collection(12, seed=47), outer_path)
@@ -115,7 +106,7 @@ class TestKilledRSJoinResumes:
         journal = tmp_path / "rs.jsonl"
         proc = subprocess.run(
             [sys.executable, "-c", RS_DRIVER, str(outer_path), str(inner_path),
-             str(journal), "1" if interned else "0"],
+             str(journal)],
             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
             capture_output=True,
             timeout=120,
@@ -125,35 +116,29 @@ class TestKilledRSJoinResumes:
 
         outer = assign_ids(load_graphs(outer_path))
         inner = assign_ids(load_graphs(inner_path))
-        options = GSimJoinOptions(interned=interned)
-        clean = gsim_join_rs(outer, inner, TAU, options=options)
-        resumed = gsim_join_rs(
-            outer, inner, TAU, options=options, checkpoint=journal
-        )
+        clean = gsim_join_rs(outer, inner, TAU)
+        resumed = gsim_join_rs(outer, inner, TAU, checkpoint=journal)
         assert_same_result(resumed, clean)
         assert resumed.stats.replayed_pairs == KILL_AT - 1
 
-    def test_rs_journal_guards_against_swapped_sides(self, tmp_path, interned):
+    def test_rs_journal_guards_against_swapped_sides(self, tmp_path):
         outer = molecule_collection(12, seed=47)
         inner = molecule_collection(12, seed=53)
-        options = GSimJoinOptions(interned=interned)
         journal = tmp_path / "rs.jsonl"
-        gsim_join_rs(outer, inner, TAU, options=options, checkpoint=journal)
+        gsim_join_rs(outer, inner, TAU, checkpoint=journal)
         with pytest.raises(CheckpointError, match="different run"):
-            gsim_join_rs(inner, outer, TAU, options=options, checkpoint=journal)
+            gsim_join_rs(inner, outer, TAU, checkpoint=journal)
 
 
-@pytest.mark.parametrize("interned", [True, False])
 class TestInProcessFaultResumes:
-    def test_raise_fault_then_resume(self, tmp_path, interned):
+    def test_raise_fault_then_resume(self, tmp_path):
         graphs = molecule_collection(20, seed=23)
-        options = GSimJoinOptions(interned=interned)
         journal = tmp_path / "join.jsonl"
         with pytest.raises(InjectedFaultError):
-            gsim_join(graphs, TAU, options=options, checkpoint=journal,
+            gsim_join(graphs, TAU, checkpoint=journal,
                       fault=FaultPlan("raise", at=KILL_AT))
-        clean = gsim_join(graphs, TAU, options=options)
-        resumed = gsim_join(graphs, TAU, options=options, checkpoint=journal)
+        clean = gsim_join(graphs, TAU)
+        resumed = gsim_join(graphs, TAU, checkpoint=journal)
         assert_same_result(resumed, clean)
         assert resumed.stats.replayed_pairs == KILL_AT - 1
 
@@ -179,14 +164,19 @@ class TestResumeGuards:
             ("plan", ["count-filter", "global-label-filter", "local-label-filter"]),
             ("anchor_bound", False),
             ("anchor_bound", True),
+            ("interned", True),
+            ("interned", False),
         ],
-        ids=["auto", "permutation", "anchor_bound-false", "anchor_bound-true"],
+        ids=["auto", "permutation", "anchor_bound-false", "anchor_bound-true",
+             "interned-true", "interned-false"],
     )
     def test_plan_bearing_journal_refused(self, tmp_path, key, value):
         """A journal whose header options carry a deleted option — a
-        cascade ``plan`` (as written when the order was selectable) or
+        cascade ``plan`` (as written when the order was selectable),
         ``anchor_bound`` (as written when the compiled A* had that
-        knob, even at its ``False`` default) — is a different run."""
+        knob, even at its ``False`` default) or ``interned`` (as
+        written when the object-key pipeline was selectable, ``True``
+        by default) — is a different run."""
         graphs = molecule_collection(12, seed=29)
         meta = self_join_meta(graphs, 1, GSimJoinOptions(), None)
         meta["options"][key] = value

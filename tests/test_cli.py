@@ -107,12 +107,17 @@ class TestCliExtensions:
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_join_rejects_workers_below_one(self, tiny_file, capsys, workers):
-        assert main(
-            ["join", tiny_file, "--tau", "1", "--workers", workers]
-        ) == 1
-        captured = capsys.readouterr()
-        assert "workers must be >= 1" in captured.err
-        assert captured.out == ""
+        for algorithm, message in (
+            ("gsimjoin", "workers must be >= 1"),
+            ("naive", "require --algorithm gsimjoin"),
+        ):
+            assert main(
+                ["join", tiny_file, "--tau", "1", "--algorithm", algorithm,
+                 "--workers", workers]
+            ) == 1
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
 
     def test_gxl_collection(self, tmp_path, capsys):
         from repro.datasets import figure1_graphs
@@ -242,11 +247,13 @@ class TestRobustnessFlags:
         assert "--checkpoint" in capsys.readouterr().err
 
     def test_budget_with_baseline_is_error(self, tiny_file, capsys):
-        assert main(
-            ["join", tiny_file, "--tau", "1", "--algorithm", "naive",
-             "--budget-expansions", "5"]
-        ) == 1
-        assert "gsimjoin" in capsys.readouterr().err
+        for flags in (
+            ["--algorithm", "naive", "--budget-expansions", "5"],
+            ["--algorithm", "kat", "--workers", "4"],
+            ["--algorithm", "appfull", "--workers", "2"],
+        ):
+            assert main(["join", tiny_file, "--tau", "1", *flags]) == 1
+            assert "gsimjoin" in capsys.readouterr().err
 
     def test_keyboard_interrupt_exit_code(self, tiny_file, capsys, monkeypatch):
         import repro.cli as cli

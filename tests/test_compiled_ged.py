@@ -1,12 +1,13 @@
-"""Differential property suite: compiled vs object GED backends.
+"""Differential property suite: the compiled A* vs the object-graph A*.
 
 The compiled integer-array A* (``repro.ged.compiled``) must be
-*bit-identical* to the object-graph reference backend: the same
-distances, the same ``exceeded_threshold`` decisions, the same
+*bit-identical* to the object-graph reference (``repro.ged.astar``): the
+same distances, the same ``exceeded_threshold`` decisions, the same
 expansion/generation counts, and — through the join — the same
 ``JoinResult`` pairs, statistics and budgeted ``undecided`` brackets,
 across seeds, q-gram lengths, thresholds, sequential and parallel
-executors, with and without budgets and checkpointing.
+executors, with and without budgets and checkpointing.  The join-level
+reference is the ``verifier="astar"`` path of ``tests/legacy_drivers.py``.
 """
 
 import random
@@ -19,6 +20,7 @@ from repro.core.parallel import gsim_join_parallel
 from repro.core.search import GSimIndex
 from repro.exceptions import ParameterError
 from repro.ged.astar import graph_edit_distance_detailed
+from repro.ged.portfolio import BACKENDS
 from repro.ged.compiled import (
     CompiledGraph,
     LabelInterner,
@@ -34,6 +36,12 @@ from repro.graph.graph import Graph
 from repro.runtime import FaultPlan
 from repro.runtime.budget import VerificationBudget
 
+from .legacy_drivers import (
+    LegacyGSimIndex,
+    legacy_gsim_join,
+    legacy_gsim_join_rs,
+    legacy_gsim_join_serial_parallel,
+)
 from .test_join import molecule_collection
 from .test_vocab import assert_stat_parity, labeled_collection
 
@@ -187,11 +195,17 @@ class TestSearchParity:
 # -------------------------------------------------------------- join parity
 
 
+def astar(options):
+    """``options`` verified by the oracle drivers' object-graph A*."""
+    return replace(options, verifier="astar")
+
+
 def join_pair(graphs, tau, compiled_options, **kwargs):
-    """Run one compiled and one object join over the same inputs."""
+    """Run one compiled join and one object-A* oracle join over the same
+    inputs."""
     compiled = gsim_join(graphs, tau, options=compiled_options, **kwargs)
-    reference = gsim_join(
-        graphs, tau, options=replace(compiled_options, verifier="object"), **kwargs
+    reference = legacy_gsim_join(
+        graphs, tau, options=astar(compiled_options), **kwargs
     )
     return compiled, reference
 
@@ -238,21 +252,8 @@ class TestJoinParity:
         inner = labeled_collection(9, seed=19)
         options = GSimJoinOptions.full(q=2)
         compiled = gsim_join_rs(outer, inner, 2, options=options)
-        reference = gsim_join_rs(
-            outer, inner, 2, options=replace(options, verifier="object")
-        )
+        reference = legacy_gsim_join_rs(outer, inner, 2, options=astar(options))
         assert_same_join(compiled, reference)
-
-    def test_object_and_astar_are_the_same_backend(self):
-        graphs = labeled_collection(10, seed=23)
-        a = gsim_join(graphs, 2, options=GSimJoinOptions.full(q=2))
-        for alias in ("object", "astar"):
-            b = gsim_join(
-                graphs, 2,
-                options=replace(GSimJoinOptions.full(q=2), verifier=alias),
-            )
-            assert a.pairs == b.pairs
-            assert_stat_parity(a.stats, b.stats)
 
     def test_compile_statistics_populated(self):
         graphs = molecule_collection(10, seed=29)
@@ -288,7 +289,7 @@ class TestBudgetedParity:
         budget = VerificationBudget(max_expansions=10)
         truth = gsim_join(graphs, 1, options=GSimJoinOptions.full(q=2))
         true_pairs = truth.pair_set()
-        for verifier in ("compiled", "object", "astar", "dfs", "auto"):
+        for verifier in sorted(BACKENDS):
             options = replace(GSimJoinOptions.full(q=2), verifier=verifier)
             result = gsim_join(graphs, 1, options=options, budget=budget)
             accepted = result.pair_set()
@@ -305,9 +306,7 @@ class TestParallelParity:
         parallel = gsim_join_parallel(
             graphs, 2, options=options, workers=workers, chunk_size=4
         )
-        reference = gsim_join(
-            graphs, 2, options=replace(options, verifier="object")
-        )
+        reference = legacy_gsim_join(graphs, 2, options=astar(options))
         assert parallel.pairs == reference.pairs
         assert parallel.undecided == reference.undecided
         for field in ("cand2", "results", "ged_calls", "ged_expansions"):
@@ -320,9 +319,8 @@ class TestParallelParity:
         compiled = gsim_join_parallel(
             graphs, 3, options=options, workers=2, chunk_size=4, budget=budget
         )
-        reference = gsim_join_parallel(
-            graphs, 3, options=replace(options, verifier="object"),
-            workers=2, chunk_size=4, budget=budget,
+        reference = legacy_gsim_join_serial_parallel(
+            graphs, 3, options=astar(options), chunk_size=4, budget=budget,
         )
         assert compiled.pairs == reference.pairs
         assert compiled.undecided == reference.undecided
@@ -340,9 +338,7 @@ class TestCheckpointParity:
             gsim_join(graphs, 2, options=options, checkpoint=journal,
                       fault=FaultPlan("raise", at=6))
         resumed = gsim_join(graphs, 2, options=options, checkpoint=journal)
-        reference = gsim_join(
-            graphs, 2, options=replace(options, verifier="object")
-        )
+        reference = legacy_gsim_join(graphs, 2, options=astar(options))
         assert resumed.pairs == reference.pairs
         assert resumed.undecided == reference.undecided
         assert resumed.stats.replayed_pairs == 5
@@ -354,14 +350,10 @@ class TestIndexParity:
     def test_query_results_identical_and_cache_reused(self):
         graphs = molecule_collection(15, seed=53)
         compiled_index = GSimIndex(graphs, tau_max=2, options=GSimJoinOptions.full(q=3))
-        object_index = GSimIndex(
-            graphs, tau_max=2,
-            options=replace(GSimJoinOptions.full(q=3), verifier="object"),
+        object_index = LegacyGSimIndex(
+            graphs, tau_max=2, options=astar(GSimJoinOptions.full(q=3))
         )
-        # Every backend gets a cache now: the compiled one for graph
-        # compilation reuse, all of them for the verdict memo.
         assert compiled_index._cache is not None
-        assert object_index._cache is not None
         for g in graphs[:6]:
             for tau in (0, 1, 2):
                 assert compiled_index.query(g, tau) == object_index.query(g, tau)

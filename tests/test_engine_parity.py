@@ -74,21 +74,10 @@ def test_self_join_parity_variants(variant, seed):
     )
 
 
-@pytest.mark.parametrize("verifier", ["compiled", "object"])
-def test_self_join_parity_verifiers(verifier):
-    graphs = molecule_collection(14, seed=7)
-    options = dataclasses.replace(GSimJoinOptions.full(), verifier=verifier)
-    assert_parity(
-        gsim_join(graphs, TAU, options=options),
-        legacy_gsim_join(graphs, TAU, options=options),
-    )
-
-
-@pytest.mark.parametrize("verifier", ["compiled", "object"])
-def test_budget_verdict_parity(verifier):
+def test_budget_verdict_parity():
     """Bounded verdicts (undecided pairs + GED bounds) match exactly."""
     graphs = molecule_collection(16, seed=5)
-    options = dataclasses.replace(GSimJoinOptions.full(), verifier=verifier)
+    options = GSimJoinOptions.full()
     budget = VerificationBudget(max_expansions=4)
     new = gsim_join(graphs, TAU, options=options, budget=budget)
     old = legacy_gsim_join(graphs, TAU, options=options, budget=budget)
@@ -143,11 +132,10 @@ def test_parallel_serial_parity_with_budget():
 # ----------------------------------------------------------------- index
 
 
-@pytest.mark.parametrize("verifier", ["compiled", "object"])
-def test_index_query_parity(verifier):
+def test_index_query_parity():
     """Queries return identical matches *and* distances, with identical
     filter/verification counters."""
-    options = dataclasses.replace(GSimJoinOptions.full(), verifier=verifier)
+    options = GSimJoinOptions.full()
     graphs = molecule_collection(14, seed=23)
     new_index = GSimIndex(graphs, tau_max=2, options=options)
     old_index = LegacyGSimIndex(graphs, tau_max=2, options=options)

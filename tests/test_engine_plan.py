@@ -51,9 +51,9 @@ def test_extended_plan_appends_multicover():
 
 
 def test_verify_stage_reflects_options():
-    options = dataclasses.replace(GSimJoinOptions.full(), verifier="object")
+    options = dataclasses.replace(GSimJoinOptions.full(), verifier="dfs")
     verify = build_plan(options).verify
-    assert verify.verifier == "object"
+    assert verify.verifier == "dfs"
     assert verify.improved_order == options.improved_order
     assert verify.improved_h == options.improved_h
 

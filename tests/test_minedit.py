@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    build_ordering,
+    build_vocabulary,
     extract_qgrams,
     min_edit_exact,
     min_edit_lower_bound,
@@ -87,7 +87,7 @@ class TestMinEditLowerBound:
 class TestMinPrefixLength:
     def _sorted_profile(self, g, q):
         profile = extract_qgrams(g, q)
-        build_ordering([profile]).sort_profile(profile)
+        build_vocabulary([profile]).sort_profile(profile)
         return profile
 
     def test_example7_prefix_length(self):

@@ -1,8 +1,10 @@
-"""Tests for the global document-frequency q-gram ordering."""
+"""Tests for the object-key document-frequency q-gram ordering (the
+oracle of ``tests/legacy_drivers.py``)."""
 
-from repro.core import build_ordering, extract_qgrams
+from repro.core import extract_qgrams
 
 from .conftest import path_graph
+from .object_key_ordering import build_ordering
 
 
 class TestDocumentFrequency:

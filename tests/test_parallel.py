@@ -56,8 +56,7 @@ class TestParallelJoin:
         assert st.ged_calls == st.cand2
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("interned", [True, False])
-    def test_worker_ordering_parity(self, workers, interned):
+    def test_worker_ordering_parity(self, workers):
         """Workers must apply the frozen global ordering.
 
         Historically ``_profile_of`` re-extracted profiles without
@@ -67,7 +66,7 @@ class TestParallelJoin:
         while the search does different work).
         """
         graphs = molecule_collection(24, seed=74)
-        options = GSimJoinOptions.full(q=3, interned=interned)
+        options = GSimJoinOptions.full(q=3)
         sequential = gsim_join(graphs, tau=2, options=options)
         parallel = gsim_join_parallel(
             graphs, tau=2, options=options, workers=workers, chunk_size=3

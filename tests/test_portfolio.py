@@ -6,7 +6,7 @@ DFS must return sound lower/upper brackets, and the ``"auto"``
 hardness dispatcher must produce bit-identical join results against
 every single-backend run — sequentially, in parallel, sharded, and
 across a checkpoint resume.  The name → backend table itself
-(aliases, unknown names) is unit-tested here too.
+(names, unknown names) is unit-tested here too.
 """
 
 import random
@@ -35,18 +35,15 @@ from repro.runtime.budget import VerificationBudget
 
 from .conftest import graph_pairs_within
 
-ALL_VERIFIERS = ("compiled", "object", "astar", "dfs", "auto")
-
-
 # ------------------------------------------------------------------ registry
 
 
 class TestRegistry:
     def test_names_cover_every_backend_and_alias(self):
-        assert set(BACKENDS) >= set(ALL_VERIFIERS)
-
-    def test_aliases_resolve_to_the_same_singleton(self):
-        assert resolve_backend("astar") is resolve_backend("object")
+        assert sorted(BACKENDS) == ["auto", "compiled", "dfs"]
+        for name, backend in BACKENDS.items():
+            assert backend.name == name
+            assert resolve_backend(name) is backend
 
     def test_unknown_verifier_lists_registered_backends(self):
         with pytest.raises(ParameterError, match="registered backends"):
@@ -170,7 +167,7 @@ class TestAutoDispatch:
             verifier: gsim_join(
                 graphs, tau, options=replace(options, verifier=verifier)
             )
-            for verifier in ALL_VERIFIERS
+            for verifier in BACKENDS
         }
         expected = results["compiled"]
         for verifier, result in results.items():

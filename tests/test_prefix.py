@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import basic_prefix, build_ordering, extract_qgrams, minedit_prefix
+from repro.core import basic_prefix, build_vocabulary, extract_qgrams, minedit_prefix
 from repro.datasets import figure1_graphs
 from repro.exceptions import ParameterError
 
@@ -13,7 +13,7 @@ from .conftest import path_graph, small_graphs
 
 def sorted_profile(g, q):
     profile = extract_qgrams(g, q)
-    build_ordering([profile]).sort_profile(profile)
+    build_vocabulary([profile]).sort_profile(profile)
     return profile
 
 

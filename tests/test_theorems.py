@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     basic_prefix,
-    build_ordering,
+    build_vocabulary,
     extract_qgrams,
     global_label_lower_bound,
     min_edit_exact,
@@ -69,9 +69,9 @@ class TestLemma1:
 
 def _sorted_profiles(r, s, q):
     pr, ps = extract_qgrams(r, q), extract_qgrams(s, q)
-    ordering = build_ordering([pr, ps])
-    ordering.sort_profile(pr)
-    ordering.sort_profile(ps)
+    vocab = build_vocabulary([pr, ps])
+    vocab.sort_profile(pr)
+    vocab.sort_profile(ps)
     return pr, ps
 
 

@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings
 
-from repro.core import JoinStatistics, extract_qgrams, verify_pair
+from repro.core import GSimJoinOptions, JoinStatistics, extract_qgrams
 from repro.datasets import figure1_graphs
+from repro.engine.executor import Executor
 from repro.ged import graph_edit_distance
 
 from .conftest import graph_pairs_within, path_graph
@@ -13,11 +14,15 @@ def labels_of(g):
     return (g.vertex_label_multiset(), g.edge_label_multiset())
 
 
-def run_verify(r, s, tau, q=1, **kwargs):
+def run_verify(r, s, tau, q=1, stats=None, **options):
+    """Algorithm 6 on one pair, through the engine's per-pair path."""
     p_r, p_s = extract_qgrams(r, q), extract_qgrams(s, q)
-    defaults = dict(use_local_label=True, improved_order=True, improved_h=True)
-    defaults.update(kwargs)
-    return verify_pair(p_r, p_s, tau, labels_of(r), labels_of(s), **defaults)
+    executor = Executor(
+        tau,
+        GSimJoinOptions(**options),
+        stats if stats is not None else JoinStatistics(),
+    )
+    return executor.verify_candidate(p_r, p_s, labels_of(r), labels_of(s))
 
 
 class TestOutcomes:
@@ -72,7 +77,7 @@ class TestFilterConfigurations:
                 for imp_h in (False, True):
                     outcome = run_verify(
                         r, s, tau,
-                        use_local_label=local,
+                        local_label=local,
                         improved_order=order,
                         improved_h=imp_h,
                     )

@@ -1,12 +1,15 @@
 """Interned-signature pipeline: vocabulary unit tests + parity properties.
 
-The interned pipeline (``GSimJoinOptions(interned=True)``, the default)
-must be observationally identical to the retained object-key reference
-path (``interned=False``) — same result pairs in the same order, same
-prune-counter statistics — across join variants, thresholds, q-gram
-lengths, directed graphs, streaming index inserts and the gram-less
-(unprunable) edge case.  These tests are the contract that lets the
-fast path evolve while the reference path stays a frozen oracle.
+The join runs on interned q-gram signatures.  It must be observationally
+identical to the object-key oracle — the drivers of
+``tests/legacy_drivers.py`` with ``object_keys=True``, which sort
+profiles by ``(document frequency, repr(key))`` tokens, index q-gram
+tuples and compare profiles on the Counter path — with the same result
+pairs in the same order and the same prune-counter statistics, across
+join variants, thresholds, q-gram lengths, directed graphs, streaming
+index inserts and the gram-less (unprunable) edge case.  These tests
+are the contract that lets the interned path evolve while the oracle
+stays frozen.
 """
 
 import random
@@ -16,11 +19,13 @@ import pytest
 from repro import GSimJoinOptions, assign_ids, gsim_join, gsim_join_rs
 from repro.core.search import GSimIndex
 from repro.engine.result import JoinStatistics
+from repro.ged.compiled import VerificationCache
 from repro.grams.minedit import min_prefix_length, min_prefix_length_direct
 from repro.grams.qgrams import extract_qgrams
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 from repro.graph.generators import random_labeled_graph
 
+from .legacy_drivers import LegacyGSimIndex, legacy_gsim_join, legacy_gsim_join_rs
 from .test_join import molecule_collection
 
 #: Every statistic that must not depend on the key representation
@@ -159,8 +164,8 @@ class TestJoinParity:
         for seed in (31, 32):
             for tau, q in ((0, 1), (1, 2), (2, 3), (3, 4)):
                 graphs = molecule_collection(10, seed=seed + 10 * tau)
-                on = gsim_join(graphs, tau, make(q=q, interned=True))
-                off = gsim_join(graphs, tau, make(q=q, interned=False))
+                on = gsim_join(graphs, tau, make(q=q))
+                off = legacy_gsim_join(graphs, tau, make(q=q), object_keys=True)
                 assert on.pairs == off.pairs, (variant, seed, tau, q)
                 assert_stat_parity(on.stats, off.stats)
 
@@ -169,8 +174,8 @@ class TestJoinParity:
         inner = molecule_collection(10, seed=42)
         for tau, q in ((1, 3), (2, 4)):
             on = gsim_join_rs(outer, inner, tau, GSimJoinOptions.full(q=q))
-            off = gsim_join_rs(
-                outer, inner, tau, GSimJoinOptions.full(q=q, interned=False)
+            off = legacy_gsim_join_rs(
+                outer, inner, tau, GSimJoinOptions.full(q=q), object_keys=True
             )
             assert on.pairs == off.pairs
             assert_stat_parity(on.stats, off.stats)
@@ -179,7 +184,9 @@ class TestJoinParity:
     def test_directed_graphs_parity(self, tau):
         graphs = labeled_collection(12, seed=43, directed=True)
         on = gsim_join(graphs, tau, GSimJoinOptions.full(q=2))
-        off = gsim_join(graphs, tau, GSimJoinOptions.full(q=2, interned=False))
+        off = legacy_gsim_join(
+            graphs, tau, GSimJoinOptions.full(q=2), object_keys=True
+        )
         assert on.pairs == off.pairs
         assert_stat_parity(on.stats, off.stats)
 
@@ -197,7 +204,9 @@ class TestJoinParity:
         graphs = assign_ids(graphs)
         for tau in (0, 1, 2):
             on = gsim_join(graphs, tau, GSimJoinOptions.full(q=3))
-            off = gsim_join(graphs, tau, GSimJoinOptions.full(q=3, interned=False))
+            off = legacy_gsim_join(
+                graphs, tau, GSimJoinOptions.full(q=3), object_keys=True
+            )
             assert on.pairs == off.pairs
             assert_stat_parity(on.stats, off.stats)
             assert on.stats.unprunable_graphs == len(graphs)
@@ -206,28 +215,35 @@ class TestJoinParity:
 class TestSearchParity:
     def _indexes(self, graphs, tau_max, q):
         on = GSimIndex(graphs, tau_max=tau_max, options=GSimJoinOptions.full(q=q))
-        off = GSimIndex(
+        off = LegacyGSimIndex(
             graphs,
             tau_max=tau_max,
-            options=GSimJoinOptions.full(q=q, interned=False),
+            options=GSimJoinOptions.full(q=q),
+            object_keys=True,
         )
         return on, off
+
+    def _assert_query_parity(self, on, off, g, tau):
+        # The oracle has no verdict memo: start each engine query with
+        # an empty cache so both search every candidate.
+        on._cache = VerificationCache()
+        stats_on, stats_off = JoinStatistics(), JoinStatistics()
+        assert on.query(g, tau, stats_on) == off.query(g, tau, stats_off)
+        assert_stat_parity(stats_on, stats_off)
 
     def test_query_parity(self):
         graphs = molecule_collection(14, seed=51)
         on, off = self._indexes(graphs, tau_max=3, q=3)
         for tau in (0, 1, 2, 3):
             for g in graphs[:6]:
-                stats_on, stats_off = JoinStatistics(), JoinStatistics()
-                assert on.query(g, tau, stats_on) == off.query(g, tau, stats_off)
-                assert_stat_parity(stats_on, stats_off)
+                self._assert_query_parity(on, off, g, tau)
 
     def test_streaming_add_and_unknown_key_query_parity(self):
         graphs = molecule_collection(12, seed=52)
         on, off = self._indexes(graphs[:6], tau_max=2, q=3)
         # Streaming inserts introduce keys unseen at construction —
         # the vocabulary hands out overflow ids (sorting last), the
-        # reference ordering uses its unknown-key token; results must
+        # object-key ordering uses its unknown-key token; results must
         # keep matching.
         novel = labeled_collection(4, seed=53, num_labels=5)
         for i, g in enumerate(novel):
@@ -241,6 +257,4 @@ class TestSearchParity:
         queries = graphs[:3] + novel[:2] + strangers
         for tau in (1, 2):
             for g in queries:
-                stats_on, stats_off = JoinStatistics(), JoinStatistics()
-                assert on.query(g, tau, stats_on) == off.query(g, tau, stats_off)
-                assert_stat_parity(stats_on, stats_off)
+                self._assert_query_parity(on, off, g, tau)
