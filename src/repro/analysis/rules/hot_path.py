@@ -3,7 +3,8 @@
 The engine's driver loops (``engine.executor``, ``engine.stages``),
 the vectorized batch kernels ``engine.batch``, their thin ``core``
 wrappers (``core.join``, ``core.search``), ``ged.astar``, the compiled
-verifier ``ged.compiled``, the interned filter kernels ``grams.vocab``
+verifier ``ged.compiled``, the q-gram extraction walk ``grams.qgrams``
+(per path step), the interned filter kernels ``grams.vocab``
 / ``grams.mismatch``, the columnar store builder ``grams.columnar``
 and the out-of-core shard drivers (``engine.sharded`` per candidate,
 ``runtime.sharded`` per spilled record)
@@ -44,6 +45,7 @@ TARGET_MODULES = {
     "repro.ged.compiled",
     "repro.grams.columnar",
     "repro.grams.mismatch",
+    "repro.grams.qgrams",
     "repro.grams.vocab",
     "repro.runtime.sharded",
 }
@@ -62,7 +64,8 @@ class HotPathAllocationRule(Rule):
         "flag list()/dict() copies and extract_qgrams calls inside loops "
         "in core.join/core.search/engine.batch/engine.executor/"
         "engine.sharded/engine.stages/ged.astar/"
-        "ged.compiled/grams.columnar/grams.mismatch/grams.vocab/"
+        "ged.compiled/grams.columnar/grams.mismatch/grams.qgrams/"
+        "grams.vocab/"
         "runtime.sharded"
     )
 

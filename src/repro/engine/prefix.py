@@ -55,13 +55,16 @@ def basic_prefix(profile: QGramProfile, tau: int) -> PrefixInfo:
 def minedit_prefix(profile: QGramProfile, tau: int) -> PrefixInfo:
     """Minimum edit filtering prefix of Lemma 3 (Algorithm 4).
 
-    ``profile.grams`` must already be sorted in the global ordering
-    (see :meth:`repro.grams.vocab.QGramVocabulary.sort_profile`).  Runs
-    the direct single-sweep implementation of Algorithm 4; the paper's
-    double binary search (:func:`repro.grams.minedit.min_prefix_length`)
-    returns identical lengths and is kept as its test oracle.
+    ``profile`` must already carry the global ordering (see
+    :meth:`repro.grams.vocab.QGramVocabulary.sort_profile`); the search
+    reads the dense-id paths of its first ``τ·D_path + 1`` q-grams by
+    index.  Runs the direct single-sweep implementation of Algorithm 4;
+    the paper's double binary search
+    (:func:`repro.grams.minedit.min_prefix_length`) returns identical
+    lengths and is kept as its test oracle.
     """
-    length = min_prefix_length_direct(profile.grams, tau, profile.d_path)
+    paths = profile.prefix_walks(tau * profile.d_path + 1)
+    length = min_prefix_length_direct(paths, tau, profile.d_path)
     if length is None:
         return PrefixInfo(length=profile.size, prunable=False)
     return PrefixInfo(length=length, prunable=True)

@@ -24,11 +24,10 @@ bit-identical results, asserted property-style in
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Hashable, Optional, Sequence, Set, Tuple
 
 from repro.grams.qgrams import QGram
 from repro.exceptions import ParameterError
-from repro.graph.graph import Vertex
 from repro.setcover import exact_min_hitting_set, greedy_lower_bound
 
 __all__ = [
@@ -134,67 +133,67 @@ def min_prefix_length(
 
 
 def _longest_hit_prefix(
-    paths: Sequence[Tuple[Vertex, ...]], tau: int, cap: int
-) -> int:
-    """Longest prefix of ``paths`` hittable by ``<= tau`` vertices.
+    paths: Sequence[Sequence[Hashable]],
+    cap: int,
+    chosen: Set[Hashable],
+    start: int,
+    budget: int,
+) -> Tuple[bool, int]:
+    """Longest prefix of ``paths[:cap]`` hittable by ``chosen`` plus at
+    most ``budget`` more vertices.
 
     Branch and bound: scan forward past grams already hit by the chosen
     vertices; at the first unhit gram, any hitting set must contain one
-    of its vertices, so branch on them (depth ``tau``, branching at most
-    ``q + 1``).  Saturates at ``cap`` — once a prefix of length ``cap``
-    is hittable the exact maximum no longer matters to the caller.
+    of its vertices, so branch on them (depth ``budget``, branching at
+    most ``q + 1``).  Returns whether the search saturated ``cap`` —
+    once a prefix of length ``cap`` is hittable the exact maximum no
+    longer matters to the caller — and the longest prefix it hit.
     """
-    best = 0
-    chosen: Set[Vertex] = set()
     disjoint = chosen.isdisjoint
-
-    def walk(start: int, budget: int) -> bool:
-        nonlocal best
-        i = start
-        while i < cap and not disjoint(paths[i]):
-            i += 1
-        if i > best:
-            best = i
-        if i >= cap:
-            return True  # saturated: the whole admissible prefix is hittable
-        if budget == 0:
-            return False
-        for v in paths[i]:
-            chosen.add(v)
-            saturated = walk(i + 1, budget - 1)
-            chosen.discard(v)
-            if saturated:
-                return True
-        return False
-
-    walk(0, tau)
-    return best
+    i = start
+    while i < cap and not disjoint(paths[i]):
+        i += 1
+    if i >= cap:
+        return True, i
+    best = i
+    if budget == 0:
+        return False, best
+    for v in paths[i]:
+        chosen.add(v)
+        saturated, reached = _longest_hit_prefix(paths, cap, chosen, i + 1, budget - 1)
+        chosen.discard(v)
+        if saturated:
+            return True, reached
+        if reached > best:
+            best = reached
+    return False, best
 
 
 def min_prefix_length_direct(
-    sorted_grams: Sequence[QGram],
+    sorted_paths: Sequence[Sequence[Hashable]],
     tau: int,
     d_path: int,
 ) -> Optional[int]:
     """Algorithm 4 as a single bounded search (the join's implementation).
 
-    Same contract and bit-identical results as
-    :func:`min_prefix_length`, computed without binary searching: the
-    answer ``p`` is one more than the longest prefix hittable by ``τ``
-    vertices (min-edit is exactly a minimum hitting set over the grams'
-    vertex sets, and a simple path never repeats a vertex, so the path
-    tuples serve as the sets directly).  One branch-and-bound sweep
-    replaces ``O(log p)`` greedy *and* exact hitting-set solves, each of
-    which rebuilt its instance from scratch.
+    ``sorted_paths`` are the vertex paths of the graph's q-grams in the
+    global ordering — any vertex ids will do, and the first
+    ``τ·D_path + 1`` paths (or all, if fewer) suffice.  Same contract
+    and bit-identical results as :func:`min_prefix_length` over the
+    grams, computed without binary searching: the answer ``p`` is one
+    more than the longest prefix hittable by ``τ`` vertices (min-edit
+    is exactly a minimum hitting set over the grams' vertex sets, and a
+    simple path never repeats a vertex, so the paths serve as the sets
+    directly).  One branch-and-bound sweep replaces ``O(log p)`` greedy
+    *and* exact hitting-set solves, each of which rebuilt its instance
+    from scratch.
     """
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
-    total = len(sorted_grams)
-    hard_right = min(tau * d_path + 1, total)
+    hard_right = min(tau * d_path + 1, len(sorted_paths))
     if hard_right == 0:
         return None
-    paths = [gram.path for gram in sorted_grams[:hard_right]]
-    hittable = _longest_hit_prefix(paths, tau, hard_right)
+    hittable = _longest_hit_prefix(sorted_paths, hard_right, set(), 0, tau)[1]
     if hittable >= hard_right:
         return None  # underflow: prefix filtering cannot prune this graph
     return hittable + 1

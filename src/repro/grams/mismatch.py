@@ -19,7 +19,9 @@ Two implementations produce bit-identical results:
   signature from the same :class:`repro.grams.vocab.QGramVocabulary`,
   one linear merge over the two sorted id arrays yields ε₂/ε₃, the
   mismatch instances, the absent-key flags and the surplus runs in a
-  single pass, bailing out early once a count bound is exceeded;
+  single pass, bailing out early once a count bound is exceeded; it
+  builds :class:`~repro.grams.qgrams.QGram` objects for the mismatch
+  runs only (:meth:`~repro.grams.qgrams.QGramProfile.instances`);
 * the **Counter path** — the historical Counter-based computation over
   object keys, taken by every profile without a total signature: the
   unsorted subgraph profiles of the improved A* heuristic
@@ -140,13 +142,13 @@ class MismatchResult:
         surplus count of instances of each group — the sound
         generalization of instance-level min-edit to partially matched
         keys (see :mod:`repro.setcover.multicover`).  On the merge path
-        the groups are slices of the contiguous surplus runs recorded
-        during the one-pass merge; on the Counter path they are built
+        the groups are the instances of the contiguous surplus runs
+        recorded during the one-pass merge; on the Counter path they are built
         from the surplus counts cached by :func:`compare_qgrams`
         (computed once, not re-derived per call).
         """
         if self._runs_r is not None:
-            return [(p_r.grams[a:b], need) for a, b, need in self._runs_r]
+            return [(p_r.instances(a, b), need) for a, b, need in self._runs_r]
         surplus = self._surplus_r
         if surplus is None:
             surplus = _surplus_counts(p_r, p_s)
@@ -157,7 +159,7 @@ class MismatchResult:
     ) -> List[Tuple[Sequence[QGram], int]]:
         """Demand groups for the multicover bound, direction s -> r."""
         if self._runs_s is not None:
-            return [(p_s.grams[a:b], need) for a, b, need in self._runs_s]
+            return [(p_s.instances(a, b), need) for a, b, need in self._runs_s]
         surplus = self._surplus_s
         if surplus is None:
             surplus = _surplus_counts(p_s, p_r)
@@ -253,7 +255,7 @@ def _merge_compare(
     final epsilons would be, since they only grow).
     """
     sig_r, sig_s = p_r.signature, p_s.signature
-    grams_r, grams_s = p_r.grams, p_s.grams
+    instances_r, instances_s = p_r.instances, p_s.instances
     n, m = len(sig_r), len(sig_s)
     bound_r = bound_s = -1
     bounded = tau is not None
@@ -286,13 +288,13 @@ def _merge_compare(
                 d = c_r - c_s
                 eps_r += d
                 runs_r.append((i0, i, d))
-                mismatch_r.extend(grams_r[i0 : i0 + d])
+                mismatch_r.extend(instances_r(i0, i0 + d))
                 mask_r += [False] * d
             elif c_s > c_r:
                 d = c_s - c_r
                 eps_s += d
                 runs_s.append((j0, j, d))
-                mismatch_s.extend(grams_s[j0 : j0 + d])
+                mismatch_s.extend(instances_s(j0, j0 + d))
                 mask_s += [False] * d
         elif a < b:
             i0 = i
@@ -302,7 +304,7 @@ def _merge_compare(
             c_r = i - i0
             eps_r += c_r
             runs_r.append((i0, i, c_r))
-            mismatch_r.extend(grams_r[i0:i])
+            mismatch_r.extend(instances_r(i0, i))
             mask_r += [True] * c_r
         else:
             j0 = j
@@ -312,7 +314,7 @@ def _merge_compare(
             c_s = j - j0
             eps_s += c_s
             runs_s.append((j0, j, c_s))
-            mismatch_s.extend(grams_s[j0:j])
+            mismatch_s.extend(instances_s(j0, j))
             mask_s += [True] * c_s
         if bounded and (eps_r > bound_r or eps_s > bound_s):
             pruned = True
@@ -326,7 +328,7 @@ def _merge_compare(
         c_r = i - i0
         eps_r += c_r
         runs_r.append((i0, i, c_r))
-        mismatch_r.extend(grams_r[i0:i])
+        mismatch_r.extend(instances_r(i0, i))
         mask_r += [True] * c_r
         if bounded and eps_r > bound_r:
             pruned = True
@@ -339,7 +341,7 @@ def _merge_compare(
         c_s = j - j0
         eps_s += c_s
         runs_s.append((j0, j, c_s))
-        mismatch_s.extend(grams_s[j0:j])
+        mismatch_s.extend(instances_s(j0, j))
         mask_s += [True] * c_s
         if bounded and eps_s > bound_s:
             pruned = True

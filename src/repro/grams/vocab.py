@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.grams.qgrams import Key, QGram, QGramProfile
+from repro.grams.qgrams import Key, QGramProfile
 
 __all__ = ["QGramVocabulary", "build_vocabulary"]
 
@@ -85,23 +85,24 @@ class QGramVocabulary:
             return (0, key_id, "")
         return (1, 0, self._overflow_reprs[key_id - self.frozen_size])
 
-    def sort_profile(self, profile: QGramProfile) -> List[QGram]:
+    def sort_profile(self, profile: QGramProfile) -> None:
         """Intern and sort a profile's q-grams in the global ordering.
 
-        The profile's ``grams`` list is reordered (equal keys keep their
-        enumeration order — the sort is stable) and its ``signature``
-        array is attached, aligned with the sorted grams.  On the common
-        all-frozen path this is a pure integer sort; overflow ids take
-        the ``repr``-ranked token path and mark the signature
-        non-mergeable (``signature_total=False``).
+        Interns the profile's distinct keys only (in order of first
+        enumeration, so overflow ids are assigned exactly as a per-gram
+        pass would) and attaches the sorted ``signature`` and the sort
+        permutation ``order`` (equal keys keep their enumeration order —
+        the sort is stable).  On the common all-frozen path this is a
+        pure integer sort; overflow ids take the ``repr``-ranked token
+        path and mark the signature non-mergeable
+        (``signature_total=False``).
         """
-        frozen = self.frozen_size
-        ids = [self.intern(gram.key) for gram in profile.grams]
-        if not ids or max(ids) < frozen:
+        key_ids = [self.intern(key) for key in profile.keys]
+        ids = [key_ids[k] for k in profile.gram_keys]
+        if not key_ids or max(key_ids) < self.frozen_size:
             profile.attach_signature(ids, source=self)
         else:
             profile.attach_signature(ids, source=self, sort_token=self.sort_token)
-        return profile.grams
 
 
 def build_vocabulary(profiles: Iterable[QGramProfile]) -> QGramVocabulary:

@@ -203,6 +203,7 @@ def test_hot_path_rule_targets_compiled_module():
     assert "repro.engine.stages" in TARGET_MODULES
     assert "repro.engine.batch" in TARGET_MODULES
     assert "repro.grams.columnar" in TARGET_MODULES
+    assert "repro.grams.qgrams" in TARGET_MODULES
     assert "repro.engine.sharded" in TARGET_MODULES
     assert "repro.runtime.sharded" in TARGET_MODULES
 

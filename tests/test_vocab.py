@@ -152,8 +152,9 @@ class TestDirectPrefixParity:
         vocab = build_vocabulary(profiles)
         for profile in profiles:
             vocab.sort_profile(profile)
+            paths = [gram.path for gram in profile.grams]
             assert min_prefix_length_direct(
-                profile.grams, tau, profile.d_path
+                paths, tau, profile.d_path
             ) == min_prefix_length(profile.grams, tau, profile.d_path)
 
 
