@@ -125,6 +125,10 @@ _PRUNED: Dict[str, VerifyOutcome] = {
 
 LabelPair = Tuple
 
+#: The output of :meth:`Executor.extract`: unsorted profiles and label
+#: multisets, one of each per graph.
+Extracted = Tuple[List[QGramProfile], List[LabelPair]]
+
 #: A fresh verification outcome or a journaled/worker record — both
 #: carry ``is_result``, ``pruned_by``, ``undecided``, ``lower``/``upper``.
 Outcome = Union[VerifyOutcome, VerificationRecord]
@@ -392,17 +396,46 @@ class Executor:
 
     # --- Collection preparation ---------------------------------------
 
-    def prepare(self, graphs: Sequence[Graph]) -> None:
-        """Extract q-grams, build/apply the global ordering, compute
-        prefixes and label multisets for ``graphs``.
+    def extract(self, graphs: Sequence[Graph]) -> Extracted:
+        """The per-graph half of :meth:`prepare`: the unsorted q-gram
+        profiles and the label multisets of ``graphs``.
+
+        Neither depends on the rest of the collection, so a caller may
+        extract a slice once and pass it to the :meth:`prepare` of
+        several executors (the sharded driver carries slices from combo
+        to combo).  Accrues the prepare row's seconds and
+        ``index_time``.
+        """
+        started = time.perf_counter()
+        profiles = [extract_qgrams(g, self.options.q) for g in graphs]
+        labels = [
+            (g.vertex_label_multiset(), g.edge_label_multiset()) for g in graphs
+        ]
+        elapsed = time.perf_counter() - started
+        self._row_prepare.seconds += elapsed
+        self.stats.index_time += elapsed
+        return profiles, labels
+
+    def prepare(
+        self, graphs: Sequence[Graph], extracted: Optional[Extracted] = None
+    ) -> None:
+        """Extract q-grams and label multisets for ``graphs``, then build
+        and apply the global ordering and compute the prefixes.
+
+        ``extracted`` is ``graphs``' output of an earlier
+        :meth:`extract`, which is then not repeated.  The ordering and
+        the prefixes are always this collection's own: sorting a profile
+        overwrites whatever order an earlier vocabulary gave it.
 
         Sets ``profiles``/``prefixes``/``labels``/``sorter``; accrues
         ``total_prefix_length``/``unprunable_graphs``, the prepare/
         prefix stage rows and ``index_time``.
         """
         stats, tau = self.stats, self.tau
+        profiles, labels = (
+            extracted if extracted is not None else self.extract(graphs)
+        )
         started = time.perf_counter()
-        profiles = [extract_qgrams(g, self.options.q) for g in graphs]
         sorter = build_sorter(profiles)
         for profile in profiles:
             sorter.sort_profile(profile)
@@ -421,15 +454,10 @@ class Executor:
                 stats.unprunable_graphs += 1
         prefixed = time.perf_counter()
 
-        labels = [
-            (g.vertex_label_multiset(), g.edge_label_multiset()) for g in graphs
-        ]
-        done = time.perf_counter()
-
         row = self._row_prepare
         row.input += len(profiles)
         row.survivors += len(profiles)
-        row.seconds += (prepared - started) + (done - prefixed)
+        row.seconds += prepared - started
         row = self._row_prefix
         row.input += len(profiles)
         row.survivors += prunable

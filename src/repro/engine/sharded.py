@@ -15,12 +15,21 @@ Each qualifying shard pair is then processed independently, and the
 per-pair artifacts make the run both *bounded* and *recoverable*:
 
 * residency is charged against a :class:`~repro.runtime.sharded.
-  MemoryBudget` before each load; exceeding it raises
+  MemoryBudget` before each sub-shard combo; exceeding it raises
   :class:`~repro.exceptions.MemoryBudgetError`, which the driver treats
   as a degradation signal — the shard pair retries at the next *split
   level*, processing sub-shard combos small enough to fit (the inverted
   index is rebuilt per combo, so its residency is bounded by the combo,
   never the collection);
+* a loaded sub-shard slice (graphs, unsorted q-gram profiles, label
+  multisets) is carried to the next combo if that combo — of the same
+  shard pair or the next — reads it too; every other slice is dropped
+  before that combo charges the budget, which charges carried slices
+  again, so residency never exceeds one combo's charge.  At split 0
+  with band-adjacent qualifying pairs (``0-0, 0-1, 1-1, 1-2, …``) each
+  graph is loaded and extracted once per join.  Each combo still
+  builds its own vocabulary, sort and prefixes, so carrying changes no
+  statistic, journal record or split level;
 * verified outcomes stream through a per-pair
   :class:`~repro.runtime.journal.JoinJournal` keyed by **global scan
   positions** ``(hi, lo)`` — stable across split levels, so work
@@ -67,7 +76,14 @@ import os
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.executor import Executor, Outcome, _options_meta, bounded_pair
+from repro.engine.executor import (
+    Executor,
+    Extracted,
+    LabelPair,
+    Outcome,
+    _options_meta,
+    bounded_pair,
+)
 from repro.engine.options import GSimJoinOptions
 from repro.engine.parallel import PoolSettings, verify_on_pool
 from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
@@ -75,6 +91,7 @@ from repro.ged.portfolio import resolve_backend
 from repro.exceptions import CheckpointError, MemoryBudgetError, ParameterError
 from repro.graph.graph import Graph
 from repro.graph.io import dumps_graphs, load_graphs_iter
+from repro.grams.qgrams import QGramProfile
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.journal import JoinJournal
@@ -281,6 +298,62 @@ def _load_slice(path: str, start: int, stop: int) -> List[Graph]:
     return out
 
 
+#: A sub-shard slice: its shard's partition record and the storage
+#: range ``[start, stop)`` it covers in the shard file.
+SliceRange = Tuple[dict, int, int]
+
+
+class _Slice:
+    """One loaded sub-shard: its graphs and their global scan positions,
+    plus — once the first combo reading it has run
+    :meth:`~repro.engine.executor.Executor.extract` — their unsorted
+    q-gram profiles and label multisets."""
+
+    __slots__ = ("graphs", "positions", "extracted")
+
+    def __init__(self, graphs: List[Graph], positions: List[int]) -> None:
+        self.graphs = graphs
+        self.positions = positions
+        self.extracted: Optional[Extracted] = None
+
+
+class _SliceCarry:
+    """The loaded slices, kept from one combo to the next that reads them.
+
+    A slice is a pure function of its immutable shard file, so a later
+    combo — of the same shard pair or of the next one — may reuse it
+    instead of loading and extracting it again.  :meth:`keep` drops
+    every other slice before the combo charges the memory budget, so
+    what stays resident never exceeds one combo's charge.
+    """
+
+    __slots__ = ("spill_dir", "held")
+
+    def __init__(self, spill_dir: str) -> None:
+        self.spill_dir = spill_dir
+        #: Held slices by shard file and storage range.
+        self.held: Dict[Tuple[str, int, int], _Slice] = {}
+
+    def keep(self, ranges: Sequence[SliceRange]) -> None:
+        """Drop every held slice that is not one of ``ranges``."""
+        held = self.held
+        wanted = [(rec["file"], start, stop) for rec, start, stop in ranges]
+        self.held = {key: held[key] for key in wanted if key in held}
+
+    def get(self, rec: dict, start: int, stop: int) -> _Slice:
+        """The slice ``[start, stop)`` of shard ``rec``, loaded unless held."""
+        key = (rec["file"], start, stop)
+        piece = self.held.get(key)
+        if piece is None:
+            graphs = _load_slice(
+                os.path.join(self.spill_dir, rec["file"]), start, stop
+            )
+            piece = self.held[key] = _Slice(
+                graphs, rec["positions"][start:stop]
+            )
+        return piece
+
+
 def _split_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
     """``parts`` contiguous, non-empty, near-equal ranges covering ``n``."""
     base, extra = divmod(n, parts)
@@ -333,9 +406,7 @@ def _step_io(injector: Optional[FaultInjector]) -> None:
 
 
 def _run_combo(
-    graphs: List[Graph],
-    positions: List[int],
-    split: Optional[int],
+    pieces: Sequence[_Slice],
     tau: int,
     options: GSimJoinOptions,
     budget: Optional[VerificationBudget],
@@ -349,23 +420,39 @@ def _run_combo(
 ) -> None:
     """One sub-shard combo through the driver core.
 
-    ``split=None`` is a diagonal combo — the triangle self-scan of one
-    sub-shard; otherwise ``graphs[split:]`` is the indexed sub-shard and
-    ``graphs[:split]`` probes it.  ``positions`` are the graphs' global
-    scan positions: every pair verifies with the later one as ``r``
-    (the in-memory scan's probe orientation) and journals under the
-    global ``(hi, lo)`` key, stable across split levels.  Each candidate
-    spills before it is verified, each result or undecided pair right
-    after; with ``pool.workers > 1`` the fresh pairs are deferred to the
+    One piece is a diagonal combo — the triangle self-scan of one
+    sub-shard; two are a cross combo, the second piece indexed and the
+    first probing it.  A piece not yet extracted is extracted here, and
+    keeps its profiles and label multisets for the next combo that
+    reads it; the global ordering and the prefixes are built for this
+    combo alone, as if every piece were fresh.  The pieces' global scan
+    positions orient every pair — the later one verifies as ``r``, the
+    in-memory scan's probe orientation — and key its journal record
+    ``(hi, lo)``, stable across split levels.  Each candidate spills
+    before it is verified, each result or undecided pair right after;
+    with ``pool.workers > 1`` the fresh pairs are deferred to the
     parallel driver's fault-tolerant pool (the parent keeps the fault
     schedule, stepping once per pair at deferral).  The combo runs the
     scalar cascade: no columnar store is built per combo.
     """
+    graphs: List[Graph] = []
+    positions: List[int] = []
+    for piece in pieces:
+        graphs += piece.graphs
+        positions += piece.positions
     executor = Executor(
         tau, options, stats, budget=budget, journal=journal,
         injector=injector, positions=positions, io_faults=True,
     )
-    executor.prepare(graphs)
+    profiles: List[QGramProfile] = []
+    labels: List[LabelPair] = []
+    for piece in pieces:
+        if piece.extracted is None:
+            piece.extracted = executor.extract(piece.graphs)
+        profiles += piece.extracted[0]
+        labels += piece.extracted[1]
+    executor.prepare(graphs, (profiles, labels))
+    split = len(pieces[0].graphs) if len(pieces) > 1 else None
     ids = [g.graph_id for g in graphs]
 
     def spill_candidate(r: int, s: int) -> None:
@@ -424,6 +511,7 @@ def _process_pair(
     options: GSimJoinOptions,
     budget: Optional[VerificationBudget],
     memory: MemoryBudget,
+    carry: _SliceCarry,
     injector: Optional[FaultInjector],
     pool: PoolSettings,
     fsync_interval: Optional[int],
@@ -434,9 +522,15 @@ def _process_pair(
     prefix), recreates its spill queues from scratch (their contents
     are a deterministic function of the journal plus fresh work), runs
     every sub-shard combo under the memory budget, and finishes both
-    queues.  Raises :class:`~repro.exceptions.MemoryBudgetError` when a
-    combo cannot fit (caller degrades the split) and lets ``OSError``
-    escape for the caller's retry/backoff policy.
+    queues.  Before each combo charges the budget, ``carry`` drops
+    every slice but the combo's own; the combo charges its full
+    estimate, carried slices included, and takes the slices it does
+    not find in ``carry`` from their shard files.  What a combo leaves
+    in ``carry`` stays there for the next combo — of this pair, of a
+    retry, or of the next pair.  Raises
+    :class:`~repro.exceptions.MemoryBudgetError` when a combo cannot
+    fit (caller degrades the split) and lets ``OSError`` escape for the
+    caller's retry/backoff policy.
     """
     is_self = rec_a is rec_b
     pair_stats = JoinStatistics(
@@ -460,33 +554,24 @@ def _process_pair(
         ) as cand_q, SpillQueue.create(
             os.path.join(spill_dir, f"pair-{key}.results.jsonl")
         ) as res_q:
-            path_a = os.path.join(spill_dir, rec_a["file"])
-            path_b = os.path.join(spill_dir, rec_b["file"])
             for range_a, range_b in _combos(
                 len(rec_a["positions"]), len(rec_b["positions"]), is_self, split
             ):
-                diagonal = is_self and range_a == range_b
-                sizes_a = rec_a["sizes"][range_a[0] : range_a[1]]
-                sizes_b = rec_b["sizes"][range_b[0] : range_b[1]]
-                estimate = _estimate_bytes(sizes_a)
-                if not diagonal:
-                    estimate += _estimate_bytes(sizes_b)
+                # A diagonal combo reads one slice, a cross combo two.
+                ranges: List[SliceRange] = [(rec_a, *range_a)]
+                if not (is_self and range_a == range_b):
+                    ranges.append((rec_b, *range_b))
+                carry.keep(ranges)
+                estimate = sum(
+                    _estimate_bytes(rec["sizes"][start:stop])
+                    for rec, start, stop in ranges
+                )
                 memory.charge(estimate, f"shard pair {key} split {split}")
                 try:
-                    graphs = _load_slice(path_a, range_a[0], range_a[1])
-                    positions = rec_a["positions"][range_a[0] : range_a[1]]
-                    probes = None
-                    if not diagonal:
-                        probes = len(graphs)
-                        graphs += _load_slice(path_b, range_b[0], range_b[1])
-                        positions = (
-                            positions
-                            + rec_b["positions"][range_b[0] : range_b[1]]
-                        )
                     _run_combo(
-                        graphs, positions, probes, tau, options, budget,
-                        pair_stats, journal, injector, cand_q, res_q, pool,
-                        spilled,
+                        [carry.get(*piece) for piece in ranges], tau, options,
+                        budget, pair_stats, journal, injector, cand_q, res_q,
+                        pool, spilled,
                     )
                 finally:
                     memory.release(estimate)
@@ -598,6 +683,7 @@ def execute_sharded_join(
 
     stats = JoinStatistics(num_graphs=n, tau=tau, q=options.q)
     result = JoinResult(stats=stats)
+    carry = _SliceCarry(spill_dir)
 
     for key in keys:
         entry = manifest.pair(key)
@@ -619,7 +705,8 @@ def execute_sharded_join(
             try:
                 pair_stats, results_n, undecided_n = _process_pair(
                     key, rec_a, rec_b, split, spill_dir, run_meta, tau,
-                    options, budget, memory, injector, pool, fsync_interval,
+                    options, budget, memory, carry, injector, pool,
+                    fsync_interval,
                 )
             except MemoryBudgetError:
                 memory.reset()
@@ -652,6 +739,8 @@ def execute_sharded_join(
     # Merge: one fault step marks the merge boundary (kill-mid-merge
     # tests aim here), then every done pair's results queue streams in
     # and the union sorts by global position — fully deterministic.
+    # No slice stays resident through it.
+    carry.keep(())
     if injector is not None:
         injector.step()
     merged: List[dict] = []

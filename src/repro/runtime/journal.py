@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, IO, Optional, Tuple
 
 from repro.exceptions import CheckpointError, ParameterError
@@ -122,8 +122,12 @@ class VerificationRecord:
         return self.pruned_by is None or self.pruned_by == "ged"
 
     def to_json(self) -> str:
-        """One compact JSON line (without the newline)."""
-        return json.dumps(asdict(self), sort_keys=True)
+        """One compact JSON line (without the newline).
+
+        Every field is a JSON scalar, so the instance dict serializes
+        as is — no ``dataclasses.asdict`` deep copy per record.
+        """
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "VerificationRecord":

@@ -215,6 +215,23 @@ class TestJournalDurability:
         assert reopened.completed[(2, 0)].pruned_by == "count"
         reopened.close()
 
+    def test_record_line_is_fixed(self):
+        """A record with every field set serializes to one fixed line and
+        parses back: a format change fails here instead of silently
+        breaking the resume of journals already on disk."""
+        record = VerificationRecord(
+            i=12, j=5, is_result=False, pruned_by="ged", ged=4,
+            expansions=321, ged_seconds=0.0625, undecided=True, lower=3,
+            upper=5, backend="compiled",
+        )
+        line = (
+            '{"backend": "compiled", "expansions": 321, "ged": 4, '
+            '"ged_seconds": 0.0625, "i": 12, "is_result": false, "j": 5, '
+            '"lower": 3, "pruned_by": "ged", "undecided": true, "upper": 5}'
+        )
+        assert record.to_json() == line
+        assert VerificationRecord.from_json(line) == record
+
     def test_torn_final_line_is_dropped_and_truncated(self, tmp_path):
         """A record cut before its newline (power loss mid-write) is
         discarded on reopen — its pair simply re-verifies — and the

@@ -12,6 +12,7 @@ arithmetic) get direct unit coverage, including a hypothesis property
 that banding covers every qualifying pair exactly once.
 """
 
+import dataclasses
 import errno
 import json
 import os
@@ -23,8 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import GSimJoinOptions
 from repro.core.join import gsim_join
 from repro.core.sharded import gsim_join_sharded, result_fingerprint
+from repro.engine import executor as executor_module
+from repro.engine import sharded as sharded_module
+from repro.engine.result import JoinStatistics
 from repro.exceptions import (
     CheckpointError,
     MemoryBudgetError,
@@ -360,6 +365,121 @@ class TestShardedParity:
             on_error="skip",
         )
         assert result.pairs == oracle.pairs
+
+
+# --- Slices carried from combo to combo -----------------------------------
+
+
+def sharded_run(graphs, spill, tau=TAU, options=None, **kwargs):
+    """A sharded join plus what it left on disk: the manifest's split
+    level per shard pair, and each pair's journal records without
+    their timings."""
+    result = gsim_join_sharded(graphs, tau, options, spill_dir=spill, **kwargs)
+    manifest = json.loads((spill / "manifest.json").read_text())
+    journals = {}
+    for key in manifest["pairs"]:
+        lines = (spill / f"pair-{key}.journal.jsonl").read_text().splitlines()
+        journals[key] = [
+            {k: v for k, v in json.loads(line).items() if k != "ged_seconds"}
+            for line in lines[1:]
+        ]
+    splits = {key: pair["split"] for key, pair in manifest["pairs"].items()}
+    return result, splits, journals
+
+
+class TestSliceCarry:
+    def test_each_graph_extracted_once(self, graphs, tmp_path, monkeypatch):
+        """With band-adjacent qualifying shard pairs at split 0, each
+        combo carries the slice it shares with the combo before, so the
+        join extracts every graph once, not once per qualifying shard
+        pair the graph's band belongs to."""
+        extracted = []
+        extract = executor_module.extract_qgrams
+
+        def counting(g, q):
+            extracted.append(g.graph_id)
+            return extract(g, q)
+
+        monkeypatch.setattr(executor_module, "extract_qgrams", counting)
+        _, splits, _ = sharded_run(graphs, tmp_path / "spill", shards=4)
+        pairs = [tuple(int(x) for x in key.split("-")) for key in splits]
+        assert len(pairs) == 7
+        assert all(b - a <= 1 for a, b in pairs)  # band-adjacent
+        assert set(splits.values()) == {0}
+        assert sorted(extracted) == sorted(g.graph_id for g in graphs)
+
+    def test_residency_stays_within_one_combo(
+        self, graphs, tmp_path, monkeypatch
+    ):
+        """When a combo charges the memory budget, the carry holds only
+        slices that combo reads — across split levels 0..2 — and it is
+        empty by the merge."""
+        carry_class = sharded_module._SliceCarry
+        init, get, charge = carry_class.__init__, carry_class.get, MemoryBudget.charge
+        carries, combos = [], []
+
+        def tracking_init(carry, spill_dir):
+            init(carry, spill_dir)
+            carries.append(carry)
+
+        def tracking_charge(budget, nbytes, what="working set"):
+            charge(budget, nbytes, what)
+            combos.append((set(carries[0].held), set()))
+
+        def tracking_get(carry, rec, start, stop):
+            combos[-1][1].add((rec["file"], start, stop))
+            return get(carry, rec, start, stop)
+
+        monkeypatch.setattr(carry_class, "__init__", tracking_init)
+        monkeypatch.setattr(carry_class, "get", tracking_get)
+        monkeypatch.setattr(MemoryBudget, "charge", tracking_charge)
+        _, splits, _ = sharded_run(
+            graphs, tmp_path / "spill", shards=3, memory_budget_mb=0.4
+        )
+        assert set(splits.values()) == {0, 1, 2}
+        assert any(held for held, _ in combos)  # some slices were carried
+        for held, read in combos:
+            assert held <= read
+        assert carries[0].held == {}
+
+    @pytest.mark.parametrize("memory_budget_mb", [None, 0.4])
+    def test_carried_slices_match_fresh_ones(
+        self, graphs, tmp_path, monkeypatch, memory_budget_mb
+    ):
+        """A run whose combos reuse carried slices equals one that loads
+        and extracts every combo's slices afresh: pairs, undecided,
+        every integer statistic, every stage row's counts, every
+        journal record and every split level.  At q=3, tau=1 most
+        graphs are prunable, so a carried profile left in the previous
+        combo's order would change the prefixes and Cand-1."""
+        run = dict(
+            tau=1, options=GSimJoinOptions(q=3), shards=3,
+            memory_budget_mb=memory_budget_mb,
+        )
+        carried = sharded_run(graphs, tmp_path / "carried", **run)
+        monkeypatch.setattr(
+            sharded_module._SliceCarry, "keep",
+            lambda carry, ranges: carry.held.clear(),
+        )
+        fresh = sharded_run(graphs, tmp_path / "fresh", **run)
+        (result, splits, journals), (oracle, oracle_splits, oracle_journals) = (
+            carried, fresh,
+        )
+        assert result.pairs == oracle.pairs
+        assert result.undecided == oracle.undecided
+        for field in dataclasses.fields(JoinStatistics):
+            value = getattr(result.stats, field.name)
+            if isinstance(value, int):
+                assert value == getattr(oracle.stats, field.name), field.name
+        assert [
+            (row.name, row.input, row.survivors) for row in result.stats.stages
+        ] == [
+            (row.name, row.input, row.survivors) for row in oracle.stats.stages
+        ]
+        assert result.stats.verify_backends == oracle.stats.verify_backends
+        assert splits == oracle_splits
+        assert (max(splits.values()) > 0) == (memory_budget_mb is not None)
+        assert journals == oracle_journals
 
 
 # --- Bounded memory -------------------------------------------------------

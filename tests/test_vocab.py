@@ -19,6 +19,7 @@ import pytest
 from repro import GSimJoinOptions, assign_ids, gsim_join, gsim_join_rs
 from repro.core.search import GSimIndex
 from repro.engine.result import JoinStatistics
+from repro.engine.stages import BasicPrefix, MinEditFilter
 from repro.ged.compiled import VerificationCache
 from repro.grams.minedit import min_prefix_length, min_prefix_length_direct
 from repro.grams.qgrams import extract_qgrams
@@ -128,6 +129,44 @@ class TestQGramVocabulary:
             assert [vocab.key_of(i) for i in profile.signature] == [
                 gram.key for gram in profile.grams
             ]
+
+    def test_resort_under_new_vocabulary_equals_fresh_sort(self):
+        """A profile sorted under one collection's vocabulary and then
+        re-sorted under another's (a slice the sharded driver carries
+        into the next combo) equals a fresh profile sorted under the
+        second: same order, signature and prefixes, and ``grams`` built
+        under the first order are rebuilt in the second."""
+        graphs = molecule_collection(12, seed=14)
+        first = [extract_qgrams(g, 3) for g in graphs[:8]]
+        first_vocab = build_vocabulary(first)
+        for profile in first:
+            first_vocab.sort_profile(profile)
+            assert profile.grams  # built in the first order
+        first_orders = [profile.order for profile in first[4:]]
+        resorted = first[4:] + [extract_qgrams(g, 3) for g in graphs[8:]]
+        second_vocab = build_vocabulary(resorted)
+        for profile in resorted:
+            second_vocab.sort_profile(profile)
+        assert [p.order for p in resorted[:4]] != first_orders
+        fresh = [extract_qgrams(g, 3) for g in graphs[4:]]
+        fresh_vocab = build_vocabulary(fresh)
+        for profile in fresh:
+            fresh_vocab.sort_profile(profile)
+        for again, new in zip(resorted, fresh):
+            assert again.order == new.order
+            assert again.signature == new.signature
+            assert again.signature_total == new.signature_total
+            assert again.signature_source is second_vocab
+            assert [(g.key, g.path) for g in again.grams] == [
+                (g.key, g.path) for g in new.grams
+            ]
+            for tau in range(4):
+                for stage in (BasicPrefix(), MinEditFilter()):
+                    info = stage.prefix_info(again, tau)
+                    assert info == stage.prefix_info(new, tau)
+                    assert again.prefix_keys(info.length) == new.prefix_keys(
+                        info.length
+                    )
 
     def test_sort_profile_with_overflow_marks_non_mergeable(self):
         graphs = molecule_collection(6, seed=13)
