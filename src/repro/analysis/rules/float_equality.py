@@ -1,7 +1,7 @@
 """Float equality rule.
 
 Distances and bounds in this codebase are exact integers *except* in
-the weighted-GED and assignment machinery, where costs are floats; an
+the assignment machinery and timings, where values are floats; an
 ``==``/``!=`` against a float is then a latent bug (two mathematically
 equal costs rarely compare equal after summation).  The rule flags
 equality comparisons where either operand is a float literal or a
@@ -21,10 +21,8 @@ from repro.analysis.registry import Rule, register
 
 __all__ = ["FloatEqualityRule", "FLOAT_VALUED_FUNCTIONS"]
 
-#: Functions known to return floats (weighted costs / timings).
+#: Functions known to return floats (assignment costs / timings).
 FLOAT_VALUED_FUNCTIONS = {
-    "weighted_ged",
-    "weighted_induced_cost",
     "assignment_cost",
     "star_distance",
     "mapping_distance",

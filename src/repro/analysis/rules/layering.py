@@ -3,13 +3,12 @@
 The repo's layers, lowest first::
 
     exceptions
-    runtime   graph
-    strings   setcover
+    runtime   graph     setcover
     matching  datasets  grams
     ged
     engine
     core
-    reporting  baselines  applications
+    reporting  baselines
     cli
 
 Each package may import only itself and packages reachable below it.
@@ -47,19 +46,17 @@ DIRECT_DEPS: Dict[str, Set[str]] = {
     "exceptions": set(),
     "runtime": {"exceptions"},
     "graph": {"exceptions"},
-    "strings": {"exceptions"},
     "setcover": {"exceptions"},
     "matching": {"graph"},
     "datasets": {"graph"},
     "grams": {"graph", "setcover"},
-    "ged": {"grams", "matching", "strings", "runtime"},
+    "ged": {"grams", "matching", "runtime"},
     "engine": {"ged", "runtime"},
     "core": {"engine"},
     "reporting": {"core"},
     "baselines": {"core"},
-    "applications": {"core"},
     "analysis": {"exceptions"},
-    "cli": {"baselines", "applications", "datasets", "reporting"},
+    "cli": {"baselines", "datasets", "reporting"},
 }
 
 #: Layers allowed to import anything, including the ``repro`` facade.
@@ -103,8 +100,8 @@ class LayeringRule(Rule):
 
     id = "layering"
     description = (
-        "enforce the dependency DAG graph -> {strings,setcover} -> grams "
-        "-> ged -> core -> {baselines,applications,cli}"
+        "enforce the dependency DAG {graph,setcover} -> grams -> ged "
+        "-> engine -> core -> {baselines,cli}"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="working directory for the sharded join: shard files, "
-        "per-pair journals, spill queues and the recovery manifest",
+        "per-pair journals and results queues, and the recovery manifest",
     )
     join.add_argument(
         "--memory-budget-mb",

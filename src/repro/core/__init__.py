@@ -1,6 +1,5 @@
 """The paper's contribution: path q-grams, filter cascade, GSimJoin."""
 
-from repro.core.estimate import JoinSizeEstimate, estimate_join_size
 from repro.engine.count_filter import (
     common_qgram_count,
     count_lower_bound,
@@ -70,6 +69,4 @@ __all__ = [
     "connected_gram_components",
     "InvertedIndex",
     "VerifyOutcome",
-    "estimate_join_size",
-    "JoinSizeEstimate",
 ]

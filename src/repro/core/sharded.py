@@ -5,8 +5,8 @@
 result pairs, asserted by :func:`repro.engine.sharded.
 result_fingerprint` — but the collection is streamed from disk, banded
 by size so the size filter prunes whole shard pairs, processed shard
-pair by shard pair under a memory budget with spill-to-disk queues, and
-recoverable from a crash at any point via the atomically-updated run
+pair by shard pair under a memory budget with results spilled to disk,
+and recoverable from a crash at any point via the atomically-updated run
 manifest (see :mod:`repro.engine.sharded` and ``docs/ROBUSTNESS.md``).
 """
 
@@ -48,8 +48,8 @@ def gsim_join_sharded(
     library's text format — it is streamed, never fully loaded — or a
     graph sequence for convenience (scattered through the same shard
     files; labels round-trip as strings).  All working state lives
-    under ``spill_dir``: the shard files, one journal and two
-    JSONL spill queues per shard pair, and ``manifest.json``, the
+    under ``spill_dir``: the shard files, one journal and one
+    JSONL results queue per shard pair, and ``manifest.json``, the
     atomically-updated recovery manifest.
 
     Knobs

@@ -711,19 +711,18 @@ class Executor:
         i: int,
         js: Iterable[int],
         emit: Optional[Emit] = None,
-        before: Optional[Callable[[int, int], None]] = None,
         defer: Optional[List[Tuple[int, int]]] = None,
         probe: Optional[Tuple[QGramProfile, LabelPair]] = None,
     ) -> None:
         """Verify probe ``i``'s candidate block ``js`` (one driver step).
 
         Per candidate, in block order: orient the pair (``r`` is the
-        probe, or the later of ``positions``), call ``before(r, s)``,
-        replay a journaled record, or else take one fault step and
-        either defer the pair to ``defer`` (a pool verifies it later,
-        see :meth:`accept`) or verify it — batch-pruned pairs straight
-        from the block verdicts, the rest through
-        :meth:`verify_candidate` — and journal the fresh record.
+        probe, or the later of ``positions``), replay a journaled
+        record, or else take one fault step and either defer the pair
+        to ``defer`` (a pool verifies it later, see :meth:`accept`) or
+        verify it — batch-pruned pairs straight from the block
+        verdicts, the rest through :meth:`verify_candidate` — and
+        journal the fresh record.
         ``emit(r, s, outcome)`` then receives every result and
         undecided pair.  ``s`` counts from the scan's split, so R×S
         candidates index the prepared collection directly.
@@ -754,8 +753,6 @@ class Executor:
             r, s = i, (base + j if base else j)
             if positions is not None and positions[s] > positions[r]:
                 r, s = s, r
-            if before is not None:
-                before(r, s)
             if completed:
                 rec = completed.get(
                     (i, j) if positions is None else (positions[r], positions[s])

@@ -30,11 +30,11 @@ per-pair artifacts make the run both *bounded* and *recoverable*:
   graph is loaded and extracted once per join.  Each combo still
   builds its own vocabulary, sort and prefixes, so carrying changes no
   statistic, journal record or split level;
-* verified outcomes stream through a per-pair
+* every candidate's verified outcome streams through a per-pair
   :class:`~repro.runtime.journal.JoinJournal` keyed by **global scan
   positions** ``(hi, lo)`` — stable across split levels, so work
   survives degradation and crashes alike;
-* candidates and results spill to disk-backed JSONL queues
+* results and undecided pairs also spill to a disk-backed JSONL queue
   (:class:`~repro.runtime.sharded.SpillQueue`), never accumulating in
   memory;
 * the run manifest (:class:`~repro.runtime.sharded.ShardManifest`) is
@@ -51,8 +51,8 @@ diagonal combo and in the index-then-probe shape for a cross combo, and
 journal replay, one fault step per fresh pair, the cascade and GED.
 This module owns what is sharded about it: the survey and scatter
 passes, combo enumeration under the memory budget, the global
-``positions`` that orient and key the pairs, the spill queues (each
-candidate spills before it verifies, each result right after), the
+``positions`` that orient and key the pairs, the results queue (each
+result or undecided pair spills right after it is verified), the
 manifest and the per-pair statistics snapshots, merged with
 :meth:`~repro.engine.result.JoinStatistics.merge`.  With ``workers > 1``
 fresh pairs are deferred to the parallel driver's pool.  The driver
@@ -413,7 +413,6 @@ def _run_combo(
     stats: JoinStatistics,
     journal: JoinJournal,
     injector: Optional[FaultInjector],
-    cand_q: SpillQueue,
     res_q: SpillQueue,
     pool: PoolSettings,
     spilled: Dict[str, int],
@@ -428,9 +427,9 @@ def _run_combo(
     combo alone, as if every piece were fresh.  The pieces' global scan
     positions orient every pair — the later one verifies as ``r``, the
     in-memory scan's probe orientation — and key its journal record
-    ``(hi, lo)``, stable across split levels.  Each candidate spills
-    before it is verified, each result or undecided pair right after;
-    with ``pool.workers > 1`` the fresh pairs are deferred to the
+    ``(hi, lo)``, stable across split levels.  Each result or
+    undecided pair spills right after it is verified; with
+    ``pool.workers > 1`` the fresh pairs are deferred to the
     parallel driver's fault-tolerant pool (the parent keeps the fault
     schedule, stepping once per pair at deferral).  The combo runs the
     scalar cascade: no columnar store is built per combo.
@@ -454,10 +453,6 @@ def _run_combo(
     executor.prepare(graphs, (profiles, labels))
     split = len(pieces[0].graphs) if len(pieces) > 1 else None
     ids = [g.graph_id for g in graphs]
-
-    def spill_candidate(r: int, s: int) -> None:
-        _step_io(injector)
-        cand_q.append({"lo": positions[s], "hi": positions[r]})
 
     def spill_result(r: int, s: int, outcome: Outcome) -> None:
         _step_io(injector)
@@ -486,9 +481,7 @@ def _run_combo(
 
     todo: Optional[List[Tuple[int, int]]] = [] if pool.workers > 1 else None
     for i, candidate_ids in executor.scan(split):
-        executor.verify_block(
-            i, candidate_ids, spill_result, before=spill_candidate, defer=todo
-        )
+        executor.verify_block(i, candidate_ids, spill_result, defer=todo)
     if todo:
         started = time.perf_counter()
         for rec in verify_on_pool(
@@ -519,10 +512,10 @@ def _process_pair(
     """One attempt at one shard pair at one split level.
 
     Opens the pair's journal (replaying any prior attempt's verified
-    prefix), recreates its spill queues from scratch (their contents
-    are a deterministic function of the journal plus fresh work), runs
-    every sub-shard combo under the memory budget, and finishes both
-    queues.  Before each combo charges the budget, ``carry`` drops
+    prefix), recreates its results queue from scratch (its contents are
+    a deterministic function of the journal plus fresh work), runs
+    every sub-shard combo under the memory budget, and finishes the
+    queue.  Before each combo charges the budget, ``carry`` drops
     every slice but the combo's own; the combo charges its full
     estimate, carried slices included, and takes the slices it does
     not find in ``carry`` from their shard files.  What a combo leaves
@@ -550,8 +543,6 @@ def _process_pair(
     )
     try:
         with SpillQueue.create(
-            os.path.join(spill_dir, f"pair-{key}.candidates.jsonl")
-        ) as cand_q, SpillQueue.create(
             os.path.join(spill_dir, f"pair-{key}.results.jsonl")
         ) as res_q:
             for range_a, range_b in _combos(
@@ -570,13 +561,11 @@ def _process_pair(
                 try:
                     _run_combo(
                         [carry.get(*piece) for piece in ranges], tau, options,
-                        budget, pair_stats, journal, injector, cand_q, res_q,
-                        pool, spilled,
+                        budget, pair_stats, journal, injector, res_q, pool,
+                        spilled,
                     )
                 finally:
                     memory.release(estimate)
-            _step_io(injector)
-            cand_q.finish()
             _step_io(injector)
             res_q.finish()
             return pair_stats, spilled["pair"], spilled["undecided"]
@@ -601,7 +590,6 @@ def execute_sharded_join(
     fault: Optional[FaultPlan] = None,
     max_retries: int = 2,
     retry_backoff: float = 0.1,
-    chunk_timeout: Optional[float] = None,
     fsync_interval: Optional[int] = None,
     on_error: str = "raise",
 ) -> JoinResult:
@@ -638,7 +626,7 @@ def execute_sharded_join(
         raise ParameterError(f"q must be >= 0, got {options.q}")
     if shards < 1:
         raise ParameterError(f"shards must be >= 1, got {shards}")
-    pool = PoolSettings(workers, max_retries, retry_backoff, chunk_timeout)
+    pool = PoolSettings(workers, max_retries, retry_backoff)
     resolve_backend(options.verifier)
     spill_dir = os.fspath(spill_dir)
     os.makedirs(spill_dir, exist_ok=True)
@@ -719,7 +707,7 @@ def execute_sharded_join(
             except OSError:
                 # Transient I/O (ENOSPC, injected faults, flaky disk):
                 # capped-backoff retry; the journal keeps what was
-                # verified, the queues rebuild from scratch.
+                # verified, the results queue rebuilds from scratch.
                 attempt_errors += 1
                 if attempt_errors > max_retries:
                     raise

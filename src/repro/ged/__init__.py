@@ -1,11 +1,6 @@
 """Graph edit distance computation: A* search, heuristics, mapping costs."""
 
-from repro.ged.approximate import (
-    beam_search_ged,
-    bipartite_upper_bound,
-    ged_bounds,
-    label_lower_bound,
-)
+from repro.ged.approximate import bipartite_upper_bound
 from repro.ged.astar import (
     GedSearchResult,
     ged_within,
@@ -28,7 +23,6 @@ from repro.ged.heuristics import (
     zero_heuristic,
 )
 from repro.ged.reference import brute_force_ged
-from repro.ged.weighted import CostModel, weighted_ged, weighted_induced_cost
 from repro.ged.vertex_order import (
     input_vertex_order,
     mismatch_vertex_order,
@@ -36,10 +30,7 @@ from repro.ged.vertex_order import (
 )
 
 __all__ = [
-    "beam_search_ged",
     "bipartite_upper_bound",
-    "ged_bounds",
-    "label_lower_bound",
     "graph_edit_distance",
     "graph_edit_distance_detailed",
     "ged_within",
@@ -53,9 +44,6 @@ __all__ = [
     "dfs_ged",
     "DfsSearchResult",
     "brute_force_ged",
-    "CostModel",
-    "weighted_ged",
-    "weighted_induced_cost",
     "Heuristic",
     "zero_heuristic",
     "label_heuristic",

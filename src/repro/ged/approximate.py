@@ -1,124 +1,24 @@
-"""Approximate graph edit distance.
+"""Approximate graph edit distance: the bipartite upper bound.
 
 The paper's related-work section surveys suboptimal GED methods used
-when the exact A* is too expensive: beam-search variants of A* and
-bipartite-assignment approximations (Riesen & Bunke; Zeng et al.).
-This module implements the standard representatives:
-
-* :func:`beam_search_ged` — A* with a bounded frontier ("beam") per
-  depth.  Returns an *upper bound* that converges to the exact distance
-  as the beam widens.
-* :func:`bipartite_upper_bound` — the assignment-based approximation:
-  match vertices by local star cost with the Hungarian algorithm, then
-  price the induced edit script (an upper bound by construction).
-* :func:`label_lower_bound` — the Γ label bound (a cheap lower bound,
-  re-exported here for a symmetric API).
-* :func:`ged_bounds` — convenience: (lower, upper) bracketing the exact
-  distance.
-
-All approximations are validated against the exact solver in the test
-suite: lower ≤ exact ≤ upper always holds, and beam search with an
-unbounded beam equals the exact distance.
+when the exact A* is too expensive, among them bipartite-assignment
+approximations (Riesen & Bunke).  :func:`bipartite_upper_bound` is that
+representative: match vertices by local star cost with the Hungarian
+algorithm, then price the induced edit script (an upper bound by
+construction).  The DFS verifier (:mod:`repro.ged.dfs`) starts from it
+as its incumbent; the test suite checks upper >= exact.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from repro.exceptions import ParameterError
-from repro.ged.astar import _completion_cost, _extension_cost
 from repro.ged.cost import induced_edit_cost
-from repro.ged.heuristics import Heuristic, label_heuristic
 from repro.graph.graph import Graph, Vertex
 from repro.matching.hungarian import hungarian
 from repro.matching.stars import star_distance, star_multiset
 
-__all__ = [
-    "beam_search_ged",
-    "bipartite_upper_bound",
-    "label_lower_bound",
-    "ged_bounds",
-]
-
-
-def label_lower_bound(r: Graph, s: Graph) -> int:
-    """The Γ label lower bound on ``ged(r, s)`` (Lemma 5)."""
-    return label_heuristic(r, s, list(r.vertices()), set(s.vertices()))
-
-
-def beam_search_ged(
-    r: Graph,
-    s: Graph,
-    beam_width: int = 64,
-    heuristic: Heuristic = label_heuristic,
-    vertex_order: Optional[Sequence[Vertex]] = None,
-) -> int:
-    """Suboptimal GED via breadth-wise beam search.
-
-    Explores the same mapping tree as the exact A* but keeps only the
-    ``beam_width`` best states per depth, so the result is an *upper
-    bound* on the true distance (exact for a wide-enough beam).  Runtime
-    is ``O(n · beam_width · m)`` states instead of worst-case
-    exponential.
-
-    Raises
-    ------
-    ParameterError
-        If ``beam_width < 1`` or the vertex order is invalid.
-    """
-    if beam_width < 1:
-        raise ParameterError(f"beam_width must be >= 1, got {beam_width}")
-    if r.is_directed != s.is_directed:
-        raise ParameterError("cannot compare a directed with an undirected graph")
-    order: List[Vertex] = (
-        list(r.vertices()) if vertex_order is None else list(vertex_order)
-    )
-    if set(order) != set(r.vertices()) or len(order) != r.num_vertices:
-        raise ParameterError("vertex_order must be a permutation of V(r)")
-
-    n = len(order)
-    s_vertices = list(s.vertices())
-    if n == 0:
-        return _completion_cost(s, frozenset())
-
-    # Each frontier entry: (f, tie, g, mapping, used).
-    counter = itertools.count()
-    frontier: List[Tuple[int, int, int, Tuple[Optional[Vertex], ...], frozenset]] = [
-        (0, next(counter), 0, (), frozenset())
-    ]
-    best_complete: Optional[int] = None
-
-    for k in range(n):
-        u = order[k]
-        candidates: List[
-            Tuple[int, int, int, Tuple[Optional[Vertex], ...], frozenset]
-        ] = []
-        for _, _, g, mapping, used in frontier:
-            targets: List[Optional[Vertex]] = [v for v in s_vertices if v not in used]
-            targets.append(None)
-            for v in targets:
-                g2 = g + _extension_cost(r, s, order, mapping, u, v)
-                new_mapping = mapping + (v,)
-                new_used = used | {v} if v is not None else used
-                if k + 1 == n:
-                    total = g2 + _completion_cost(s, new_used)
-                    if best_complete is None or total < best_complete:
-                        best_complete = total
-                else:
-                    h = heuristic(r, s, order[k + 1 :], set(s_vertices) - new_used)
-                    candidates.append(
-                        (g2 + h, next(counter), g2, new_mapping, new_used)
-                    )
-        if k + 1 == n:
-            break
-        candidates.sort(key=lambda state: state[0])
-        frontier = candidates[:beam_width]
-        if not frontier:
-            break
-
-    assert best_complete is not None
-    return best_complete
+__all__ = ["bipartite_upper_bound"]
 
 
 def bipartite_upper_bound(r: Graph, s: Graph) -> int:
@@ -159,18 +59,3 @@ def bipartite_upper_bound(r: Graph, s: Graph) -> int:
         j = assignment[i]
         mapping[u] = s_vertices[j] if j < m else None
     return induced_edit_cost(r, s, mapping)
-
-
-def ged_bounds(r: Graph, s: Graph, beam_width: int = 16) -> Tuple[int, int]:
-    """A cheap ``(lower, upper)`` bracket on ``ged(r, s)``.
-
-    Lower: the Γ label bound.  Upper: the better of the bipartite
-    assignment bound and a narrow beam search.  ``lower == upper``
-    certifies the exact distance without running A*.
-    """
-    lower = label_lower_bound(r, s)
-    upper = min(
-        bipartite_upper_bound(r, s),
-        beam_search_ged(r, s, beam_width=beam_width),
-    )
-    return lower, upper

@@ -6,7 +6,7 @@ path-based q-gram extraction, mismatching-q-gram comparison, the
 bounded minimum-edit (hitting set) solvers, and the label lower
 bounds.  It sits below ``ged`` in the dependency DAG
 
-    ``graph -> {strings, setcover} -> grams -> ged -> core -> ...``
+    ``{graph, setcover} -> grams -> ged -> engine -> core -> ...``
 
 so that ``repro.ged.heuristics`` / ``repro.ged.vertex_order`` no longer
 import ``repro.core`` (the historical ``core <-> ged`` import cycle;

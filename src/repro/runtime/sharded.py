@@ -12,8 +12,8 @@ of the layering DAG:
   as a *degrade* signal (retry the shard pair at a finer split level),
   not a failure;
 * :class:`SpillQueue` — an append-only JSONL queue on disk with an
-  end-of-queue sentinel, so candidate pairs and shard results stream
-  through bounded memory and a torn queue is detectable on resume;
+  end-of-queue sentinel, so shard results stream through bounded
+  memory and a torn queue is detectable at the merge;
 * :class:`ShardManifest` — the run's single source of recovery truth: a
   JSON document updated *atomically* on every state change (tempfile +
   ``os.replace`` + fsync, via
@@ -187,16 +187,6 @@ class SpillQueue:
                 f"{path}: spill queue has no completeness sentinel "
                 "(the writer crashed mid-queue)"
             )
-
-    @staticmethod
-    def is_complete(path: "str | os.PathLike") -> bool:
-        """True when ``path`` holds a finished queue (sentinel present)."""
-        try:
-            for _ in SpillQueue.replay(path):
-                pass
-        except (OSError, ValueError, CheckpointError):
-            return False
-        return True
 
 
 def plan_bands(sizes: Sequence[int], shards: int) -> List[List[int]]:

@@ -1,67 +1,12 @@
-"""Tests for the approximate GED suite."""
+"""Tests for the bipartite GED upper bound (the DFS verifier's incumbent)."""
 
-import pytest
 from hypothesis import given, settings
 
 from repro.datasets import figure1_graphs
-from repro.exceptions import ParameterError
-from repro.ged import (
-    beam_search_ged,
-    bipartite_upper_bound,
-    brute_force_ged,
-    ged_bounds,
-    graph_edit_distance,
-    label_lower_bound,
-)
+from repro.ged import bipartite_upper_bound, brute_force_ged
 from repro.graph.graph import Graph
 
 from .conftest import graph_pairs_within, path_graph
-
-
-class TestBeamSearch:
-    def test_identical_graphs(self):
-        g = path_graph(["A", "B", "C"])
-        assert beam_search_ged(g, g.copy()) == 0
-
-    def test_empty_graphs(self):
-        assert beam_search_ged(Graph(), Graph()) == 0
-        assert beam_search_ged(Graph(), path_graph(["A"])) == 1
-
-    def test_figure1_with_wide_beam_is_exact(self):
-        r, s = figure1_graphs()
-        assert beam_search_ged(r, s, beam_width=1000) == 3
-
-    def test_invalid_beam_width(self):
-        g = path_graph(["A"])
-        with pytest.raises(ParameterError):
-            beam_search_ged(g, g, beam_width=0)
-
-    def test_invalid_vertex_order(self):
-        g = path_graph(["A", "B"])
-        with pytest.raises(ParameterError, match="permutation"):
-            beam_search_ged(g, g, vertex_order=[0])
-
-    @settings(max_examples=30, deadline=None)
-    @given(graph_pairs_within(tau_max=2, max_vertices=4))
-    def test_upper_bounds_exact(self, pair):
-        r, s, _ = pair
-        exact = brute_force_ged(r, s)
-        for width in (1, 4):
-            assert beam_search_ged(r, s, beam_width=width) >= exact
-
-    @settings(max_examples=25, deadline=None)
-    @given(graph_pairs_within(tau_max=2, max_vertices=4))
-    def test_unbounded_beam_is_exact(self, pair):
-        r, s, _ = pair
-        assert beam_search_ged(r, s, beam_width=10**6) == brute_force_ged(r, s)
-
-    @settings(max_examples=20, deadline=None)
-    @given(graph_pairs_within(tau_max=2, max_vertices=4))
-    def test_wider_beam_never_worse(self, pair):
-        r, s, _ = pair
-        narrow = beam_search_ged(r, s, beam_width=1)
-        wide = beam_search_ged(r, s, beam_width=32)
-        assert wide <= narrow
 
 
 class TestBipartiteUpperBound:
@@ -86,22 +31,3 @@ class TestBipartiteUpperBound:
     def test_close_on_near_duplicates(self):
         r, s = figure1_graphs()
         assert 3 <= bipartite_upper_bound(r, s) <= 8
-
-
-class TestGedBounds:
-    @settings(max_examples=30, deadline=None)
-    @given(graph_pairs_within(tau_max=2, max_vertices=4))
-    def test_bracket_exact(self, pair):
-        r, s, _ = pair
-        exact = brute_force_ged(r, s)
-        lower, upper = ged_bounds(r, s)
-        assert lower <= exact <= upper
-
-    def test_tight_bracket_on_identical(self):
-        g = path_graph(["A", "B", "C"])
-        assert ged_bounds(g, g.copy()) == (0, 0)
-
-    def test_label_lower_bound_matches_global_filter(self):
-        r, s = figure1_graphs()
-        assert label_lower_bound(r, s) == 3
-        assert label_lower_bound(r, s) <= graph_edit_distance(r, s)

@@ -69,11 +69,9 @@ class TestParameterValidationSurface:
                 case()
 
     def test_ged_entry_points(self):
-        from repro.ged import beam_search_ged, graph_edit_distance
+        from repro.ged import graph_edit_distance
         from repro.graph.graph import Graph
 
         g = Graph()
         with pytest.raises(ParameterError):
             graph_edit_distance(g, g, threshold=-1)
-        with pytest.raises(ParameterError):
-            beam_search_ged(g, g, beam_width=0)

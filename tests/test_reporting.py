@@ -1,12 +1,10 @@
-"""Tests for JSON/CSV reporting and DOT export."""
+"""Tests for JSON/CSV reporting."""
 
 import csv
 import io
 import json
 
 from repro import gsim_join
-from repro.graph.dot import save_dot, to_dot
-from repro.graph.graph import Graph
 from repro.reporting import (
     dumps_pairs_csv,
     dumps_result_json,
@@ -16,7 +14,6 @@ from repro.reporting import (
     stats_to_dict,
 )
 
-from .conftest import build_graph, path_graph
 from .test_join import molecule_collection
 
 
@@ -59,30 +56,3 @@ class TestReporting:
         assert json.loads(json_path.read_text())["stats"]["tau"] == 1
         assert csv_path.read_text().startswith("r_id,s_id")
 
-
-class TestDot:
-    def test_undirected_dot(self):
-        g = build_graph(["C", "O"], [(0, 1, "=")], graph_id="mol")
-        text = to_dot(g)
-        assert text.startswith('graph "mol" {')
-        assert 'n0 [label="C"];' in text
-        assert 'n0 -- n1 [label="="];' in text
-
-    def test_directed_dot(self):
-        g = Graph("flow", directed=True)
-        g.add_vertex(0, "read")
-        g.add_vertex(1, "write")
-        g.add_edge(0, 1, "stream")
-        text = to_dot(g)
-        assert text.startswith('digraph "flow" {')
-        assert "n0 -> n1" in text
-
-    def test_quoting(self):
-        g = build_graph(['la"bel'], [])
-        assert '\\"' in to_dot(g)
-
-    def test_save_dot(self, tmp_path):
-        g = path_graph(["A", "B"])
-        path = tmp_path / "g.dot"
-        save_dot(g, path, name="test")
-        assert path.read_text().startswith('graph "test" {')

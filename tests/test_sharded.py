@@ -66,6 +66,23 @@ def assert_same_result(resumed, clean):
         assert getattr(resumed.stats, field) == getattr(clean.stats, field)
 
 
+def sharded_run(graphs, spill, tau=TAU, options=None, **kwargs):
+    """A sharded join plus what it left on disk: the manifest's split
+    level per shard pair, and each pair's journal records without
+    their timings."""
+    result = gsim_join_sharded(graphs, tau, options, spill_dir=spill, **kwargs)
+    manifest = json.loads((spill / "manifest.json").read_text())
+    journals = {}
+    for key in manifest["pairs"]:
+        lines = (spill / f"pair-{key}.journal.jsonl").read_text().splitlines()
+        journals[key] = [
+            {k: v for k, v in json.loads(line).items() if k != "ged_seconds"}
+            for line in lines[1:]
+        ]
+    splits = {key: pair["split"] for key, pair in manifest["pairs"].items()}
+    return result, splits, journals
+
+
 @pytest.fixture(scope="module")
 def graphs():
     return molecule_collection(36, seed=61)
@@ -143,16 +160,16 @@ class TestSpillQueue:
         assert list(SpillQueue.replay(path)) == [
             {"lo": 1, "hi": 2}, {"lo": 3, "hi": 4},
         ]
-        assert SpillQueue.is_complete(path)
 
     def test_unfinished_queue_refused(self, tmp_path):
         path = tmp_path / "q.jsonl"
         with SpillQueue.create(path) as queue:
             queue.append({"lo": 1, "hi": 2})
         # No finish(): the writer "crashed" mid-queue.
-        assert not SpillQueue.is_complete(path)
-        with pytest.raises(CheckpointError, match="sentinel"):
-            list(SpillQueue.replay(path))
+        replay = SpillQueue.replay(path)
+        assert next(replay) == {"lo": 1, "hi": 2}
+        with pytest.raises(CheckpointError, match="no completeness sentinel"):
+            next(replay)
 
     def test_torn_tail_refused(self, tmp_path):
         path = tmp_path / "q.jsonl"
@@ -336,22 +353,21 @@ class TestShardedParity:
         assert result_fingerprint(result) == expected_fp
 
     def test_candidates_enumerated_exactly_once(self, graphs, tmp_path):
-        """Across every shard pair's candidate spill queue, each global
-        (lo, hi) pair appears at most once, and the union matches the
-        run's cand1 counter — no pair is examined twice, none is lost
-        between shard pairs."""
+        """Across every shard pair's journal, each global (lo, hi) pair
+        appears at most once, and the union matches the run's cand1
+        counter — no pair is examined twice, none is lost between shard
+        pairs.  No candidate queue is written: the journals already
+        hold every candidate."""
         spill = tmp_path / "spill"
-        result = gsim_join_sharded(graphs, TAU, spill_dir=spill, shards=4)
-        manifest = json.loads((spill / "manifest.json").read_text())
-        seen = []
-        for key in manifest["pairs"]:
-            path = spill / f"pair-{key}.candidates.jsonl"
-            seen.extend(
-                (record["lo"], record["hi"])
-                for record in SpillQueue.replay(path)
-            )
+        result, _, journals = sharded_run(graphs, spill, shards=4)
+        seen = [
+            (record["j"], record["i"])
+            for records in journals.values()
+            for record in records
+        ]
         assert len(seen) == len(set(seen))
         assert len(seen) == result.stats.cand1
+        assert not list(spill.glob("*.candidates.jsonl"))
 
     def test_lenient_loading_skips_corrupt_graphs(self, tmp_path):
         good = molecule_collection(8, seed=5)
@@ -368,23 +384,6 @@ class TestShardedParity:
 
 
 # --- Slices carried from combo to combo -----------------------------------
-
-
-def sharded_run(graphs, spill, tau=TAU, options=None, **kwargs):
-    """A sharded join plus what it left on disk: the manifest's split
-    level per shard pair, and each pair's journal records without
-    their timings."""
-    result = gsim_join_sharded(graphs, tau, options, spill_dir=spill, **kwargs)
-    manifest = json.loads((spill / "manifest.json").read_text())
-    journals = {}
-    for key in manifest["pairs"]:
-        lines = (spill / f"pair-{key}.journal.jsonl").read_text().splitlines()
-        journals[key] = [
-            {k: v for k, v in json.loads(line).items() if k != "ged_seconds"}
-            for line in lines[1:]
-        ]
-    splits = {key: pair["split"] for key, pair in manifest["pairs"].items()}
-    return result, splits, journals
 
 
 class TestSliceCarry:
