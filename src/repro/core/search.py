@@ -84,9 +84,10 @@ class GSimIndex:
         self._ids: set = set()
         self._index = InvertedIndex()
         self._unprunable: List[int] = []
-        self._prefix_lengths: List[int] = []
-        # Columnar store for the batch kernels, built lazily on the
-        # first batched query and invalidated by every insert.
+        # Columnar store for the batch kernels, living as long as the
+        # index: built on the first batched query, then extended by the
+        # graphs inserted since at the start of each later query (one
+        # concatenation per query, however many inserts came before).
         self._store: Optional[ColumnarStore] = None
         # Verification cache, living as long as the index: data graphs
         # are compiled on first query touching them and reused by every
@@ -123,8 +124,6 @@ class GSimIndex:
         self._profiles.append(profile)
         self._labels.append((g.vertex_label_multiset(), g.edge_label_multiset()))
         self._ids.add(g.graph_id)
-        self._prefix_lengths.append(info.length)
-        self._store = None
         if info.prunable:
             for key in profile.prefix_keys(info.length):
                 self._index.add(key, position)
@@ -186,13 +185,16 @@ class GSimIndex:
         )
         executor.profiles, executor.labels = self._profiles, self._labels
         if executor.batch and self.graphs:
-            if self._store is None:
-                self._store = build_columnar_store(
-                    self._profiles,
-                    self._labels,
-                    prefix_lengths=self._prefix_lengths,
+            store = self._store
+            if store is None:
+                store = self._store = build_columnar_store(
+                    self._profiles, self._labels
                 )
-            executor.attach_store(self._store)
+            elif len(store) < len(self.graphs):
+                store.extend(
+                    self._profiles[len(store):], self._labels[len(store):]
+                )
+            executor.attach_store(store)
         profile = extract_qgrams(g, self.options.q)
         self._sorter.sort_profile(profile)
         info = self._prefix(profile, tau)

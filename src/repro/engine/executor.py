@@ -86,12 +86,7 @@ from repro.engine.result import (
 from repro.engine.stages import PairContext, VerifyOutcome
 from repro.ged.compiled import VerificationCache
 from repro.graph.graph import Graph
-from repro.grams.columnar import (
-    ColumnarStore,
-    SignatureRow,
-    build_columnar_store,
-    np,
-)
+from repro.grams.columnar import ColumnarStore, build_columnar_store, np
 from repro.grams.qgrams import QGramProfile, extract_qgrams
 from repro.grams.vocab import QGramVocabulary
 from repro.runtime.budget import VerificationBudget
@@ -385,11 +380,7 @@ class Executor:
         if not self.batch:
             return None
         started = time.perf_counter()
-        store = build_columnar_store(
-            self.profiles,
-            self.labels,
-            prefix_lengths=[info.length for info in self.prefixes],
-        )
+        store = build_columnar_store(self.profiles, self.labels)
         self.attach_store(store)
         self.stats.index_time += time.perf_counter() - started
         return store
@@ -655,7 +646,10 @@ class Executor:
         return fallback_count, fallback_count, candidate_ids
 
     def batch_prefilter(
-        self, r_row: SignatureRow, js: Sequence[int]
+        self,
+        i: int,
+        js: Sequence[int],
+        probe: Optional[Tuple[QGramProfile, LabelPair]] = None,
     ) -> Optional[BlockVerdicts]:
         """Run the batched global-label and count filters over one block.
 
@@ -663,11 +657,13 @@ class Executor:
         or a block smaller than
         :data:`~repro.engine.batch.MIN_BATCH_BLOCK` — the caller's
         scalar cascade computes the same verdicts without the kernel
-        dispatch overhead).  Statistics for the *batch-pruned* pairs
-        are accrued here, exactly as the scalar cascade would have: a
-        pair pruned at stage ``k`` entered stages ``0..k`` and survived
-        ``0..k-1``.  Survivors' stage rows are accrued by
-        :meth:`verify_candidate` via the hint set.
+        dispatch overhead).  Only a block that batches pays for the
+        probe's signature row: store row ``i``, or the encoding of the
+        external ``probe`` (see :meth:`verify_block`).  Statistics for
+        the *batch-pruned* pairs are accrued here, exactly as the scalar
+        cascade would have: a pair pruned at stage ``k`` entered stages
+        ``0..k`` and survived ``0..k-1``.  Survivors' stage rows are
+        accrued by :meth:`verify_candidate` via the hint set.
         """
         if (
             self._store is None
@@ -675,12 +671,12 @@ class Executor:
             or len(js) < MIN_BATCH_BLOCK
         ):
             return None
+        store = self._store
+        r_row = store.row(i) if probe is None else store.external_row(*probe)
         rows = np.asarray(js, dtype=np.int64)
         if self._target_base:
             rows = rows + self._target_base
-        verdicts = evaluate_block(
-            self._store, r_row, rows, self.tau, self._batch_stages
-        )
+        verdicts = evaluate_block(store, r_row, rows, self.tau, self._batch_stages)
         stats = self.stats
         remaining = sum(verdicts.pruned_per_stage)
         # zip, not enumerate: evaluate_block may exit early once the
@@ -739,13 +735,7 @@ class Executor:
         if defer is None and self._store is not None:
             # Batching implies no ``positions``: pairs keep (i, j) keys.
             fresh = [j for j in js if not completed or (i, j) not in completed]
-            if fresh:
-                block = self.batch_prefilter(
-                    self._store.row(i)
-                    if probe is None
-                    else self._store.external_row(*probe),
-                    fresh,
-                )
+            block = self.batch_prefilter(i, fresh, probe)
             if block is not None:
                 slot = {j: t for t, j in enumerate(fresh)}
         profiles, labels = self.profiles, self.labels

@@ -23,17 +23,33 @@ reduces to ``Σ min(count_row, count_r)`` over matched values.
   one kernel call — ``Γ_v + Γ_e = max(|Av|,|Bv|) + max(|Ae|,|Be|) −
   |A ∩ B|`` with the per-type sizes kept in the ``vlab_len``/
   ``elab_len`` columns;
-* parallel scalar columns ``num_vertices``, ``num_edges``, ``d_path``,
-  ``sig_size`` and ``prefix_length``, plus a ``mergeable`` flag marking
-  rows whose signature ids come from the store's vocabulary (the
-  precondition for the batch count kernel).
+* parallel scalar columns ``num_vertices``, ``num_edges``, ``d_path``
+  and ``sig_size``, plus a ``mergeable`` flag marking rows whose
+  signature ids come from the store's vocabulary (the precondition for
+  the batch count kernel).
 
-The store is immutable after construction and safe to ship to worker
-processes (plain ndarrays and label dicts).  A graph outside the store
-(an index query, the outer side of a future out-of-core shard) enters
-the kernels through :meth:`ColumnarStore.external_row`, which maps
-unseen labels to unique *negative* ids — never colliding with the
-store's non-negative ids, so multiset intersections stay exact.
+Rows are only ever appended, by one encoder: :meth:`ColumnarStore.extend`
+encodes the new rows and concatenates them onto every column, and
+:func:`build_columnar_store` is an empty store extended by a whole
+collection.  An extended store therefore equals a fresh build over all
+its rows, in every column and in its label interners.  A join builds
+one store per run and never extends it, so its store is safe to ship
+to worker processes (plain ndarrays and label dicts).
+:class:`~repro.core.search.GSimIndex` keeps one store for its whole
+life: its first batched query builds it, and each later query that
+follows inserts extends it by the graphs inserted since.  That query
+pays the new rows' encoding plus one copy of every column, not a
+re-encoding of every row (``docs/PERFORMANCE.md`` § Extending the
+index's store has the timings).  ``extend`` changes the store object
+in place: it rebinds each column to a new, longer array and adds
+unseen labels to the interners, so every holder of the store sees the
+new rows, while arrays handed out before (the views of
+:meth:`ColumnarStore.row`) are never written.
+
+A graph outside the store (an index query) enters the kernels through
+:meth:`ColumnarStore.external_row`, which maps unseen labels to unique
+*negative* ids — never colliding with the store's non-negative ids, so
+multiset intersections stay exact.
 
 Requires numpy; import the module freely, but call
 :func:`build_columnar_store` only when :data:`HAVE_NUMPY` is true (the
@@ -129,21 +145,6 @@ def _compress(counts: Counter) -> Tuple["np.ndarray", "np.ndarray"]:
     return values, cnts
 
 
-def _csr(
-    rows: List[Tuple["np.ndarray", "np.ndarray"]],
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Stack per-row (values, counts) pairs into CSR columns."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([values.shape[0] for values, _ in rows], out=offsets[1:])
-    if rows:
-        flat_values = np.concatenate([values for values, _ in rows])
-        flat_counts = np.concatenate([cnts for _, cnts in rows])
-    else:
-        flat_values = np.zeros(0, dtype=np.int64)
-        flat_counts = np.zeros(0, dtype=np.int64)
-    return offsets, flat_values, flat_counts
-
-
 def _combined_labels(
     labels: Tuple,
     vlabel_ids: Dict[object, int],
@@ -165,13 +166,35 @@ def _combined_labels(
     return combined
 
 
+def _appended_csr(
+    offsets: "np.ndarray",
+    values: "np.ndarray",
+    counts: "np.ndarray",
+    rows: List[Tuple["np.ndarray", "np.ndarray"]],
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """New CSR columns: ``(offsets, values, counts)`` plus ``rows``."""
+    lengths = [row_values.shape[0] for row_values, _ in rows]
+    ends = offsets[-1] + np.cumsum(lengths, dtype=np.int64)
+    return (
+        np.concatenate((offsets, ends)),
+        np.concatenate([values] + [v for v, _ in rows]),
+        np.concatenate([counts] + [c for _, c in rows]),
+    )
+
+
+def _grown(column: "np.ndarray", tail: Sequence) -> "np.ndarray":
+    """A new array: ``column`` followed by ``tail`` in its dtype."""
+    return np.concatenate((column, np.asarray(tail, dtype=column.dtype)))
+
+
 class ColumnarStore:
     """The whole collection as contiguous parallel numpy columns.
 
-    Built by :func:`build_columnar_store`; immutable afterwards.  Row
-    order is the profile order the store was built from, so join/search
-    drivers index it by the same positions they use for ``profiles``
-    (plus a caller-side base offset for concatenated collections).
+    Built by :func:`build_columnar_store` and grown only by
+    :meth:`extend`.  Row order is the profile order the store was built
+    and extended from, so join/search drivers index it by the same
+    positions they use for ``profiles`` (plus a caller-side base offset
+    for concatenated collections).
     """
 
     __slots__ = (
@@ -188,50 +211,94 @@ class ColumnarStore:
         "sig_size",
         "vlab_len",
         "elab_len",
-        "prefix_length",
         "mergeable",
         "vlabel_ids",
         "elabel_ids",
     )
 
-    def __init__(
-        self,
-        source: Optional[object],
-        sig_offsets: "np.ndarray",
-        sig_values: "np.ndarray",
-        sig_counts: "np.ndarray",
-        lab_offsets: "np.ndarray",
-        lab_values: "np.ndarray",
-        lab_counts: "np.ndarray",
-        num_vertices: "np.ndarray",
-        num_edges: "np.ndarray",
-        d_path: "np.ndarray",
-        sig_size: "np.ndarray",
-        vlab_len: "np.ndarray",
-        elab_len: "np.ndarray",
-        prefix_length: "np.ndarray",
-        mergeable: "np.ndarray",
-        vlabel_ids: Dict[object, int],
-        elabel_ids: Dict[object, int],
+    def __init__(self) -> None:
+        """An empty store: no rows, no vocabulary, empty interners."""
+        self.source: Optional[object] = None
+        self.sig_offsets = np.zeros(1, dtype=np.int64)
+        self.sig_values = np.zeros(0, dtype=np.int64)
+        self.sig_counts = np.zeros(0, dtype=np.int64)
+        self.lab_offsets = np.zeros(1, dtype=np.int64)
+        self.lab_values = np.zeros(0, dtype=np.int64)
+        self.lab_counts = np.zeros(0, dtype=np.int64)
+        self.num_vertices = np.zeros(0, dtype=np.int64)
+        self.num_edges = np.zeros(0, dtype=np.int64)
+        self.d_path = np.zeros(0, dtype=np.int64)
+        self.sig_size = np.zeros(0, dtype=np.int64)
+        self.vlab_len = np.zeros(0, dtype=np.int64)
+        self.elab_len = np.zeros(0, dtype=np.int64)
+        self.mergeable = np.zeros(0, dtype=bool)
+        self.vlabel_ids: Dict[object, int] = {}
+        self.elabel_ids: Dict[object, int] = {}
+
+    def extend(
+        self, profiles: Sequence[QGramProfile], labels: Sequence[Tuple]
     ) -> None:
-        """Bind the finished columns (see :func:`build_columnar_store`)."""
-        self.source = source
-        self.sig_offsets = sig_offsets
-        self.sig_values = sig_values
-        self.sig_counts = sig_counts
-        self.lab_offsets = lab_offsets
-        self.lab_values = lab_values
-        self.lab_counts = lab_counts
-        self.num_vertices = num_vertices
-        self.num_edges = num_edges
-        self.d_path = d_path
-        self.sig_size = sig_size
-        self.vlab_len = vlab_len
-        self.elab_len = elab_len
-        self.prefix_length = prefix_length
-        self.mergeable = mergeable
-        self.vlabel_ids = vlabel_ids
-        self.elabel_ids = elabel_ids
+        """Append one row per profile, in order — the store's one encoder.
+
+        ``labels[i]`` is the ``(vertex, edge)`` label-multiset pair of
+        ``profiles[i].graph``.  A store without a vocabulary yet takes
+        the first signed profile's ``signature_source``; rows whose
+        profile carries no signature from it get an empty signature
+        segment and ``mergeable=False`` (the batch count kernel skips
+        them, the scalar cascade takes over).  Labels the store never
+        saw are interned after the existing ids, so the result equals
+        :func:`build_columnar_store` over all rows at once.  Every
+        column is rebound to a new, longer array; arrays handed out
+        before (``row`` views) keep the rows they had.
+        """
+        if self.source is None:
+            self.source = next(
+                (p.signature_source for p in profiles if p.signature is not None),
+                None,
+            )
+        source = self.source
+        sig_rows: List[Tuple["np.ndarray", "np.ndarray"]] = []
+        lab_rows: List[Tuple["np.ndarray", "np.ndarray"]] = []
+        scalars: List[Tuple[int, int, int, int, int, int]] = []
+        mergeable: List[bool] = []
+        for profile, pair in zip(profiles, labels):
+            row_mergeable = (
+                profile.signature is not None
+                and source is not None
+                and profile.signature_source is source
+            )
+            sig_rows.append(
+                _compress(Counter(profile.signature) if row_mergeable else Counter())
+            )
+            lab_rows.append(
+                _compress(_combined_labels(pair, self.vlabel_ids, self.elabel_ids))
+            )
+            g = profile.graph
+            scalars.append((
+                g.num_vertices,
+                g.num_edges,
+                profile.d_path,
+                profile.size,
+                sum(pair[0].values()),
+                sum(pair[1].values()),
+            ))
+            mergeable.append(row_mergeable)
+        self.sig_offsets, self.sig_values, self.sig_counts = _appended_csr(
+            self.sig_offsets, self.sig_values, self.sig_counts, sig_rows
+        )
+        self.lab_offsets, self.lab_values, self.lab_counts = _appended_csr(
+            self.lab_offsets, self.lab_values, self.lab_counts, lab_rows
+        )
+        (
+            num_vertices, num_edges, d_path, sig_size, vlab_len, elab_len,
+        ) = np.asarray(scalars, dtype=np.int64).reshape(-1, 6).T
+        self.num_vertices = _grown(self.num_vertices, num_vertices)
+        self.num_edges = _grown(self.num_edges, num_edges)
+        self.d_path = _grown(self.d_path, d_path)
+        self.sig_size = _grown(self.sig_size, sig_size)
+        self.vlab_len = _grown(self.vlab_len, vlab_len)
+        self.elab_len = _grown(self.elab_len, elab_len)
+        self.mergeable = _grown(self.mergeable, mergeable)
 
     def __len__(self) -> int:
         """Number of rows (graphs) in the store."""
@@ -312,77 +379,13 @@ class ColumnarStore:
 
 
 def build_columnar_store(
-    profiles: Sequence[QGramProfile],
-    labels: Sequence[Tuple],
-    prefix_lengths: Optional[Sequence[int]] = None,
+    profiles: Sequence[QGramProfile], labels: Sequence[Tuple]
 ) -> ColumnarStore:
     """Lay ``profiles`` (with their cached label pairs) out columnar.
 
-    ``labels[i]`` is the ``(vertex, edge)`` label-multiset pair of
-    ``profiles[i].graph``; ``prefix_lengths`` optionally records each
-    profile's chosen prefix length (zero when not supplied — the column
-    is informational, no kernel reads it).  The store's signature
-    vocabulary is the profiles' common ``signature_source``; rows whose
-    profile carries no signature from it are stored with an empty
-    signature segment and ``mergeable=False`` (the batch count kernel
-    skips them, the scalar cascade takes over).
+    An empty :class:`ColumnarStore` extended by every row at once; see
+    :meth:`ColumnarStore.extend` for the encoding.
     """
-    source = next(
-        (p.signature_source for p in profiles if p.signature is not None), None
-    )
-    n = len(profiles)
-    sig_rows: List[Tuple["np.ndarray", "np.ndarray"]] = []
-    lab_rows: List[Tuple["np.ndarray", "np.ndarray"]] = []
-    vlabel_ids: Dict[object, int] = {}
-    elabel_ids: Dict[object, int] = {}
-    num_vertices = np.zeros(n, dtype=np.int64)
-    num_edges = np.zeros(n, dtype=np.int64)
-    d_path = np.zeros(n, dtype=np.int64)
-    sig_size = np.zeros(n, dtype=np.int64)
-    vlab_len = np.zeros(n, dtype=np.int64)
-    elab_len = np.zeros(n, dtype=np.int64)
-    prefix_length = np.zeros(n, dtype=np.int64)
-    mergeable = np.zeros(n, dtype=bool)
-    for i, profile in enumerate(profiles):
-        g = profile.graph
-        num_vertices[i] = g.num_vertices
-        num_edges[i] = g.num_edges
-        d_path[i] = profile.d_path
-        sig_size[i] = profile.size
-        row_mergeable = (
-            profile.signature is not None
-            and source is not None
-            and profile.signature_source is source
-        )
-        mergeable[i] = row_mergeable
-        sig_rows.append(
-            _compress(Counter(profile.signature) if row_mergeable else Counter())
-        )
-        vlab_len[i] = sum(labels[i][0].values())
-        elab_len[i] = sum(labels[i][1].values())
-        lab_rows.append(
-            _compress(_combined_labels(labels[i], vlabel_ids, elabel_ids))
-        )
-    if prefix_lengths is not None:
-        prefix_length[:] = np.asarray(prefix_lengths, dtype=np.int64)
-    sig_offsets, sig_values, sig_counts = _csr(sig_rows)
-    lab_offsets, lab_values, lab_counts = _csr(lab_rows)
-    return ColumnarStore(
-        source=source,
-        sig_offsets=sig_offsets,
-        sig_values=sig_values,
-        sig_counts=sig_counts,
-        lab_offsets=lab_offsets,
-        lab_values=lab_values,
-        lab_counts=lab_counts,
-        num_vertices=num_vertices,
-        num_edges=num_edges,
-        d_path=d_path,
-        sig_size=sig_size,
-        vlab_len=vlab_len,
-        elab_len=elab_len,
-        prefix_length=prefix_length,
-        mergeable=mergeable,
-        vlabel_ids=vlabel_ids,
-        elabel_ids=elabel_ids,
-    )
+    store = ColumnarStore()
+    store.extend(profiles, labels)
+    return store

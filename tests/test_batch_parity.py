@@ -8,10 +8,11 @@ same result pairs in the same order, same distances, same prune-counter
 statistics and the same per-stage
 :class:`~repro.engine.result.StageStatistics` input/survivor counts —
 across join variants, thresholds, q-gram lengths, directed graphs,
-R×S joins, parallel workers, index queries with
-streaming inserts (overflow ids) and external query graphs, gram-less
-collections, and the empty collection.  The scalar path is the frozen
-oracle; these tests are the contract that lets the kernels evolve.
+R×S joins, parallel workers, index queries interleaved with streaming
+inserts (overflow ids, unseen labels, an extended store) and external
+query graphs, gram-less collections, and the empty collection.  The
+scalar path is the frozen oracle; these tests are the contract that
+lets the kernels evolve.
 
 Every test that touches the kernels skips without numpy; the
 resolution/error tests at the bottom run on the no-numpy CI job too.
@@ -34,6 +35,7 @@ from repro.engine.batch import MIN_BATCH_BLOCK as REAL_MIN_BATCH_BLOCK
 from repro.engine.executor import Executor
 from repro.exceptions import ParameterError
 from repro.graph.generators import random_labeled_graph
+from repro.graph.operations import perturb
 from repro.grams.columnar import HAVE_NUMPY
 from repro.runtime.budget import VerificationBudget
 
@@ -358,30 +360,84 @@ class TestOtherDriversParity:
 # --------------------------------------------------------------- search index
 
 
+def interleaved_index(batch, initial=18):
+    """Alternate inserts with queries on an index built over ``initial``
+    graphs; return the index, every query's matches and the statistics.
+
+    0, 1 or 2 inserts precede each query, in rotation, so every query
+    after the first insert runs against an extended store.  Half of the
+    inserted graphs are near-duplicates of the six query graphs, edited
+    with labels the construction never saw: their q-gram keys take
+    overflow ids and their labels new interner ids, and the second round
+    of queries finds them.
+    """
+    graphs = labeled_collection(28, seed=51)
+    bases = graphs[:3] + graphs[24:27]
+    rng = random.Random(57)
+    near = [
+        perturb(g, 2, rng, ["L3", "L4", "L5"], ["-", "="], f"near-{g.graph_id}")
+        for g in bases
+    ]
+    options = with_batch(GSimJoinOptions(), batch)
+    index = GSimIndex(graphs[:initial], tau_max=3, options=options)
+    arrivals = [g for pair in zip(graphs[18:24], near) for g in pair]
+    stats = JoinStatistics()
+    matches = []
+    for k, g in enumerate(bases + bases):
+        for _ in range(k % 3):
+            index.add(arrivals.pop(0))
+        for tau in (1, 3):
+            matches.append(index.query(g, tau, stats=stats))
+    assert not arrivals
+    return index, matches, stats
+
+
 @requires_numpy
 class TestIndexParity:
-    def _run(self, batch):
-        graphs = labeled_collection(28, seed=51)
-        options = with_batch(GSimJoinOptions(), batch)
-        index = GSimIndex(graphs[:18], tau_max=3, options=options)
-        stats = JoinStatistics()
-        matches = []
-        for g in graphs[18:24]:
-            # Streaming adds: unseen q-grams get overflow ids and
-            # invalidate the lazily built store.
-            index.add(g)
-        queries = graphs[:4] + graphs[24:]
-        for g in queries:
-            for tau in (1, 3):
-                matches.append(index.query(g, tau, stats=stats))
-        return matches, stats
-
     def test_queries_with_streaming_adds(self):
-        batched_matches, batched_stats = self._run(True)
-        scalar_matches, scalar_stats = self._run(False)
-        assert batched_matches == scalar_matches
-        assert_stat_parity(batched_stats, scalar_stats)
-        assert stage_rows(batched_stats) == stage_rows(scalar_stats)
+        for initial in (18, 0):
+            _, batched_matches, batched_stats = interleaved_index(True, initial)
+            _, scalar_matches, scalar_stats = interleaved_index(False, initial)
+            assert batched_matches == scalar_matches
+            assert_stat_parity(batched_stats, scalar_stats)
+            assert stage_rows(batched_stats) == stage_rows(scalar_stats)
+
+    @pytest.mark.parametrize("initial", [18, 0])
+    def test_store_is_extended_not_rebuilt(self, initial, monkeypatch):
+        """The index keeps one store for its life: the first batched
+        query builds it, later queries extend it, and the result equals
+        a fresh build over the index's profiles and labels."""
+        import numpy as np
+
+        from repro.grams.columnar import ColumnarStore, build_columnar_store
+
+        built = []
+
+        def counting_build(profiles, *args, **kwargs):
+            built.append(len(profiles))
+            return build_columnar_store(profiles, *args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.core.search.build_columnar_store", counting_build
+        )
+        index, _, _ = interleaved_index(True, initial)
+        # An empty index has no store until its first insert.
+        assert built == [initial or 1]
+        store = index._store
+        fresh = build_columnar_store(index._profiles, index._labels)
+        assert len(store) == len(fresh) == len(index)
+        assert store.source is fresh.source is not None
+        assert store.vlabel_ids == fresh.vlabel_ids
+        assert store.elabel_ids == fresh.elabel_ids
+        columns = [
+            name
+            for name in ColumnarStore.__slots__
+            if name not in ("source", "vlabel_ids", "elabel_ids")
+        ]
+        for name in columns:
+            got, want = getattr(store, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
     def test_external_query_with_unseen_labels(self):
         graphs = labeled_collection(20, seed=53, num_labels=2)
