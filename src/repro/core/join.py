@@ -13,7 +13,10 @@ Three variants reproduce the paper's lines:
 * ``GSimJoinOptions.minedit()`` — "+ MinEdit": Algorithm 4 prefixes and
   the improved A* vertex order;
 * ``GSimJoinOptions.full()``    — "+ Local Label": additionally the
-  local label filter and the improved A* heuristic.
+  local label filter (Algorithm 5).  The paper's improved A* heuristic
+  (Algorithm 8) is not run by any variant: in this implementation it
+  cost more verification time than it saved (``docs/PERFORMANCE.md``),
+  so every variant verifies with the ``Γ(L_V) + Γ(L_E)`` label bound.
 
 Graphs whose whole q-gram multiset can be affected by ``τ`` edits
 (including graphs with fewer than ``q+1`` vertices, which have *no*

@@ -182,7 +182,8 @@ def _options_meta(options: GSimJoinOptions) -> dict:
     The batch kernels are bit-identical to the scalar cascade, so a
     journal written under either mode must resume under the other (and
     reproduce the pre-batch header).  A journal whose header still
-    carries a ``plan`` (a cascade order) is from a different run.
+    carries a deleted option (``plan``, ``anchor_bound``, ``interned``
+    or ``improved_h``) is from a different run.
     """
     options_dict = dataclasses.asdict(options)
     options_dict.pop("batch", None)

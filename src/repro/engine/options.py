@@ -39,8 +39,6 @@ class GSimJoinOptions:
         Apply local label filtering during verification (Algorithm 5).
     improved_order:
         Map mismatching-q-gram vertices first in A* (Algorithm 7).
-    improved_h:
-        Use the local-label-enhanced heuristic in A* (Algorithm 8).
     multicover:
         Additionally apply the set-multicover minimum-edit bound over
         partially matched surplus keys — a sound extension beyond the
@@ -76,7 +74,6 @@ class GSimJoinOptions:
     minedit_prefix: bool = True
     local_label: bool = True
     improved_order: bool = True
-    improved_h: bool = True
     multicover: bool = False
     verifier: str = "compiled"
     batch: Optional[bool] = None
@@ -85,25 +82,25 @@ class GSimJoinOptions:
     def basic(cls, q: int = 4) -> "GSimJoinOptions":
         """The paper's *Basic GSimJoin* configuration."""
         return cls(q=q, minedit_prefix=False, local_label=False,
-                   improved_order=False, improved_h=False)
+                   improved_order=False)
 
     @classmethod
     def minedit(cls, q: int = 4) -> "GSimJoinOptions":
         """The paper's *+ MinEdit* configuration."""
         return cls(q=q, minedit_prefix=True, local_label=False,
-                   improved_order=True, improved_h=False)
+                   improved_order=True)
 
     @classmethod
     def full(cls, q: int = 4) -> "GSimJoinOptions":
         """The paper's *+ Local Label* (complete GSimJoin) configuration."""
         return cls(q=q, minedit_prefix=True, local_label=True,
-                   improved_order=True, improved_h=True)
+                   improved_order=True)
 
     @classmethod
     def extended(cls, q: int = 4) -> "GSimJoinOptions":
         """``full()`` plus this library's multicover filter extension."""
         return cls(q=q, minedit_prefix=True, local_label=True,
-                   improved_order=True, improved_h=True, multicover=True)
+                   improved_order=True, multicover=True)
 
     def with_q(self, q: int) -> "GSimJoinOptions":
         """This configuration with a different q-gram length."""

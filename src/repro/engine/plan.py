@@ -135,7 +135,6 @@ def build_plan(options: GSimJoinOptions) -> JoinPlan:
         Verify(
             verifier=options.verifier,
             improved_order=options.improved_order,
-            improved_h=options.improved_h,
         ),
     )
     return JoinPlan(stages=stages)

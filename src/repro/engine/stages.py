@@ -343,18 +343,15 @@ class Verify:
     :data:`repro.ged.portfolio.BACKENDS` — the compiled integer-array
     A*, the DFS branch-and-bound, or the
     ``"auto"`` per-pair hardness dispatcher — and wraps it with the
-    improved vertex order (Algorithm 7), the improved heuristic
-    (Algorithm 8), budget-bounded verdicts, and the
-    :class:`VerificationCache`'s pair-level verdict memo.
+    improved vertex order (Algorithm 7), budget-bounded verdicts, and
+    the :class:`VerificationCache`'s pair-level verdict memo.
     """
 
     name = "verify"
     role = "verify"
-    __slots__ = ("verifier", "improved_order", "improved_h", "_backend")
+    __slots__ = ("verifier", "improved_order", "_backend")
 
-    def __init__(
-        self, verifier: str, improved_order: bool, improved_h: bool
-    ) -> None:
+    def __init__(self, verifier: str, improved_order: bool) -> None:
         """Configure the GED backend and its optimizations.
 
         Raises
@@ -364,7 +361,6 @@ class Verify:
         """
         self.verifier = verifier
         self.improved_order = improved_order
-        self.improved_h = improved_h
         self._backend = resolve_backend(verifier)
 
     @property
@@ -421,10 +417,7 @@ class Verify:
         )
         backend = self._backend.select(r, s, tau, ctx.labels_r, ctx.labels_s)
         started = time.perf_counter()
-        search = backend.verify(
-            r, s, tau, budget,
-            order=order, improved_h=self.improved_h, q=p_r.q, cache=cache,
-        )
+        search = backend.verify(r, s, tau, budget, order=order, cache=cache)
         elapsed = time.perf_counter() - started
         if cache is not None:
             cache.record_verdict(r, s, tau, search)

@@ -19,25 +19,26 @@ count arrays — and running a rewritten A* core over those arrays:
   rebuilt per expansion from the used bitmask, and each child applies
   O(deg) do/undo counter deltas instead of re-deriving the bound;
 * the completion cost of the unmatched part of ``s`` falls out of the
-  same remainder sizes for free;
-* the gated local-label term of the improved heuristic (Algorithm 8)
-  delegates to :func:`repro.ged.heuristics.local_label_terms` — the
-  exact code the object backend runs — and additionally memoizes the
-  value per ``(depth, used)`` remainder pair, which is sound because
-  the term is a pure function of the two remainders.
+  same remainder sizes for free.
+
+The search runs that one heuristic.  The paper's improved ``h(x)``
+(Algorithm 8's local-label term) is not added: computed per remainder
+it cost about 40 % of verification time in the join while pruning 0.5 %
+of the expansions (``docs/PERFORMANCE.md``), so it lives on only in
+:func:`repro.ged.heuristics.make_local_label_heuristic` for the object
+A*, where the Fig 6(e) bench measures it.
 
 Compilation is cached per graph in a :class:`VerificationCache` shared
 across all candidate pairs of a join (each graph appears in many
-pairs), together with the label interners and the subgraph-profile
-memo of the gated heuristic term.
+pairs), together with the label interners.
 
-**Bit-identical contract.**  The backend reproduces the object A*
-exactly: identical distances, ``exceeded_threshold`` decisions,
-expansion/generation counts, and — under a
-:class:`~repro.runtime.budget.VerificationBudget` — identical
-``lower``/``upper`` bounded verdicts, because states carry identical
-``f`` values and are generated in the same order with the same
-tie-breaking.
+**Bit-identical contract.**  The backend reproduces the object A* run
+with :func:`~repro.ged.heuristics.label_heuristic` exactly: identical
+distances, ``exceeded_threshold`` decisions, expansion/generation
+counts, and — under a :class:`~repro.runtime.budget.VerificationBudget`
+— identical ``lower``/``upper`` bounded verdicts, because states carry
+identical ``f`` values and are generated in the same order with the
+same tie-breaking.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError, SearchExhaustedError
 from repro.ged.astar import GedSearchResult
-from repro.ged.heuristics import local_label_terms
 from repro.graph.graph import Graph, Vertex
 from repro.runtime.budget import VerificationBudget
 
@@ -100,8 +100,8 @@ class CompiledGraph:
     touching ``v`` as ``(other_endpoint, edge_label_id)`` — both
     orientations for directed graphs — for O(deg) resident-edge counter
     deltas.  The original :class:`Graph` is retained (keeping its
-    ``id()`` stable for the cache and serving the object-level
-    delegation of the gated heuristic term).
+    ``id()`` stable for the cache and serving the DFS backend's
+    bipartite incumbent).
     """
 
     __slots__ = (
@@ -200,8 +200,7 @@ class VerificationCache:
     """Per-collection compilation cache shared across candidate pairs.
 
     Holds the two label interners, the ``id(graph) -> CompiledGraph``
-    memo, and the subgraph-profile memo backing the gated local-label
-    heuristic term.  **Lifetime rule:** entries are keyed by object
+    memo and the pair-level verdict memo.  **Lifetime rule:** entries are keyed by object
     identity and each :class:`CompiledGraph` retains a reference to its
     source graph, so a cached id can never be recycled while the cache
     lives — but the cache must not outlive the *collection*: create one
@@ -214,7 +213,6 @@ class VerificationCache:
     __slots__ = (
         "vertex_labels",
         "edge_labels",
-        "subgraph_cache",
         "_compiled",
         "compile_seconds",
         "hits",
@@ -226,9 +224,6 @@ class VerificationCache:
     def __init__(self) -> None:
         self.vertex_labels = LabelInterner()
         self.edge_labels = LabelInterner()
-        #: Memo for :func:`repro.ged.heuristics.subgraph_entry` — shared
-        #: across pairs (values are pure functions of the subgraph).
-        self.subgraph_cache: dict = {}
         self._compiled: Dict[int, CompiledGraph] = {}
         self.compile_seconds: float = 0.0
         self.hits: int = 0
@@ -411,45 +406,16 @@ def _greedy_upper_int(
     return total + _completion_cost_int(cs, used)
 
 
-def _gated_extra(
-    cr: CompiledGraph,
-    cs: CompiledGraph,
-    r_rest: frozenset,
-    used: int,
-    q: int,
-    tau: int,
-    subgraph_cache: dict,
-) -> int:
-    """Algorithm 8's local-label term, delegated to the object machinery.
-
-    Reconstructs the original-vertex remainder sets and calls
-    :func:`repro.ged.heuristics.local_label_terms` — byte-for-byte the
-    computation the object backend's improved heuristic performs, so
-    values (and therefore search trajectories) stay identical.
-    """
-    s_vertices = cs.vertices
-    s_rest = frozenset(
-        s_vertices[v] for v in range(cs.n) if not (used >> v) & 1
-    )
-    return local_label_terms(
-        cr.graph, cs.graph, r_rest, s_rest, q, tau, subgraph_cache
-    )
-
-
 def compiled_ged_detailed(
     cr: CompiledGraph,
     cs: CompiledGraph,
     threshold: Optional[int] = None,
     vertex_order: Optional[Sequence[int]] = None,
     budget: Optional[VerificationBudget] = None,
-    improved_h: bool = False,
-    q: int = 0,
-    h_tau: int = 0,
-    max_remaining: Optional[int] = 8,
-    subgraph_cache: Optional[dict] = None,
 ) -> GedSearchResult:
     """A* over compiled graphs — the integer twin of
-    :func:`repro.ged.astar.graph_edit_distance_detailed`.
+    :func:`repro.ged.astar.graph_edit_distance_detailed` with
+    :func:`~repro.ged.heuristics.label_heuristic`.
 
     Parameters
     ----------
@@ -459,16 +425,6 @@ def compiled_ged_detailed(
         ``lower ≤ ged ≤ upper`` bounded verdict on budget exhaustion.
     vertex_order:
         Mapping order as dense ``r`` indices; defaults to ``0..n-1``.
-    improved_h / q / h_tau / max_remaining:
-        ``improved_h=False`` is the plain remaining-label heuristic
-        (:func:`~repro.ged.heuristics.label_heuristic`); ``True`` adds
-        the gated local-label term of Algorithm 8 with q-gram length
-        ``q``, cap ``h_tau`` and remainder gate ``max_remaining`` —
-        the same configuration ``make_local_label_heuristic`` builds.
-    subgraph_cache:
-        Memo for the gated term's subgraph profiles, normally
-        :attr:`VerificationCache.subgraph_cache` so extraction is paid
-        once per distinct remainder across the whole join.
 
     Raises
     ------
@@ -538,20 +494,6 @@ def compiled_ged_detailed(
     for _x, _y, el in s_edges:
         se_full[el] += 1
 
-    # Original-vertex remainder sets per depth, for the gated term.
-    gated = improved_h
-    if gated:
-        r_vertices = cr.vertices
-        r_rest_sets: List[frozenset] = [
-            frozenset(r_vertices[pos_v] for pos_v in order[d:])
-            for d in range(n + 1)
-        ]
-    else:
-        r_rest_sets = []
-    gated_cache: Dict[Tuple[int, int], int] = {}
-    if subgraph_cache is None:
-        subgraph_cache = {}
-
     counter = itertools.count()
     expanded = 0
     generated = 0
@@ -568,14 +510,6 @@ def compiled_ged_detailed(
         a, b = re0[label_id], se_full[label_id]
         ie0 += a if a < b else b
     start_f = (max(n, m) - iv0) + (max(resize[0], num_s_edges) - ie0)
-    if gated and n and m and start_f <= h_tau and (
-        max_remaining is None or (n <= max_remaining and m <= max_remaining)
-    ):
-        extra = _gated_extra(
-            cr, cs, r_rest_sets[0], 0, q, h_tau, subgraph_cache
-        )
-        if extra > start_f:
-            start_f = extra
 
     if n == 0:
         distance = m + num_s_edges
@@ -733,28 +667,6 @@ def compiled_ged_detailed(
                 gv = rvsize1 if rvsize1 > sv_size2 else sv_size2
                 ge = resize1 if resize1 > se_size2 else se_size2
                 h2 = (gv - iv2) + (ge - ie2)
-                if gated and h2 <= h_tau and sv_size2 and (
-                    max_remaining is None
-                    or (
-                        n - k1 <= max_remaining
-                        and sv_size2 <= max_remaining
-                    )
-                ):
-                    gate_key = (k1, used2)
-                    extra = gated_cache.get(gate_key)
-                    if extra is None:
-                        extra = _gated_extra(
-                            cr,
-                            cs,
-                            r_rest_sets[k1],
-                            used2,
-                            q,
-                            h_tau,
-                            subgraph_cache,
-                        )
-                        gated_cache[gate_key] = extra
-                    if extra > h2:
-                        h2 = extra
             f2 = g2 + h2
             if threshold is not None and f2 > threshold:
                 continue

@@ -35,11 +35,11 @@ implementation to cross-check the A* search in the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError, SearchExhaustedError
 from repro.ged.astar import GedSearchResult, _completion_cost, _extension_cost
-from repro.ged.compiled import CompiledGraph, _gated_extra
+from repro.ged.compiled import CompiledGraph
 from repro.ged.heuristics import Heuristic, label_heuristic
 from repro.graph.graph import Graph, Vertex
 from repro.runtime.budget import VerificationBudget
@@ -232,11 +232,6 @@ def dfs_ged_compiled(
     threshold: Optional[int] = None,
     vertex_order: Optional[Sequence[int]] = None,
     budget: Optional[VerificationBudget] = None,
-    improved_h: bool = False,
-    q: int = 0,
-    h_tau: int = 0,
-    max_remaining: Optional[int] = 8,
-    subgraph_cache: Optional[dict] = None,
     initial_upper_bound: Optional[int] = None,
 ) -> GedSearchResult:
     """DF-GED over compiled graphs — the integer twin of :func:`dfs_ged`.
@@ -248,9 +243,8 @@ def dfs_ged_compiled(
     so, unlike the A*, the search never materializes a frontier and its
     resident state stays O(|V| + labels).
 
-    Parameters mirror the compiled A*: ``improved_h``/``q``/``h_tau``/
-    ``max_remaining``/``subgraph_cache`` configure the gated local-label
-    heuristic term (Algorithm 8), ``budget`` degrades to a bounded
+    Parameters mirror the compiled A*, whose ``Γ(L_V) + Γ(L_E)`` label
+    bound is also the heuristic here; ``budget`` degrades to a bounded
     verdict (``lower`` = admissible root ``f``, ``upper`` = cheapest
     achieved mapping), and the result is a
     :class:`~repro.ged.astar.GedSearchResult`.
@@ -328,19 +322,6 @@ def dfs_ged_compiled(
     for x, y, el in cs.edge_list:
         se[el] += 1
 
-    gated = improved_h
-    if gated:
-        r_vertices = cr.vertices
-        r_rest_sets: List[frozenset] = [
-            frozenset(r_vertices[pos_v] for pos_v in order[d:])
-            for d in range(n + 1)
-        ]
-    else:
-        r_rest_sets = []
-    gated_cache: Dict[Tuple[int, int], int] = {}
-    if subgraph_cache is None:
-        subgraph_cache = {}
-
     # ---- admissible root estimate (exhaustion lower bound) ---------------
     iv0 = 0
     rv0 = rv_depth[0]
@@ -353,12 +334,6 @@ def dfs_ged_compiled(
         a, b = re0[label_id], se[label_id]
         ie0 += a if a < b else b
     root_f = (max(n, m) - iv0) + (max(resize[0], num_s_edges) - ie0)
-    if gated and m and root_f <= h_tau and (
-        max_remaining is None or (n <= max_remaining and m <= max_remaining)
-    ):
-        extra = _gated_extra(cr, cs, r_rest_sets[0], 0, q, h_tau, subgraph_cache)
-        if extra > root_f:
-            root_f = extra
 
     cut = incumbent if threshold is None else min(incumbent, threshold + 1)
     best = cut
@@ -456,13 +431,11 @@ def dfs_ged_compiled(
 
             # --- child heuristic from the incremental remainders ---------
             if v < 0:
-                used2 = used
                 sv_size2 = sv_size
                 se_size2 = se_size
                 iv2 = iv_base
                 ie2 = ie_base
             else:
-                used2 = used | (1 << v)
                 sv_size2 = sv_size - 1
                 label_id = svlab[v]
                 iv2 = iv_base - (1 if sv[label_id] <= rv1[label_id] else 0)
@@ -486,28 +459,6 @@ def dfs_ged_compiled(
                 gv = rvsize1 if rvsize1 > sv_size2 else sv_size2
                 ge = resize1 if resize1 > se_size2 else se_size2
                 h2 = (gv - iv2) + (ge - ie2)
-                if gated and h2 <= h_tau and sv_size2 and (
-                    max_remaining is None
-                    or (
-                        n - k1 <= max_remaining
-                        and sv_size2 <= max_remaining
-                    )
-                ):
-                    gate_key = (k1, used2)
-                    extra = gated_cache.get(gate_key)
-                    if extra is None:
-                        extra = _gated_extra(
-                            cr,
-                            cs,
-                            r_rest_sets[k1],
-                            used2,
-                            q,
-                            h_tau,
-                            subgraph_cache,
-                        )
-                        gated_cache[gate_key] = extra
-                    if extra > h2:
-                        h2 = extra
             if g2 + h2 >= best:
                 continue
             successors.append((g2, h2, v))

@@ -9,7 +9,9 @@ mapping, keeping A* exact:
   paper notes "becomes exactly the result of global label filtering");
 * :func:`make_local_label_heuristic` — the paper's *improved h(x)*
   (Algorithm 8): the maximum of the global label bound and both-direction
-  local label filtering bounds computed on the remaining subgraphs.
+  local label filtering bounds computed on the remaining subgraphs.  Only
+  the object A* runs it (the Fig 6(e) bench and the tests); the join's
+  compiled verifiers run the ``Γ`` bound alone, which measured faster.
 
 Admissibility notes.  The remaining part ``r_q`` contributes its
 unmapped vertices and the edges *resident* on them (at least one
@@ -37,8 +39,6 @@ __all__ = [
     "zero_heuristic",
     "label_heuristic",
     "make_local_label_heuristic",
-    "local_label_terms",
-    "subgraph_entry",
 ]
 
 #: Heuristic signature: (r, s, unmapped r vertices, unused s vertices) -> int.
@@ -78,82 +78,48 @@ def label_heuristic(
     return _remaining_label_bound(r, s, r_rest, s_rest)
 
 
-def subgraph_entry(g: Graph, rest: frozenset, q: int, cache: dict) -> tuple:
-    """Memoized ``(subgraph, q-gram profile, label multisets)`` of a remainder.
-
-    Keyed by ``(id(g), rest)`` so one cache may serve many graphs — the
-    compiled backend shares a single cache across every candidate pair
-    of a join, while :func:`make_local_label_heuristic` keeps a
-    per-pair cache.  Both produce identical values: the entry is a pure
-    function of the induced subgraph.
-    """
-    key = (id(g), rest)
-    entry = cache.get(key)
-    if entry is None:
-        sub = g.subgraph(rest)
-        profile = extract_qgrams(sub, q)
-        labels = (sub.vertex_label_multiset(), sub.edge_label_multiset())
-        entry = (sub, profile, labels)
-        cache[key] = entry
-    return entry
-
-
-def local_label_terms(
-    r: Graph,
-    s: Graph,
-    r_rest: frozenset,
-    s_rest: frozenset,
-    q: int,
-    tau: int,
-    cache: dict,
-) -> int:
-    """``max(ε₄, ε₅)`` — Algorithm 8's local-label term on the remainders.
-
-    Both-direction local label filtering bounds evaluated on the
-    *induced* remaining subgraphs (see the module docstring for the
-    admissibility argument).  ``cache`` memoizes subgraph extraction via
-    :func:`subgraph_entry`; the comparison itself runs per call.
-    """
-    r_sub, p_r, r_labels = subgraph_entry(r, r_rest, q, cache)
-    s_sub, p_s, s_labels = subgraph_entry(s, s_rest, q, cache)
-    mismatch = compare_qgrams(p_r, p_s)
-    eps2 = local_label_lower_bound(
-        mismatch.mismatch_r, r_sub, s_sub, tau,
-        other_labels=s_labels, required_keys=mismatch.absent_keys_r,
-    )
-    eps3 = local_label_lower_bound(
-        mismatch.mismatch_s, s_sub, r_sub, tau,
-        other_labels=r_labels, required_keys=mismatch.absent_keys_s,
-    )
-    return max(eps2, eps3)
-
-
 def make_local_label_heuristic(
     q: int, tau: int, max_remaining: Optional[int] = 8
 ) -> Heuristic:
-    """Build the paper's improved ``h(x)`` (Algorithm 8).
+    """Build the paper's improved ``h(x)`` (Algorithm 8) for the object A*.
 
     ``q`` is the q-gram length; ``tau`` caps the per-component exact
     min-edit searches (the search never needs values beyond ``τ + 1``).
+    The value is ``max(ε₁, ε₄, ε₅)``: the ``Γ`` bound, and both-direction
+    local label filtering bounds evaluated on the *induced* remaining
+    subgraphs (see the module docstring for the admissibility argument).
 
-    The returned heuristic memoizes subgraph profiles by remaining
-    vertex set: the fixed mapping order makes every ``r``-side remainder
-    depend only on the search depth (n distinct sets per A* run), and
-    ``s``-side remainders recur across branches, so the dominant cost —
-    q-gram extraction — is paid once per distinct remainder.
+    The returned heuristic memoizes each remainder's subgraph, q-gram
+    profile and label multisets by remaining vertex set: the fixed
+    mapping order makes every ``r``-side remainder depend only on the
+    search depth (n distinct sets per A* run), and ``s``-side
+    remainders recur across branches, so the dominant cost — q-gram
+    extraction — is paid once per distinct remainder.
 
-    ``max_remaining`` gates the expensive local-label term to states
-    whose remainder has at most that many vertices (where both the bulk
-    of the search states live and extraction is cheap); larger remainders
-    fall back to the ``Γ`` bound.  The gate trades heuristic strength
-    for per-state cost without affecting admissibility — pass ``None``
-    to evaluate Algorithm 8 at every state, as the paper's C++
+    ``max_remaining`` gates the local-label term to states whose
+    remainders have at most that many vertices; larger remainders fall
+    back to the ``Γ`` bound.  The gate trades heuristic strength for
+    per-state cost without affecting admissibility — pass ``None`` to
+    evaluate Algorithm 8 at every state, as the paper's C++
     implementation does (it prunes the most states but is far slower in
-    CPython; ``bench_ablation_heuristic_gate`` quantifies the sweep and
-    picked the default of 8).
+    CPython).  ``bench_ablation_heuristic_gate`` sweeps the gate: on its
+    PROTEIN-like pairs at τ=4, 8 (the default here) took 9.52 s against
+    9.02 s at 0, where the term never fires.  The join's verifiers
+    therefore run :func:`label_heuristic` alone; this heuristic serves
+    the Fig 6(e) bench, the gate ablation and the tests.
     """
 
     profile_cache: dict = {}
+
+    def remainder(g: Graph, rest: frozenset) -> tuple:
+        key = (id(g), rest)
+        entry = profile_cache.get(key)
+        if entry is None:
+            sub = g.subgraph(rest)
+            labels = (sub.vertex_label_multiset(), sub.edge_label_multiset())
+            entry = (sub, extract_qgrams(sub, q), labels)
+            profile_cache[key] = entry
+        return entry
 
     def improved_h(
         r: Graph, s: Graph, r_rest: Sequence[Vertex], s_rest: AbstractSet[Vertex]
@@ -165,9 +131,17 @@ def make_local_label_heuristic(
             len(r_rest) > max_remaining or len(s_rest) > max_remaining
         ):
             return eps1
-        extra = local_label_terms(
-            r, s, frozenset(r_rest), frozenset(s_rest), q, tau, profile_cache
+        r_sub, p_r, r_labels = remainder(r, frozenset(r_rest))
+        s_sub, p_s, s_labels = remainder(s, frozenset(s_rest))
+        mismatch = compare_qgrams(p_r, p_s)
+        eps4 = local_label_lower_bound(
+            mismatch.mismatch_r, r_sub, s_sub, tau,
+            other_labels=s_labels, required_keys=mismatch.absent_keys_r,
         )
-        return max(eps1, extra)
+        eps5 = local_label_lower_bound(
+            mismatch.mismatch_s, s_sub, r_sub, tau,
+            other_labels=r_labels, required_keys=mismatch.absent_keys_s,
+        )
+        return max(eps1, eps4, eps5)
 
     return improved_h

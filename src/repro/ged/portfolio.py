@@ -1,9 +1,10 @@
 """The verifier portfolio: the exact-GED backends behind one surface.
 
 The Verify stage runs every filter survivor through an exact
-threshold search (the paper's A*, Algorithms 7–8) and picks the search
-by name — ``GSimJoinOptions.verifier``.  :data:`BACKENDS` maps every
-accepted name to a backend singleton:
+threshold search (the paper's A* with Algorithm 7's vertex order; every
+backend bounds a state by the ``Γ(L_V) + Γ(L_E)`` label bound) and
+picks the search by name — ``GSimJoinOptions.verifier``.
+:data:`BACKENDS` maps every accepted name to a backend singleton:
 
 * ``"compiled"`` — the integer-array A* of :mod:`repro.ged.compiled`,
   the default (bit-identical to the object-graph A* of
@@ -75,8 +76,6 @@ class VerifierBackend:
         budget: Optional[VerificationBudget] = None,
         *,
         order: Optional[Sequence[Vertex]] = None,
-        improved_h: bool = False,
-        q: int = 0,
         cache: Optional[VerificationCache] = None,
     ) -> GedSearchResult:
         """Decide ``ged(r, s) <= tau`` (exactly, or bounded under budget).
@@ -114,7 +113,7 @@ def _compile_pair(
     int_order = (
         None if order is None else [cr.index_of[v] for v in order]
     )
-    return cr, cs, int_order, cache
+    return cr, cs, int_order
 
 
 class CompiledAStarBackend(VerifierBackend):
@@ -132,15 +131,11 @@ class CompiledAStarBackend(VerifierBackend):
         budget: Optional[VerificationBudget] = None,
         *,
         order: Optional[Sequence[Vertex]] = None,
-        improved_h: bool = False,
-        q: int = 0,
         cache: Optional[VerificationCache] = None,
     ) -> GedSearchResult:
-        cr, cs, int_order, cache = _compile_pair(r, s, cache, order)
+        cr, cs, int_order = _compile_pair(r, s, cache, order)
         return compiled_ged_detailed(
-            cr, cs, threshold=tau, vertex_order=int_order, budget=budget,
-            improved_h=improved_h, q=q, h_tau=tau,
-            subgraph_cache=cache.subgraph_cache,
+            cr, cs, threshold=tau, vertex_order=int_order, budget=budget
         )
 
 
@@ -158,15 +153,11 @@ class DfsBackend(VerifierBackend):
         budget: Optional[VerificationBudget] = None,
         *,
         order: Optional[Sequence[Vertex]] = None,
-        improved_h: bool = False,
-        q: int = 0,
         cache: Optional[VerificationCache] = None,
     ) -> GedSearchResult:
-        cr, cs, int_order, cache = _compile_pair(r, s, cache, order)
+        cr, cs, int_order = _compile_pair(r, s, cache, order)
         return dfs_ged_compiled(
-            cr, cs, threshold=tau, vertex_order=int_order, budget=budget,
-            improved_h=improved_h, q=q, h_tau=tau,
-            subgraph_cache=cache.subgraph_cache,
+            cr, cs, threshold=tau, vertex_order=int_order, budget=budget
         )
 
 
@@ -199,13 +190,10 @@ class AutoBackend(VerifierBackend):
         budget: Optional[VerificationBudget] = None,
         *,
         order: Optional[Sequence[Vertex]] = None,
-        improved_h: bool = False,
-        q: int = 0,
         cache: Optional[VerificationCache] = None,
     ) -> GedSearchResult:
         return self.select(r, s, tau).verify(
-            r, s, tau, budget, order=order, improved_h=improved_h, q=q,
-            cache=cache,
+            r, s, tau, budget, order=order, cache=cache
         )
 
     def select(

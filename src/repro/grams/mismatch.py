@@ -23,11 +23,13 @@ Two implementations produce bit-identical results:
   builds :class:`~repro.grams.qgrams.QGram` objects for the mismatch
   runs only (:meth:`~repro.grams.qgrams.QGramProfile.instances`);
 * the **Counter path** — the historical Counter-based computation over
-  object keys, taken by every profile without a total signature: the
-  unsorted subgraph profiles of the improved A* heuristic
-  (:func:`repro.ged.heuristics.local_label_terms`) and ``GSimIndex``
-  profiles carrying overflow ids.  The property tests also use it as
-  the oracle of the merge.
+  object keys, taken by every profile without a total signature.  In
+  the join's code the only such profiles are ``GSimIndex`` profiles
+  carrying overflow ids (graphs inserted with q-grams unseen at build
+  time); the object A*'s improved heuristic
+  (:func:`repro.ged.heuristics.make_local_label_heuristic`) compares
+  unsorted subgraph profiles on it too.  The property tests also use
+  it as the oracle of the merge.
 """
 
 from __future__ import annotations

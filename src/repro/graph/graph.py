@@ -315,12 +315,19 @@ class Graph:
         return g
 
     def subgraph(self, vertices: Iterable[Vertex]) -> "Graph":
-        """Return the subgraph induced by ``vertices`` (same vertex ids)."""
+        """Return the subgraph induced by ``vertices`` (same vertex ids).
+
+        Vertices and edges keep this graph's insertion order, whatever
+        the order (or hash order) of ``vertices``.
+        """
         keep = set(vertices)
+        for v in keep:
+            self.vertex_label(v)  # raises GraphError on an unknown vertex
         g = Graph(self.graph_id, directed=self._directed)
-        for v in keep:
-            g.add_vertex(v, self.vertex_label(v))
-        for v in keep:
+        for v, label in self._labels.items():
+            if v in keep:
+                g.add_vertex(v, label)
+        for v in g._labels:
             for u, label in self._adj[v].items():
                 if u in keep and not g.has_edge(v, u):
                     g.add_edge(v, u, label)

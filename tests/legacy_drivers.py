@@ -29,7 +29,8 @@ longer ships, as oracles for the engine's one path:
   Counter path and minimum edit filtering runs the paper's double
   binary search (``tests/test_vocab.py``);
 * ``verifier="astar"`` (or ``"object"``) verifies with the object-graph
-  A* of ``repro.ged.astar`` (``tests/test_compiled_ged.py``).
+  A* of ``repro.ged.astar`` and ``label_heuristic``, the heuristic the
+  join's verifiers run (``tests/test_compiled_ged.py``).
 
 Do not "improve" this file; it is deliberately frozen history.
 """
@@ -53,7 +54,7 @@ from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
 from repro.exceptions import ParameterError
 from repro.ged.astar import graph_edit_distance_detailed
 from repro.ged.compiled import VerificationCache, compiled_ged_detailed
-from repro.ged.heuristics import label_heuristic, make_local_label_heuristic
+from repro.ged.heuristics import label_heuristic
 from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.labels import (
     global_label_lower_bound,
@@ -103,7 +104,6 @@ def legacy_verify_pair(
     labels_s,
     use_local_label,
     improved_order,
-    improved_h,
     stats=None,
     use_multicover=False,
     verifier="astar",
@@ -168,11 +168,8 @@ def legacy_verify_pair(
             )
         from repro.ged.dfs import dfs_ged
 
-        heuristic = (
-            make_local_label_heuristic(p_r.q, tau) if improved_h else label_heuristic
-        )
         search = dfs_ged(
-            r, s, threshold=tau, heuristic=heuristic, vertex_order=order
+            r, s, threshold=tau, heuristic=label_heuristic, vertex_order=order
         )
     elif verifier == "compiled":
         if cache is None:
@@ -183,15 +180,10 @@ def legacy_verify_pair(
         int_order = [index_of[v] for v in order]
         search = compiled_ged_detailed(
             cr, cs, threshold=tau, vertex_order=int_order, budget=budget,
-            improved_h=improved_h, q=p_r.q, h_tau=tau,
-            subgraph_cache=cache.subgraph_cache,
         )
     elif verifier in ("astar", "object"):
-        heuristic = (
-            make_local_label_heuristic(p_r.q, tau) if improved_h else label_heuristic
-        )
         search = graph_edit_distance_detailed(
-            r, s, threshold=tau, heuristic=heuristic, vertex_order=order,
+            r, s, threshold=tau, heuristic=label_heuristic, vertex_order=order,
             budget=budget,
         )
     else:
@@ -426,7 +418,6 @@ def legacy_gsim_join(
                         labels[j],
                         use_local_label=options.local_label,
                         improved_order=options.improved_order,
-                        improved_h=options.improved_h,
                         stats=stats,
                         use_multicover=options.multicover,
                         verifier=options.verifier,
@@ -559,7 +550,6 @@ def legacy_gsim_join_rs(
                 labels_all[n_outer + j],
                 use_local_label=options.local_label,
                 improved_order=options.improved_order,
-                improved_h=options.improved_h,
                 stats=stats,
                 use_multicover=options.multicover,
                 verifier=options.verifier,
@@ -689,7 +679,6 @@ def legacy_gsim_join_serial_parallel(
                     labels[j],
                     use_local_label=options.local_label,
                     improved_order=options.improved_order,
-                    improved_h=options.improved_h,
                     stats=None,
                     use_multicover=options.multicover,
                     verifier=options.verifier,
@@ -824,7 +813,6 @@ class LegacyGSimIndex:
                 self._labels[j],
                 use_local_label=self.options.local_label,
                 improved_order=self.options.improved_order,
-                improved_h=self.options.improved_h,
                 stats=stats,
                 use_multicover=self.options.multicover,
                 verifier=self.options.verifier,

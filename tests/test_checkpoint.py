@@ -166,17 +166,22 @@ class TestResumeGuards:
             ("anchor_bound", True),
             ("interned", True),
             ("interned", False),
+            ("improved_h", True),
+            ("improved_h", False),
         ],
         ids=["auto", "permutation", "anchor_bound-false", "anchor_bound-true",
-             "interned-true", "interned-false"],
+             "interned-true", "interned-false", "improved_h-true",
+             "improved_h-false"],
     )
     def test_plan_bearing_journal_refused(self, tmp_path, key, value):
         """A journal whose header options carry a deleted option — a
         cascade ``plan`` (as written when the order was selectable),
         ``anchor_bound`` (as written when the compiled A* had that
-        knob, even at its ``False`` default) or ``interned`` (as
+        knob, even at its ``False`` default), ``interned`` (as
         written when the object-key pipeline was selectable, ``True``
-        by default) — is a different run."""
+        by default) or ``improved_h`` (as written when the verifiers
+        could add Algorithm 8's term, ``True`` by default) — is a
+        different run."""
         graphs = molecule_collection(12, seed=29)
         meta = self_join_meta(graphs, 1, GSimJoinOptions(), None)
         meta["options"][key] = value

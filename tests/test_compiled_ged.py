@@ -1,13 +1,14 @@
 """Differential property suite: the compiled A* vs the object-graph A*.
 
 The compiled integer-array A* (``repro.ged.compiled``) must be
-*bit-identical* to the object-graph reference (``repro.ged.astar``): the
-same distances, the same ``exceeded_threshold`` decisions, the same
-expansion/generation counts, and — through the join — the same
-``JoinResult`` pairs, statistics and budgeted ``undecided`` brackets,
-across seeds, q-gram lengths, thresholds, sequential and parallel
-executors, with and without budgets and checkpointing.  The join-level
-reference is the ``verifier="astar"`` path of ``tests/legacy_drivers.py``.
+*bit-identical* to the object-graph reference (``repro.ged.astar``) run
+with ``label_heuristic``: the same distances, the same
+``exceeded_threshold`` decisions, the same expansion/generation counts,
+and — through the join — the same ``JoinResult`` pairs, statistics and
+budgeted ``undecided`` brackets, across seeds, q-gram lengths,
+thresholds, sequential and parallel executors, with and without
+budgets and checkpointing.  The join-level reference is the
+``verifier="astar"`` path of ``tests/legacy_drivers.py``.
 """
 
 import random
@@ -28,7 +29,7 @@ from repro.ged.compiled import (
     compile_graph,
     compiled_ged_detailed,
 )
-from repro.ged.heuristics import label_heuristic, make_local_label_heuristic
+from repro.ged.heuristics import label_heuristic
 from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.mismatch import compare_qgrams
 from repro.grams.qgrams import extract_qgrams
@@ -70,7 +71,7 @@ def random_pair_graph(rng, n, directed, num_vlabels=3, num_elabels=2, p=0.4):
     return g
 
 
-def run_both(r, s, *, tau, q, improved, use_mismatch_order, budget, cache):
+def run_both(r, s, *, tau, q, use_mismatch_order, budget, cache):
     """One object run and one compiled run over the same configuration."""
     cr, cs = cache.compile(r), cache.compile(s)
     if use_mismatch_order:
@@ -78,10 +79,9 @@ def run_both(r, s, *, tau, q, improved, use_mismatch_order, budget, cache):
         order = mismatch_vertex_order(r, mm.mismatch_r)
     else:
         order = input_vertex_order(r)
-    h_tau = tau if tau is not None else 10**9
-    heuristic = make_local_label_heuristic(q, h_tau) if improved else label_heuristic
     obj = graph_edit_distance_detailed(
-        r, s, threshold=tau, heuristic=heuristic, vertex_order=order, budget=budget
+        r, s, threshold=tau, heuristic=label_heuristic, vertex_order=order,
+        budget=budget,
     )
     comp = compiled_ged_detailed(
         cr,
@@ -89,10 +89,6 @@ def run_both(r, s, *, tau, q, improved, use_mismatch_order, budget, cache):
         threshold=tau,
         vertex_order=[cr.index_of[v] for v in order],
         budget=budget,
-        improved_h=improved,
-        q=q,
-        h_tau=h_tau,
-        subgraph_cache=cache.subgraph_cache,
     )
     return obj, comp, cr, cs, order
 
@@ -165,14 +161,13 @@ class TestSearchParity:
             s = random_pair_graph(rng, rng.randrange(0, 7), directed)
             tau = rng.choice([0, 1, 2, 3, None])
             q = rng.choice([1, 2, 3])
-            improved = rng.random() < 0.5
             budget = (
                 VerificationBudget(max_expansions=rng.choice([1, 4, 25]))
                 if tau is not None and rng.random() < 0.4
                 else None
             )
             obj, comp, _, _, _ = run_both(
-                r, s, tau=tau, q=q, improved=improved,
+                r, s, tau=tau, q=q,
                 use_mismatch_order=tau is not None and rng.random() < 0.5,
                 budget=budget, cache=cache,
             )

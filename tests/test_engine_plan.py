@@ -55,7 +55,6 @@ def test_verify_stage_reflects_options():
     verify = build_plan(options).verify
     assert verify.verifier == "dfs"
     assert verify.improved_order == options.improved_order
-    assert verify.improved_h == options.improved_h
 
 
 def test_describe_lists_numbered_stages():

@@ -137,6 +137,22 @@ class TestDerivedGraphs:
         assert sub.num_vertices == 3
         assert sub.num_edges == 2  # edges 0-1, 1-2; the 3-0 and 2-3 edges drop
         assert sub.has_edge(0, 1) and sub.has_edge(1, 2)
+        # Vertices and edges keep the parent's insertion order, not the
+        # order (or, for strings, the hash order) of the requested set.
+        for ids in ([5, 1, 3, 8], ["v5", "v1", "v3", "v8"]):
+            g = Graph()
+            for v, label in zip(ids, "ABCD"):
+                g.add_vertex(v, label)
+            g.add_edge(ids[3], ids[0], "x")
+            g.add_edge(ids[2], ids[1], "y")
+            g.add_edge(ids[0], ids[2], "z")
+            keep = ids[:3]
+            for request in (keep, keep[::-1], frozenset(keep)):
+                sub = g.subgraph(request)
+                assert list(sub.vertices()) == keep
+                assert [(u, v) for u, v, _ in sub.edges()] == [
+                    (ids[0], ids[2]), (ids[1], ids[2])
+                ]
 
     def test_relabel_vertices(self):
         g = build_graph(["A", "B"], [(0, 1, "x")])

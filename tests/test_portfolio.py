@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import GSimJoinOptions, assign_ids, gsim_join
+from repro import GSimJoinOptions, assign_ids, gsim_join, naive_join
 from repro.core.parallel import gsim_join_parallel
 from repro.core.search import GSimIndex
 from repro.core.sharded import gsim_join_sharded
@@ -34,6 +34,7 @@ from repro.graph.generators import random_labeled_graph
 from repro.runtime.budget import VerificationBudget
 
 from .conftest import graph_pairs_within
+from .test_join import molecule_collection
 
 # ------------------------------------------------------------------ registry
 
@@ -69,18 +70,22 @@ def test_all_backends_agree_on_exact_distances(pair, tau):
             assert search.exceeded_threshold, backend.name
 
 
-@settings(max_examples=25, deadline=None)
-@given(graph_pairs_within(tau_max=3, max_vertices=5), st.integers(1, 3))
-def test_all_backends_agree_with_improved_heuristic(pair, q):
-    r, s, k = pair
-    tau = min(k + 1, 3)
-    exact = brute_force_ged(r, s)
-    for backend in BACKENDS.values():
-        search = backend.verify(r, s, tau, improved_h=True, q=q)
-        if exact <= tau:
-            assert search.distance == exact, backend.name
-        else:
-            assert search.exceeded_threshold, backend.name
+@pytest.mark.parametrize("verifier", ["compiled", "dfs", "auto"])
+def test_join_verifies_without_remainder_subgraphs(monkeypatch, verifier):
+    """The join's verifiers bound a state by ``Γ(L_V) + Γ(L_E)`` alone:
+    no backend builds a remainder subgraph (Algorithm 8's local-label
+    term is not run), and the answers still equal the naive join's."""
+    graphs = molecule_collection(30, seed=5)
+    expected = naive_join(graphs, 2).pair_set()
+
+    def refuse(self, vertices):
+        pytest.fail("a verifier built a remainder subgraph")
+
+    monkeypatch.setattr("repro.graph.graph.Graph.subgraph", refuse)
+    options = replace(GSimJoinOptions.full(q=2), verifier=verifier)
+    result = gsim_join(graphs, 2, options=options)
+    assert result.stats.ged_calls > 0
+    assert result.pair_set() == expected
 
 
 @pytest.mark.parametrize("max_expansions", [1, 3, 10])

@@ -535,6 +535,35 @@ class TestResumeGuards:
                 graphs, TAU, spill_dir=spill, shards=3, resume=True
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("plan", "auto"),
+            ("anchor_bound", False),
+            ("interned", True),
+            ("improved_h", True),
+            ("improved_h", False),
+        ],
+        ids=["plan-auto", "anchor_bound-false", "interned-true",
+             "improved_h-true", "improved_h-false"],
+    )
+    def test_manifest_with_deleted_option_refused(
+        self, graphs, tmp_path, key, value
+    ):
+        """A spill directory whose manifest header options carry a
+        deleted option, at the value an older run wrote by default or
+        at any other, is a different run: resume refuses it."""
+        spill = tmp_path / "spill"
+        gsim_join_sharded(graphs, TAU, spill_dir=spill, shards=2)
+        path = spill / "manifest.json"
+        data = json.loads(path.read_text())
+        data["meta"]["options"][key] = value
+        path.write_text(json.dumps(data, sort_keys=True) + "\n")
+        with pytest.raises(CheckpointError, match="different run"):
+            gsim_join_sharded(
+                graphs, TAU, spill_dir=spill, shards=2, resume=True
+            )
+
     def test_missing_shard_file_refused(self, graphs, tmp_path):
         spill = tmp_path / "spill"
         gsim_join_sharded(graphs, TAU, spill_dir=spill, shards=2)

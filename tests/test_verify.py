@@ -74,11 +74,7 @@ class TestFilterConfigurations:
         expected = graph_edit_distance(r, s) <= tau
         for local in (False, True):
             for order in (False, True):
-                for imp_h in (False, True):
-                    outcome = run_verify(
-                        r, s, tau,
-                        local_label=local,
-                        improved_order=order,
-                        improved_h=imp_h,
-                    )
-                    assert outcome.is_result == expected
+                outcome = run_verify(
+                    r, s, tau, local_label=local, improved_order=order
+                )
+                assert outcome.is_result == expected
