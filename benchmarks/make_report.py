@@ -28,8 +28,6 @@ ORDER = (
         "ablation_hash_keys",
         "ablation_minedit_solver",
         "ablation_heuristic_gate",
-        "ablation_multicover_aids",
-        "ablation_multicover_protein",
         "ablation_verifier",
         "parallel_join",
     ]

@@ -32,6 +32,7 @@ from repro.engine.options import (
     GSimJoinOptions,
     build_sorter,
     reject_mixed_directedness,
+    reject_mixed_label_spellings,
 )
 from repro.engine.plan import JoinPlan, build_plan
 from repro.engine.prefix import PrefixInfo
@@ -97,6 +98,8 @@ class GSimIndex:
         self._cache: Optional[VerificationCache] = VerificationCache()
 
         initial = list(graphs)
+        # Every label's one spelling, for checking inserts and queries.
+        self._spellings = reject_mixed_label_spellings(initial)
         initial_profiles = [extract_qgrams(g, self.options.q) for g in initial]
         # Freeze the ordering on the initial collection (or empty): an
         # interning vocabulary, ids in global-ordering rank; later
@@ -141,10 +144,12 @@ class GSimIndex:
         Raises
         ------
         ParameterError
-            If the graph has no id, a duplicate id, or a directedness
-            other than the indexed graphs'.
+            If the graph has no id, a duplicate id, a directedness
+            other than the indexed graphs', or a label equal to one of
+            theirs (or its own) but printed differently.
         """
         self._validate_new(g)
+        self._spellings = reject_mixed_label_spellings([g], self._spellings)
         self._insert(g, extract_qgrams(g, self.options.q))
 
     def _prefix(self, profile: QGramProfile, tau: int) -> PrefixInfo:
@@ -166,8 +171,10 @@ class GSimIndex:
         Raises
         ------
         ParameterError
-            If ``tau`` exceeds the index's ``tau_max`` or is negative, or
-            ``g``'s directedness differs from the indexed graphs'.
+            If ``tau`` exceeds the index's ``tau_max`` or is negative,
+            ``g``'s directedness differs from the indexed graphs', or
+            ``g`` has a label equal to one of theirs (or its own) but
+            printed differently.
         """
         if tau < 0:
             raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -176,6 +183,7 @@ class GSimIndex:
                 f"tau={tau} exceeds the index's tau_max={self.tau_max}"
             )
         reject_mixed_directedness(self.graphs[:1] + [g])
+        reject_mixed_label_spellings([g], self._spellings)
         executor = Executor(
             tau,
             self.options,

@@ -4,9 +4,15 @@ The scalar engine evaluates the size, global-label (Lemma 5) and count
 (Lemma 1) filters one :class:`~repro.engine.stages.PairContext` at a
 time; this module evaluates them over whole candidate blocks as numpy
 array operations against a :class:`~repro.grams.columnar.ColumnarStore`.
-Survivors fall through to the scalar ``LabelFilter``/``MulticoverFilter``
-/``Verify`` stages unchanged, carrying a *hint set* of stage names the
-kernels already proved passed so the scalar cascade skips them.
+Survivors fall through to the scalar ``LabelFilter``/``Verify`` stages
+unchanged, carrying a *hint set* of stage names the kernels already
+proved passed so the scalar cascade skips them.
+
+Every :class:`~repro.engine.executor.Executor` batches exactly when
+:data:`HAVE_NUMPY` is true, read from this module when the executor is
+built; there is no option for it.  The parity tests patch this name to
+``False`` to run the scalar cascade, which is also what a run without
+numpy does.
 
 Parity contract (asserted by ``tests/test_batch_parity.py`` and
 in-bench): for every pair the kernels reproduce the scalar filters'
@@ -36,15 +42,13 @@ from __future__ import annotations
 import time
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.engine.options import GSimJoinOptions
 from repro.engine.stages import PairFilter
-from repro.exceptions import ParameterError
 from repro.grams.columnar import HAVE_NUMPY, ColumnarStore, SignatureRow, np
 
 __all__ = [
+    "HAVE_NUMPY",
     "MIN_BATCH_BLOCK",
     "BlockVerdicts",
-    "resolve_batch",
     "block_multiset_intersections",
     "block_size_filter",
     "evaluate_block",
@@ -56,30 +60,6 @@ __all__ = [
 #: stages below it.  Parity is unaffected — both paths compute the
 #: same verdicts; only the dispatch choice shifts.
 MIN_BATCH_BLOCK = 8
-
-
-def resolve_batch(options: GSimJoinOptions) -> bool:
-    """Decide whether this run batches, validating an explicit request.
-
-    ``batch=None`` (the default) resolves to "yes" exactly when numpy
-    is importable.  An explicit ``batch=True`` must be honorable.
-
-    Raises
-    ------
-    ParameterError
-        On ``batch=True`` without numpy installed.
-    """
-    if options.batch is None:
-        return HAVE_NUMPY
-    if not options.batch:
-        return False
-    if not HAVE_NUMPY:
-        raise ParameterError(
-            "GSimJoinOptions(batch=True) requires numpy, which is not "
-            "installed; install the 'fast' extra (pip install "
-            "'repro[fast]') or leave batch unset to use the scalar path"
-        )
-    return True
 
 
 class BlockVerdicts:

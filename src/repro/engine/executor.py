@@ -60,12 +60,12 @@ from typing import (
     Union,
 )
 
+from repro.engine import batch as kernels
 from repro.engine.batch import (
     MIN_BATCH_BLOCK,
     BlockVerdicts,
     block_size_filter,
     evaluate_block,
-    resolve_batch,
 )
 from repro.engine.count_filter import passes_size_filter
 from repro.engine.inverted_index import InvertedIndex
@@ -73,6 +73,7 @@ from repro.engine.options import (
     GSimJoinOptions,
     build_sorter,
     reject_mixed_directedness,
+    reject_mixed_label_spellings,
     validate_collection,
 )
 from repro.engine.plan import JoinPlan, build_plan
@@ -104,13 +105,11 @@ __all__ = [
     "rs_join_meta",
 ]
 
-#: Which JoinStatistics counter each filter's ``pruned_by`` tag feeds
-#: (``multicover`` shares the local-label counter, as historically).
+#: Which JoinStatistics counter each filter's ``pruned_by`` tag feeds.
 _PRUNE_COUNTERS: Dict[str, str] = {
     "global_label": "pruned_by_global_label",
     "count": "pruned_by_count",
     "local_label": "pruned_by_local_label",
-    "multicover": "pruned_by_local_label",
 }
 
 #: Filter-pruned pairs (batch or scalar) share one frozen outcome per tag.
@@ -177,17 +176,15 @@ def add_outcome(
 
 
 def _options_meta(options: GSimJoinOptions) -> dict:
-    """``options`` as a journal-header dict, without ``batch``.
+    """``options`` as a journal-header dict.
 
-    The batch kernels are bit-identical to the scalar cascade, so a
-    journal written under either mode must resume under the other (and
-    reproduce the pre-batch header).  A journal whose header still
-    carries a deleted option (``plan``, ``anchor_bound``, ``interned``
-    or ``improved_h``) is from a different run.
+    Whether the run batched is not in it: the batch kernels are
+    bit-identical to the scalar cascade, so a journal written on either
+    path resumes on the other.  A journal whose header still carries a
+    deleted option is from a different run (``docs/ROBUSTNESS.md``
+    lists them).
     """
-    options_dict = dataclasses.asdict(options)
-    options_dict.pop("batch", None)
-    return options_dict
+    return dataclasses.asdict(options)
 
 
 def _collection_sha(graphs: Sequence[Graph]) -> str:
@@ -353,9 +350,9 @@ class Executor:
         self._row_candidates = self._rows[self.plan.candidates.name]
         self._row_size = self._rows[self.plan.size_filter.name]
         self._row_verify = self._rows[self.plan.verify.name]
-        #: Whether this run uses the vectorized batch kernels
-        #: (resolved from ``options.batch``; see repro.engine.batch).
-        self.batch: bool = resolve_batch(options)
+        #: Whether this run uses the vectorized batch kernels: exactly
+        #: when numpy imports (see repro.engine.batch).
+        self.batch: bool = kernels.HAVE_NUMPY
         self._cascade = tuple(
             (stage, self._rows[stage.name]) for stage in self.plan.pair_filters
         )
@@ -1012,6 +1009,7 @@ def execute_rs_join(
     validate_collection(inner, tau, options)
     graphs = list(outer) + list(inner)
     reject_mixed_directedness(graphs)
+    reject_mixed_label_spellings(graphs)
     meta = (
         rs_join_meta(outer, inner, tau, options, budget)
         if checkpoint is not None

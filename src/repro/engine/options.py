@@ -1,28 +1,37 @@
 """GSimJoin run configuration and collection validation.
 
 :class:`GSimJoinOptions` selects the paper's filtering level, the q-gram
-length, the batch kernels and the GED backend;
+length and the GED backend;
 :func:`repro.engine.plan.build_plan` turns the options into the
-:class:`repro.engine.plan.JoinPlan` a run executes.
+:class:`repro.engine.plan.JoinPlan` a run executes.  Whether a run
+evaluates its leading filters with the numpy batch kernels is not an
+option: it does exactly when numpy imports
+(:data:`repro.engine.batch.HAVE_NUMPY`), and both paths give the same
+answers and statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError
 from repro.ged.portfolio import resolve_backend
 from repro.grams.qgrams import QGramProfile
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, Label
 
 __all__ = [
     "GSimJoinOptions",
+    "LabelSpellings",
     "build_sorter",
     "reject_mixed_directedness",
+    "reject_mixed_label_spellings",
     "validate_collection",
 ]
+
+#: Vertex labels, then edge labels: each label seen -> its ``repr``.
+LabelSpellings = Tuple[Dict[Label, str], Dict[Label, str]]
 
 
 @dataclass(frozen=True)
@@ -39,10 +48,6 @@ class GSimJoinOptions:
         Apply local label filtering during verification (Algorithm 5).
     improved_order:
         Map mismatching-q-gram vertices first in A* (Algorithm 7).
-    multicover:
-        Additionally apply the set-multicover minimum-edit bound over
-        partially matched surplus keys — a sound extension beyond the
-        paper (off in the paper-faithful variants).
     verifier:
         Exact GED backend for the surviving candidates, one of the
         names of :data:`repro.ged.portfolio.BACKENDS`:
@@ -57,26 +62,13 @@ class GSimJoinOptions:
         hard low-diversity pairs and ``"compiled"`` otherwise — same
         result pairs as every single backend; choices recorded in
         ``JoinStatistics.verify_backends``).
-    batch:
-        Evaluate the size, global-label and count filters over whole
-        candidate blocks with the vectorized numpy kernels of
-        :mod:`repro.engine.batch` against the columnar signature store
-        (:mod:`repro.grams.columnar`), survivors falling through to the
-        scalar cascade with hints.  ``None`` (the default) enables
-        batching exactly when numpy is importable; ``True`` requires it
-        (a clear :class:`~repro.exceptions.ParameterError` otherwise);
-        ``False`` forces the scalar path —
-        the parity oracle, bit-identical in pairs, distances and
-        per-stage statistics (asserted by ``tests/test_batch_parity.py``).
     """
 
     q: int = 4
     minedit_prefix: bool = True
     local_label: bool = True
     improved_order: bool = True
-    multicover: bool = False
     verifier: str = "compiled"
-    batch: Optional[bool] = None
 
     @classmethod
     def basic(cls, q: int = 4) -> "GSimJoinOptions":
@@ -95,12 +87,6 @@ class GSimJoinOptions:
         """The paper's *+ Local Label* (complete GSimJoin) configuration."""
         return cls(q=q, minedit_prefix=True, local_label=True,
                    improved_order=True)
-
-    @classmethod
-    def extended(cls, q: int = 4) -> "GSimJoinOptions":
-        """``full()`` plus this library's multicover filter extension."""
-        return cls(q=q, minedit_prefix=True, local_label=True,
-                   improved_order=True, multicover=True)
 
     def with_q(self, q: int) -> "GSimJoinOptions":
         """This configuration with a different q-gram length."""
@@ -129,6 +115,56 @@ def reject_mixed_directedness(graphs: Iterable[Graph]) -> None:
         raise ParameterError("cannot mix directed and undirected graphs")
 
 
+def reject_mixed_label_spellings(
+    graphs: Iterable[Graph], known: Optional[LabelSpellings] = None
+) -> LabelSpellings:
+    """Reject labels that are equal but print differently.
+
+    Path q-grams are oriented by label ``repr``
+    (:func:`repro.grams.qgrams.extract_qgrams`), so equal labels spelled
+    differently — ``1``, ``True`` and ``1.0`` — would give two equal
+    paths unequal keys, and the count and prefix filters would drop
+    true pairs.  Vertex and edge labels are checked apart (they are
+    ranked apart).  ``known`` holds the spellings of graphs checked
+    earlier, as returned by an earlier call (a long-lived index passes
+    its own); it is not modified.
+
+    Returns
+    -------
+    LabelSpellings
+        The spellings of ``known`` and ``graphs`` together.
+
+    Raises
+    ------
+    ParameterError
+        Naming both spellings of the first label spelled two ways.
+    """
+    vertex_seen, edge_seen = (
+        ({}, {}) if known is None else (dict(known[0]), dict(known[1]))
+    )
+    for g in graphs:
+        _record_spellings(
+            vertex_seen, [g.vertex_label(v) for v in g.vertices()], "vertex"
+        )
+        _record_spellings(
+            edge_seen, [label for _, _, label in g.edges()], "edge"
+        )
+    return vertex_seen, edge_seen
+
+
+def _record_spellings(
+    seen: Dict[Label, str], labels: List[Label], kind: str
+) -> None:
+    """Add one graph's ``labels`` to ``seen``, refusing a second spelling."""
+    for text, label in dict(zip(map(repr, labels), labels)).items():
+        first = seen.setdefault(label, text)
+        if first != text:
+            raise ParameterError(
+                f"{kind} labels {first} and {text} are equal but print "
+                "differently; spell each label one way"
+            )
+
+
 def validate_collection(
     graphs: Sequence[Graph], tau: int, options: GSimJoinOptions
 ) -> None:
@@ -138,7 +174,8 @@ def validate_collection(
     ------
     ParameterError
         On negative ``tau``/``q``, missing or duplicate graph ids,
-        mixed directedness, or an unknown verifier.
+        mixed directedness, labels that are equal but print differently,
+        or an unknown verifier.
     """
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -152,4 +189,5 @@ def validate_collection(
     if len(set(ids)) != len(ids):
         raise ParameterError("graph ids must be distinct")
     reject_mixed_directedness(graphs)
+    reject_mixed_label_spellings(graphs)
     resolve_backend(options.verifier)

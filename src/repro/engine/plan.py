@@ -24,7 +24,6 @@ from repro.engine.stages import (
     GlobalLabelFilter,
     LabelFilter,
     MinEditFilter,
-    MulticoverFilter,
     PairFilter,
     PrefixCandidates,
     PrepareProfiles,
@@ -43,14 +42,12 @@ DEFAULT_FILTER_ORDER: Tuple[str, ...] = (
     "global-label-filter",
     "count-filter",
     "local-label-filter",
-    "multicover-filter",
 )
 
 _FILTER_FACTORIES = {
     "global-label-filter": GlobalLabelFilter,
     "count-filter": CountFilter,
     "local-label-filter": LabelFilter,
-    "multicover-filter": MulticoverFilter,
 }
 
 
@@ -60,8 +57,9 @@ class JoinPlan:
 
     ``stages`` always reads: one ``prepare`` stage, one ``prefix``
     stage, the ``candidates`` stage, the fused ``candidate-filter``
-    (size) stage, two to four ``pair-filter`` stages (global label and
-    count first), and the ``verify`` stage — in execution order.
+    (size) stage, two or three ``pair-filter`` stages (global label and
+    count, then local label), and the ``verify`` stage — in execution
+    order.
     """
 
     stages: Tuple[object, ...]
@@ -113,14 +111,12 @@ def build_plan(options: GSimJoinOptions) -> JoinPlan:
 
     The per-pair cascade is the enabled subset of
     :data:`DEFAULT_FILTER_ORDER`: the global label and count filters
-    always, the local label filter with ``local_label``, the multicover
-    bound with ``multicover``.
+    always, the local label filter with ``local_label``.
     """
     enabled = {
         "global-label-filter": True,
         "count-filter": True,
         "local-label-filter": options.local_label,
-        "multicover-filter": options.multicover,
     }
     stages = (
         PrepareProfiles(),

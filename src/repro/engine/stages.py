@@ -18,9 +18,9 @@ Stage taxonomy (``role``):
 * ``candidate-filter`` — :class:`SizeFilter`: the size lower bound,
   fused into the probe loop exactly as in Algorithm 1;
 * ``pair-filter``      — :class:`GlobalLabelFilter`,
-  :class:`CountFilter`, :class:`LabelFilter`,
-  :class:`MulticoverFilter`: the per-pair Verify cascade, always in
-  the paper's order (``repro.engine.plan.DEFAULT_FILTER_ORDER``);
+  :class:`CountFilter`, :class:`LabelFilter`: the per-pair Verify
+  cascade, always in the paper's order
+  (``repro.engine.plan.DEFAULT_FILTER_ORDER``);
 * ``verify``           — :class:`Verify`: the exact GED computation on
   the survivors, with budget-bounded verdicts.
 
@@ -45,7 +45,6 @@ from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.labels import (
     global_label_lower_bound,
     local_label_lower_bound,
-    multicover_min_edit_bound,
 )
 from repro.grams.mismatch import MismatchResult, compare_qgrams
 from repro.grams.qgrams import QGramProfile
@@ -63,7 +62,6 @@ __all__ = [
     "GlobalLabelFilter",
     "CountFilter",
     "LabelFilter",
-    "MulticoverFilter",
     "Verify",
 ]
 
@@ -75,7 +73,7 @@ class VerifyOutcome:
     """Why a pair was accepted or rejected.
 
     ``pruned_by`` is one of ``"global_label"``, ``"count"``,
-    ``"local_label"``, ``"multicover"``, ``"ged"`` or ``None``
+    ``"local_label"``, ``"ged"`` or ``None``
     (accepted); ``ged`` is the (threshold-capped) distance when the
     computation ran and decided exactly.
 
@@ -306,33 +304,6 @@ class LabelFilter(PairFilter):
         )
         if eps5 > ctx.tau:
             return "local_label"
-        return None
-
-
-class MulticoverFilter(PairFilter):
-    """Set-multicover minimum-edit bound over partially matched surplus
-    keys — this library's sound extension beyond Algorithm 5.
-
-    Prunes with tag ``"multicover"`` but feeds the local-label counter
-    (the historical accounting).
-    """
-
-    name = "multicover-filter"
-    detail = "set-multicover minimum-edit bound over surplus keys (extension)"
-    counter = "pruned_by_local_label"
-    tag = "multicover"
-
-    def prune(self, ctx: PairContext) -> Optional[str]:
-        """Prune when a multicover bound exceeds ``tau``."""
-        mismatch = ctx.mismatch
-        if mismatch.count_pruned:
-            return None
-        p_r, p_s, tau = ctx.p_r, ctx.p_s, ctx.tau
-        if (
-            multicover_min_edit_bound(mismatch.surplus_groups_r(p_r, p_s), tau) > tau
-            or multicover_min_edit_bound(mismatch.surplus_groups_s(p_r, p_s), tau) > tau
-        ):
-            return "multicover"
         return None
 
 

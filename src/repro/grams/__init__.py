@@ -23,7 +23,6 @@ from repro.grams.labels import (
     gamma,
     global_label_lower_bound,
     local_label_lower_bound,
-    multicover_min_edit_bound,
 )
 from repro.grams.minedit import (
     min_edit_exact,
@@ -51,6 +50,5 @@ __all__ = [
     "min_edit_lower_bound",
     "min_prefix_length",
     "mismatching_grams",
-    "multicover_min_edit_bound",
     "qgram_key",
 ]

@@ -24,14 +24,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.grams.minedit import min_edit_exact, min_edit_lower_bound
 from repro.grams.qgrams import QGram
 from repro.graph.graph import Graph, Vertex
-from repro.setcover import exact_min_multicover, multicover_coverage_bound
 
 __all__ = [
     "gamma",
     "global_label_lower_bound",
     "connected_gram_components",
     "local_label_lower_bound",
-    "multicover_min_edit_bound",
 ]
 
 
@@ -212,35 +210,3 @@ def local_label_lower_bound(
         if total > tau:
             break  # already enough to prune; saturate early
     return total
-
-
-def multicover_min_edit_bound(
-    groups: Sequence[Tuple[Sequence[QGram], int]],
-    tau: int,
-    exact_instance_limit: int = 150,
-) -> int:
-    """Sound min-edit lower bound over *partially matched* surplus keys.
-
-    ``groups`` come from
-    :meth:`repro.grams.mismatch.MismatchResult.surplus_groups_r`: per
-    surplus key, all its instances and the surplus count.  Any edit
-    script must affect at least the surplus count of each group, so the
-    minimum multicover over the instances' vertex sets lower-bounds the
-    edit distance (see :mod:`repro.setcover.multicover`).
-
-    The cheap coverage bound runs first; the exact bounded search only
-    when the instance volume stays under ``exact_instance_limit``
-    (branch-and-bound cost grows with the candidate vertex pool).
-    """
-    if not groups:
-        return 0
-    vertex_groups = [
-        ([g.vertex_set for g in instances], need) for instances, need in groups
-    ]
-    bound = multicover_coverage_bound(vertex_groups)
-    if bound > tau:
-        return bound
-    total_instances = sum(len(instances) for instances, _ in vertex_groups)
-    if total_instances > exact_instance_limit:
-        return bound
-    return min(exact_min_multicover(vertex_groups, tau), tau + 1)

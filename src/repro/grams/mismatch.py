@@ -18,10 +18,10 @@ Two implementations produce bit-identical results:
 * the **merge path** — when both profiles carry a total interned
   signature from the same :class:`repro.grams.vocab.QGramVocabulary`,
   one linear merge over the two sorted id arrays yields ε₂/ε₃, the
-  mismatch instances, the absent-key flags and the surplus runs in a
-  single pass, bailing out early once a count bound is exceeded; it
-  builds :class:`~repro.grams.qgrams.QGram` objects for the mismatch
-  runs only (:meth:`~repro.grams.qgrams.QGramProfile.instances`);
+  mismatch instances and the absent-key flags in a single pass,
+  bailing out early once a count bound is exceeded; it builds
+  :class:`~repro.grams.qgrams.QGram` objects for the mismatching
+  instances only (:meth:`~repro.grams.qgrams.QGramProfile.instances`);
 * the **Counter path** — the historical Counter-based computation over
   object keys, taken by every profile without a total signature.  In
   the join's code the only such profiles are ``GSimIndex`` profiles
@@ -35,14 +35,11 @@ Two implementations produce bit-identical results:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.grams.qgrams import Key, QGram, QGramProfile
 
 __all__ = ["MismatchResult", "compare_qgrams", "mismatching_grams"]
-
-#: A surplus run in a sorted gram list: (start, stop, surplus count).
-SurplusRun = Tuple[int, int, int]
 
 
 class MismatchResult:
@@ -76,10 +73,6 @@ class MismatchResult:
         "count_pruned",
         "_absent_r",
         "_absent_s",
-        "_runs_r",
-        "_runs_s",
-        "_surplus_r",
-        "_surplus_s",
     )
 
     def __init__(
@@ -93,10 +86,6 @@ class MismatchResult:
         count_pruned: bool = False,
         absent_keys_r: Optional[frozenset] = None,
         absent_keys_s: Optional[frozenset] = None,
-        runs_r: Optional[List[SurplusRun]] = None,
-        runs_s: Optional[List[SurplusRun]] = None,
-        surplus_r: Optional[Dict[Key, int]] = None,
-        surplus_s: Optional[Dict[Key, int]] = None,
     ) -> None:
         self.mismatch_r = mismatch_r  #: instances of ``Q_r \ Q_s``
         self.mismatch_s = mismatch_s  #: instances of ``Q_s \ Q_r``
@@ -107,10 +96,6 @@ class MismatchResult:
         self.count_pruned = count_pruned
         self._absent_r = absent_keys_r
         self._absent_s = absent_keys_s
-        self._runs_r = runs_r
-        self._runs_s = runs_s
-        self._surplus_r = surplus_r
-        self._surplus_s = surplus_s
 
     @property
     def absent_keys_r(self) -> frozenset:
@@ -133,39 +118,6 @@ class MismatchResult:
                 if required
             )
         return self._absent_s
-
-    def surplus_groups_r(
-        self, p_r: "QGramProfile", p_s: "QGramProfile"
-    ) -> List[Tuple[Sequence[QGram], int]]:
-        """Demand groups for the multicover bound, direction r -> s.
-
-        For every surplus key: (*all* of r's instances of the key, the
-        surplus count).  Any edit script must affect at least the
-        surplus count of instances of each group — the sound
-        generalization of instance-level min-edit to partially matched
-        keys (see :mod:`repro.setcover.multicover`).  On the merge path
-        the groups are the instances of the contiguous surplus runs
-        recorded during the one-pass merge; on the Counter path they are built
-        from the surplus counts cached by :func:`compare_qgrams`
-        (computed once, not re-derived per call).
-        """
-        if self._runs_r is not None:
-            return [(p_r.instances(a, b), need) for a, b, need in self._runs_r]
-        surplus = self._surplus_r
-        if surplus is None:
-            surplus = _surplus_counts(p_r, p_s)
-        return _groups_from_surplus(p_r, surplus)
-
-    def surplus_groups_s(
-        self, p_r: "QGramProfile", p_s: "QGramProfile"
-    ) -> List[Tuple[Sequence[QGram], int]]:
-        """Demand groups for the multicover bound, direction s -> r."""
-        if self._runs_s is not None:
-            return [(p_s.instances(a, b), need) for a, b, need in self._runs_s]
-        surplus = self._surplus_s
-        if surplus is None:
-            surplus = _surplus_counts(p_s, p_r)
-        return _groups_from_surplus(p_s, surplus)
 
 
 def _surplus_counts(p: QGramProfile, other: QGramProfile) -> Dict[Key, int]:
@@ -193,18 +145,6 @@ def _pick_instances(p: QGramProfile, surplus: Dict[Key, int]) -> List[QGram]:
     return picked
 
 
-def _groups_from_surplus(
-    p: QGramProfile, surplus: Dict[Key, int]
-) -> List[Tuple[Sequence[QGram], int]]:
-    if not surplus:
-        return []
-    by_key: Dict[Key, List[QGram]] = defaultdict(list)
-    for gram in p.grams:
-        if gram.key in surplus:
-            by_key[gram.key].append(gram)
-    return [(by_key[key], need) for key, need in surplus.items()]
-
-
 def mismatching_grams(p: QGramProfile, other: QGramProfile) -> List[QGram]:
     """Instances of ``Q_p \\ Q_other`` (one direction of the difference)."""
     return _pick_instances(p, _surplus_counts(p, other))
@@ -214,10 +154,8 @@ def _counter_compare(
     p_r: QGramProfile, p_s: QGramProfile, tau: Optional[int]
 ) -> MismatchResult:
     """The Counter path (historical computation over object keys)."""
-    surplus_r = _surplus_counts(p_r, p_s)
-    surplus_s = _surplus_counts(p_s, p_r)
-    mr = _pick_instances(p_r, surplus_r)
-    ms = _pick_instances(p_s, surplus_s)
+    mr = mismatching_grams(p_r, p_s)
+    ms = mismatching_grams(p_s, p_r)
     absent_r = frozenset(
         key for key in p_r.key_counts if key not in p_s.key_counts
     )
@@ -239,8 +177,6 @@ def _counter_compare(
         count_pruned=pruned,
         absent_keys_r=absent_r,
         absent_keys_s=absent_s,
-        surplus_r=surplus_r,
-        surplus_s=surplus_s,
     )
 
 
@@ -250,11 +186,11 @@ def _merge_compare(
     """One-pass linear merge over two sorted interned id arrays.
 
     Produces ε₂/ε₃, the mismatch instances (earliest in the global
-    ordering, exactly the Counter path's selection — surplus runs are
-    contiguous in the sorted gram lists), the absent-key masks and the
-    surplus runs together, bailing out as soon as a count bound is
-    exceeded when ``tau`` is given (the pair is then pruned whatever the
-    final epsilons would be, since they only grow).
+    ordering, exactly the Counter path's selection — a key's instances
+    are contiguous in the sorted gram lists) and the absent-key masks
+    together, bailing out as soon as a count bound is exceeded when
+    ``tau`` is given (the pair is then pruned whatever the final
+    epsilons would be, since they only grow).
     """
     sig_r, sig_s = p_r.signature, p_s.signature
     instances_r, instances_s = p_r.instances, p_s.instances
@@ -268,8 +204,6 @@ def _merge_compare(
     mismatch_s: List[QGram] = []
     mask_r: List[bool] = []
     mask_s: List[bool] = []
-    runs_r: List[SurplusRun] = []
-    runs_s: List[SurplusRun] = []
     eps_r = eps_s = 0
     i = j = 0
     pruned = False
@@ -289,13 +223,11 @@ def _merge_compare(
             if c_r > c_s:
                 d = c_r - c_s
                 eps_r += d
-                runs_r.append((i0, i, d))
                 mismatch_r.extend(instances_r(i0, i0 + d))
                 mask_r += [False] * d
             elif c_s > c_r:
                 d = c_s - c_r
                 eps_s += d
-                runs_s.append((j0, j, d))
                 mismatch_s.extend(instances_s(j0, j0 + d))
                 mask_s += [False] * d
         elif a < b:
@@ -305,7 +237,6 @@ def _merge_compare(
                 i += 1
             c_r = i - i0
             eps_r += c_r
-            runs_r.append((i0, i, c_r))
             mismatch_r.extend(instances_r(i0, i))
             mask_r += [True] * c_r
         else:
@@ -315,7 +246,6 @@ def _merge_compare(
                 j += 1
             c_s = j - j0
             eps_s += c_s
-            runs_s.append((j0, j, c_s))
             mismatch_s.extend(instances_s(j0, j))
             mask_s += [True] * c_s
         if bounded and (eps_r > bound_r or eps_s > bound_s):
@@ -329,7 +259,6 @@ def _merge_compare(
             i += 1
         c_r = i - i0
         eps_r += c_r
-        runs_r.append((i0, i, c_r))
         mismatch_r.extend(instances_r(i0, i))
         mask_r += [True] * c_r
         if bounded and eps_r > bound_r:
@@ -342,7 +271,6 @@ def _merge_compare(
             j += 1
         c_s = j - j0
         eps_s += c_s
-        runs_s.append((j0, j, c_s))
         mismatch_s.extend(instances_s(j0, j))
         mask_s += [True] * c_s
         if bounded and eps_s > bound_s:
@@ -355,8 +283,6 @@ def _merge_compare(
         mask_r,
         mask_s,
         count_pruned=pruned,
-        runs_r=None if pruned else runs_r,
-        runs_s=None if pruned else runs_s,
     )
 
 

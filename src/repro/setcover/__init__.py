@@ -20,16 +20,10 @@ from repro.setcover.hitting import (
     greedy_lower_bound,
     slavik_ratio,
 )
-from repro.setcover.multicover import (
-    exact_min_multicover,
-    multicover_coverage_bound,
-)
 
 __all__ = [
     "greedy_hitting_set",
     "exact_min_hitting_set",
     "greedy_lower_bound",
     "slavik_ratio",
-    "exact_min_multicover",
-    "multicover_coverage_bound",
 ]

@@ -56,11 +56,7 @@ from repro.ged.astar import graph_edit_distance_detailed
 from repro.ged.compiled import VerificationCache, compiled_ged_detailed
 from repro.ged.heuristics import label_heuristic
 from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
-from repro.grams.labels import (
-    global_label_lower_bound,
-    local_label_lower_bound,
-    multicover_min_edit_bound,
-)
+from repro.grams.labels import global_label_lower_bound, local_label_lower_bound
 from repro.grams.minedit import min_prefix_length
 from repro.grams.mismatch import compare_qgrams
 from repro.grams.qgrams import QGramProfile, extract_qgrams
@@ -78,7 +74,6 @@ _PRUNE_COUNTERS: Dict[str, str] = {
     "global_label": "pruned_by_global_label",
     "count": "pruned_by_count",
     "local_label": "pruned_by_local_label",
-    "multicover": "pruned_by_local_label",
 }
 
 
@@ -105,7 +100,6 @@ def legacy_verify_pair(
     use_local_label,
     improved_order,
     stats=None,
-    use_multicover=False,
     verifier="astar",
     budget=None,
     cache=None,
@@ -142,15 +136,6 @@ def legacy_verify_pair(
             if stats:
                 stats.pruned_by_local_label += 1
             return LegacyVerifyOutcome(False, "local_label")
-
-    if use_multicover:
-        if (
-            multicover_min_edit_bound(mismatch.surplus_groups_r(p_r, p_s), tau) > tau
-            or multicover_min_edit_bound(mismatch.surplus_groups_s(p_r, p_s), tau) > tau
-        ):
-            if stats:
-                stats.pruned_by_local_label += 1
-            return LegacyVerifyOutcome(False, "multicover")
 
     if stats:
         stats.cand2 += 1
@@ -268,12 +253,7 @@ def _journal_meta(graphs, tau, options, budget):
             for g in graphs
         ]
     ).encode("utf-8")
-    # The pre-refactor GSimJoinOptions had no ``plan`` or ``batch`` field;
-    # strip them so the header reproduces the historical journal
-    # byte-for-byte.
     options_dict = dataclasses.asdict(options)
-    options_dict.pop("plan", None)
-    options_dict.pop("batch", None)
     return {
         "kind": "self-join",
         "n": len(graphs),
@@ -419,7 +399,6 @@ def legacy_gsim_join(
                         use_local_label=options.local_label,
                         improved_order=options.improved_order,
                         stats=stats,
-                        use_multicover=options.multicover,
                         verifier=options.verifier,
                         budget=budget,
                         cache=cache,
@@ -551,7 +530,6 @@ def legacy_gsim_join_rs(
                 use_local_label=options.local_label,
                 improved_order=options.improved_order,
                 stats=stats,
-                use_multicover=options.multicover,
                 verifier=options.verifier,
                 budget=budget,
                 cache=cache,
@@ -680,7 +658,6 @@ def legacy_gsim_join_serial_parallel(
                     use_local_label=options.local_label,
                     improved_order=options.improved_order,
                     stats=None,
-                    use_multicover=options.multicover,
                     verifier=options.verifier,
                     budget=budget,
                     cache=cache,
@@ -814,7 +791,6 @@ class LegacyGSimIndex:
                 use_local_label=self.options.local_label,
                 improved_order=self.options.improved_order,
                 stats=stats,
-                use_multicover=self.options.multicover,
                 verifier=self.options.verifier,
                 cache=self._cache,
             )

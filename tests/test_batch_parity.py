@@ -1,9 +1,11 @@
 """Batch/scalar parity: the vectorized kernels against the scalar oracle.
 
-``GSimJoinOptions(batch=True)`` routes the size, global-label and count
+With numpy installed every run routes the size, global-label and count
 filters through the columnar store (:mod:`repro.grams.columnar`) and the
-numpy block kernels (:mod:`repro.engine.batch`); ``batch=False`` is the
-retained scalar path.  The two must be observationally identical —
+numpy block kernels (:mod:`repro.engine.batch`); patching
+``repro.engine.batch.HAVE_NUMPY`` to ``False`` (:func:`scalar_path`)
+runs the retained scalar cascade instead, exactly as a run without numpy
+does.  The two must be observationally identical —
 same result pairs in the same order, same distances, same prune-counter
 statistics and the same per-stage
 :class:`~repro.engine.result.StageStatistics` input/survivor counts —
@@ -15,10 +17,10 @@ scalar path is the frozen oracle; these tests are the contract that
 lets the kernels evolve.
 
 Every test that touches the kernels skips without numpy; the
-resolution/error tests at the bottom run on the no-numpy CI job too.
+resolution tests at the bottom run on the no-numpy CI job too.
 """
 
-import dataclasses
+import contextlib
 import random
 from collections import Counter
 
@@ -33,7 +35,6 @@ from repro.engine.result import JoinStatistics
 # autouse fixture below patches the consuming modules down to 1.
 from repro.engine.batch import MIN_BATCH_BLOCK as REAL_MIN_BATCH_BLOCK
 from repro.engine.executor import Executor
-from repro.exceptions import ParameterError
 from repro.graph.generators import random_labeled_graph
 from repro.graph.operations import perturb
 from repro.grams.columnar import HAVE_NUMPY
@@ -67,8 +68,21 @@ def _always_batch(monkeypatch):
     monkeypatch.setattr("repro.engine.executor.MIN_BATCH_BLOCK", 1)
 
 
-def with_batch(options, batch):
-    return dataclasses.replace(options, batch=batch)
+@contextlib.contextmanager
+def scalar_path():
+    """Executors built inside take the scalar cascade: an executor
+    batches exactly when ``repro.engine.batch.HAVE_NUMPY`` is true."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.engine.batch.HAVE_NUMPY", False)
+        yield
+
+
+def both_paths(run):
+    """``run()`` batched (the default with numpy), then on the scalar path."""
+    batched = run()
+    with scalar_path():
+        scalar = run()
+    return batched, scalar
 
 
 def stage_rows(stats):
@@ -243,53 +257,38 @@ class TestSelfJoinParity:
     def test_variants_and_thresholds(self, variant, tau):
         graphs = labeled_collection(26, seed=31)
         options = VARIANTS[variant]()
-        batched = gsim_join(graphs, tau, with_batch(options, True))
-        scalar = gsim_join(graphs, tau, with_batch(options, False))
-        assert_full_parity(batched, scalar)
+        assert_full_parity(*both_paths(lambda: gsim_join(graphs, tau, options)))
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_qgram_lengths(self, q):
         graphs = labeled_collection(22, seed=33)
         options = GSimJoinOptions.full(q=q)
-        batched = gsim_join(graphs, 2, with_batch(options, True))
-        scalar = gsim_join(graphs, 2, with_batch(options, False))
-        assert_full_parity(batched, scalar)
+        assert_full_parity(*both_paths(lambda: gsim_join(graphs, 2, options)))
 
     @pytest.mark.parametrize("seed", [1, 7, 19])
     def test_seeds(self, seed):
         graphs = labeled_collection(24, seed=seed)
-        batched = gsim_join(graphs, 3, GSimJoinOptions(batch=True))
-        scalar = gsim_join(graphs, 3, GSimJoinOptions(batch=False))
-        assert_full_parity(batched, scalar)
+        assert_full_parity(*both_paths(lambda: gsim_join(graphs, 3)))
 
     def test_directed(self):
         graphs = labeled_collection(20, seed=35, directed=True)
-        batched = gsim_join(graphs, 2, GSimJoinOptions(batch=True))
-        scalar = gsim_join(graphs, 2, GSimJoinOptions(batch=False))
-        assert_full_parity(batched, scalar)
+        assert_full_parity(*both_paths(lambda: gsim_join(graphs, 2)))
 
     def test_gramless_collection_all_unprunable(self):
         graphs = gramless_collection(10, seed=36)
-        batched = gsim_join(graphs, 2, GSimJoinOptions(batch=True))
-        scalar = gsim_join(graphs, 2, GSimJoinOptions(batch=False))
+        batched, scalar = both_paths(lambda: gsim_join(graphs, 2))
         assert batched.stats.unprunable_graphs == len(graphs)
         assert_full_parity(batched, scalar)
 
     def test_empty_collection(self):
-        batched = gsim_join([], 2, GSimJoinOptions(batch=True))
-        scalar = gsim_join([], 2, GSimJoinOptions(batch=False))
-        assert_full_parity(batched, scalar)
+        assert_full_parity(*both_paths(lambda: gsim_join([], 2)))
 
     def test_budgeted_undecided_channel(self):
         graphs = labeled_collection(24, seed=38)
         budget = VerificationBudget(max_expansions=3)
-        batched = gsim_join(
-            graphs, 3, GSimJoinOptions(batch=True), budget=budget
+        assert_full_parity(
+            *both_paths(lambda: gsim_join(graphs, 3, budget=budget))
         )
-        scalar = gsim_join(
-            graphs, 3, GSimJoinOptions(batch=False), budget=budget
-        )
-        assert_full_parity(batched, scalar)
 
     def test_threshold_fallback_is_parity_safe(self, monkeypatch):
         """With the real dispatch threshold, small blocks fall back to
@@ -303,9 +302,7 @@ class TestSelfJoinParity:
             "repro.engine.executor.MIN_BATCH_BLOCK", REAL_MIN_BATCH_BLOCK
         )
         graphs = labeled_collection(26, seed=39)
-        batched = gsim_join(graphs, 3, GSimJoinOptions(batch=True))
-        scalar = gsim_join(graphs, 3, GSimJoinOptions(batch=False))
-        assert_full_parity(batched, scalar)
+        assert_full_parity(*both_paths(lambda: gsim_join(graphs, 3)))
 
 
 # ------------------------------------------------------- rs-join / parallel
@@ -319,25 +316,16 @@ class TestOtherDriversParity:
         inner = labeled_collection(15, seed=43)
         for g in inner:
             g.graph_id = f"inner-{g.graph_id}"
-        batched = gsim_join_rs(
-            outer, inner, tau, GSimJoinOptions(batch=True)
+        assert_full_parity(
+            *both_paths(lambda: gsim_join_rs(outer, inner, tau))
         )
-        scalar = gsim_join_rs(
-            outer, inner, tau, GSimJoinOptions(batch=False)
-        )
-        assert_full_parity(batched, scalar)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parallel_matches_sequential_scalar(self, workers):
         graphs = labeled_collection(26, seed=45)
-        batched = gsim_join_parallel(
-            graphs,
-            3,
-            GSimJoinOptions(batch=True),
-            workers=workers,
-            chunk_size=5,
-        )
-        scalar = gsim_join(graphs, 3, GSimJoinOptions(batch=False))
+        batched = gsim_join_parallel(graphs, 3, workers=workers, chunk_size=5)
+        with scalar_path():
+            scalar = gsim_join(graphs, 3)
         assert sorted(batched.pairs) == sorted(scalar.pairs)
         assert_stat_parity(batched.stats, scalar.stats)
         assert stage_rows(batched.stats) == stage_rows(scalar.stats)
@@ -346,12 +334,9 @@ class TestOtherDriversParity:
         """A journal written batched must resume under the scalar path."""
         graphs = labeled_collection(20, seed=47)
         checkpoint = tmp_path / "join.jsonl"
-        batched = gsim_join(
-            graphs, 3, GSimJoinOptions(batch=True), checkpoint=checkpoint
-        )
-        resumed = gsim_join(
-            graphs, 3, GSimJoinOptions(batch=False), checkpoint=checkpoint
-        )
+        batched = gsim_join(graphs, 3, checkpoint=checkpoint)
+        with scalar_path():
+            resumed = gsim_join(graphs, 3, checkpoint=checkpoint)
         assert resumed.pairs == batched.pairs
         assert resumed.stats.replayed_pairs > 0
         assert_stat_parity(resumed.stats, batched.stats)
@@ -360,7 +345,7 @@ class TestOtherDriversParity:
 # --------------------------------------------------------------- search index
 
 
-def interleaved_index(batch, initial=18):
+def interleaved_index(initial=18):
     """Alternate inserts with queries on an index built over ``initial``
     graphs; return the index, every query's matches and the statistics.
 
@@ -378,8 +363,7 @@ def interleaved_index(batch, initial=18):
         perturb(g, 2, rng, ["L3", "L4", "L5"], ["-", "="], f"near-{g.graph_id}")
         for g in bases
     ]
-    options = with_batch(GSimJoinOptions(), batch)
-    index = GSimIndex(graphs[:initial], tau_max=3, options=options)
+    index = GSimIndex(graphs[:initial], tau_max=3)
     arrivals = [g for pair in zip(graphs[18:24], near) for g in pair]
     stats = JoinStatistics()
     matches = []
@@ -396,8 +380,9 @@ def interleaved_index(batch, initial=18):
 class TestIndexParity:
     def test_queries_with_streaming_adds(self):
         for initial in (18, 0):
-            _, batched_matches, batched_stats = interleaved_index(True, initial)
-            _, scalar_matches, scalar_stats = interleaved_index(False, initial)
+            batched, scalar = both_paths(lambda: interleaved_index(initial))
+            _, batched_matches, batched_stats = batched
+            _, scalar_matches, scalar_stats = scalar
             assert batched_matches == scalar_matches
             assert_stat_parity(batched_stats, scalar_stats)
             assert stage_rows(batched_stats) == stage_rows(scalar_stats)
@@ -420,7 +405,7 @@ class TestIndexParity:
         monkeypatch.setattr(
             "repro.core.search.build_columnar_store", counting_build
         )
-        index, _, _ = interleaved_index(True, initial)
+        index, _, _ = interleaved_index(initial)
         # An empty index has no store until its first insert.
         assert built == [initial or 1]
         store = index._store
@@ -442,47 +427,43 @@ class TestIndexParity:
     def test_external_query_with_unseen_labels(self):
         graphs = labeled_collection(20, seed=53, num_labels=2)
         foreign = labeled_collection(4, seed=59, num_labels=6)
-        results = {}
-        for batch in (True, False):
-            options = with_batch(GSimJoinOptions(), batch)
-            index = GSimIndex(graphs, tau_max=3, options=options)
+
+        def run():
+            index = GSimIndex(graphs, tau_max=3)
             stats = JoinStatistics()
-            results[batch] = (
-                [index.query(g, 3, stats=stats) for g in foreign],
-                stage_rows(stats),
-            )
-        assert results[True] == results[False]
+            matches = [index.query(g, 3, stats=stats) for g in foreign]
+            return matches, stage_rows(stats)
+
+        batched, scalar = both_paths(run)
+        assert batched == scalar
 
     def test_top_k_parity(self):
         graphs = labeled_collection(22, seed=61)
-        out = {}
-        for batch in (True, False):
-            options = with_batch(GSimJoinOptions(), batch)
-            index = GSimIndex(graphs[1:], tau_max=3, options=options)
-            out[batch] = index.query_top_k(graphs[0], k=3)
-        assert out[True] == out[False]
+        batched, scalar = both_paths(
+            lambda: GSimIndex(graphs[1:], tau_max=3).query_top_k(graphs[0], k=3)
+        )
+        assert batched == scalar
 
 
 # ------------------------------------------------- resolution and fallbacks
 
 
 class TestBatchResolution:
-    def test_batch_true_without_numpy_is_a_clear_error(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.batch.HAVE_NUMPY", False)
-        graphs = labeled_collection(4, seed=71)
-        with pytest.raises(ParameterError, match="requires numpy.*fast"):
-            gsim_join(graphs, 1, GSimJoinOptions(batch=True))
-
     def test_batch_default_without_numpy_falls_back_to_scalar(
         self, monkeypatch
     ):
+        def no_store(*args, **kwargs):
+            raise AssertionError("the scalar path builds no columnar store")
+
         monkeypatch.setattr("repro.engine.batch.HAVE_NUMPY", False)
+        monkeypatch.setattr("repro.engine.executor.build_columnar_store", no_store)
         executor = Executor(1, GSimJoinOptions(), JoinStatistics())
         assert executor.batch is False
         graphs = labeled_collection(8, seed=73)
         result = gsim_join(graphs, 2)  # must not raise
-        scalar = gsim_join(graphs, 2, GSimJoinOptions(batch=False))
-        assert result.pairs == scalar.pairs
+        reference = legacy_gsim_join(graphs, 2, GSimJoinOptions())
+        assert result.pairs == reference.pairs
+        assert_stat_parity(result.stats, reference.stats)
 
     @requires_numpy
     def test_default_resolution_batches_interned_runs(self):
@@ -493,7 +474,7 @@ class TestBatchResolution:
     def test_object_key_reference_path_parity(self):
         """The object-key oracle (scalar by construction) still agrees."""
         graphs = labeled_collection(18, seed=77)
-        batched = gsim_join(graphs, 2, GSimJoinOptions(batch=True))
+        batched = gsim_join(graphs, 2)
         reference = legacy_gsim_join(
             graphs, 2, GSimJoinOptions(), object_keys=True
         )

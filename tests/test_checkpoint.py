@@ -168,10 +168,12 @@ class TestResumeGuards:
             ("interned", False),
             ("improved_h", True),
             ("improved_h", False),
+            ("multicover", True),
+            ("multicover", False),
         ],
         ids=["auto", "permutation", "anchor_bound-false", "anchor_bound-true",
              "interned-true", "interned-false", "improved_h-true",
-             "improved_h-false"],
+             "improved_h-false", "multicover-true", "multicover-false"],
     )
     def test_plan_bearing_journal_refused(self, tmp_path, key, value):
         """A journal whose header options carry a deleted option — a
@@ -179,9 +181,10 @@ class TestResumeGuards:
         ``anchor_bound`` (as written when the compiled A* had that
         knob, even at its ``False`` default), ``interned`` (as
         written when the object-key pipeline was selectable, ``True``
-        by default) or ``improved_h`` (as written when the verifiers
-        could add Algorithm 8's term, ``True`` by default) — is a
-        different run."""
+        by default), ``improved_h`` (as written when the verifiers
+        could add Algorithm 8's term, ``True`` by default) or
+        ``multicover`` (as written when the set-multicover filter was
+        selectable, ``False`` by default) — is a different run."""
         graphs = molecule_collection(12, seed=29)
         meta = self_join_meta(graphs, 1, GSimJoinOptions(), None)
         meta["options"][key] = value

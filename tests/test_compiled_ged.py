@@ -230,7 +230,7 @@ class TestJoinParity:
     @pytest.mark.parametrize(
         "variant",
         [GSimJoinOptions.basic, GSimJoinOptions.minedit,
-         GSimJoinOptions.full, GSimJoinOptions.extended],
+         GSimJoinOptions.full],
     )
     def test_variants_and_seeds(self, seed, variant):
         graphs = molecule_collection(14, seed=seed)

@@ -240,7 +240,6 @@ class TestDirectedJoins:
         for options in (
             GSimJoinOptions.basic(q=2),
             GSimJoinOptions.full(q=2),
-            GSimJoinOptions.extended(q=2),
         ):
             got = gsim_join(graphs, tau, options=options).pair_set()
             assert got == expected

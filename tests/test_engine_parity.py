@@ -63,7 +63,7 @@ def test_self_join_parity_grid(q, tau):
     )
 
 
-@pytest.mark.parametrize("variant", ["basic", "minedit", "full", "extended"])
+@pytest.mark.parametrize("variant", ["basic", "minedit", "full"])
 @pytest.mark.parametrize("seed", [7, 11])
 def test_self_join_parity_variants(variant, seed):
     graphs = molecule_collection(14, seed=seed)

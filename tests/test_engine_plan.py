@@ -34,6 +34,7 @@ def test_default_full_plan_stage_names():
         "local-label-filter",
         "verify",
     )
+    assert tuple(f.name for f in plan.pair_filters) == DEFAULT_FILTER_ORDER
 
 
 def test_basic_plan_uses_basic_prefix_and_short_cascade():
@@ -43,11 +44,6 @@ def test_basic_plan_uses_basic_prefix_and_short_cascade():
         "global-label-filter",
         "count-filter",
     )
-
-
-def test_extended_plan_appends_multicover():
-    plan = build_plan(GSimJoinOptions.extended())
-    assert tuple(f.name for f in plan.pair_filters) == DEFAULT_FILTER_ORDER
 
 
 def test_verify_stage_reflects_options():

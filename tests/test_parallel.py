@@ -40,7 +40,6 @@ class TestParallelJoin:
         for options in (
             GSimJoinOptions.basic(q=3),
             GSimJoinOptions.full(q=3),
-            GSimJoinOptions.extended(q=3),
         ):
             sequential = gsim_join(graphs, tau=2, options=options)
             parallel = gsim_join_parallel(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import GSimJoinOptions, assign_ids, gsim_join
+from repro import GSimJoinOptions, gsim_join
 from repro.core import extract_qgrams
 from repro.datasets import figure1_graphs
 from repro.engine.prefix import basic_prefix, minedit_prefix
@@ -213,22 +213,27 @@ class TestLevelWiseWalk:
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_join_matches_recursive_walk_on_equal_labels(self, monkeypatch, q):
-        # Labels that are equal but print differently: the join over the
-        # level-wise walk's profiles must match the join over profiles of
-        # the recursive walk, pair for pair and statistic for statistic.
+        # Labels that are equal but print differently are refused at
+        # join entry.  Spelled one way each, the same non-string labels
+        # give the join over the level-wise walk's profiles the pairs
+        # and statistics of the join over the recursive walk's.
         rng = random.Random(61 + q)
-        spellings = {"C": [1, True, 1.0], "N": [0, False, 0.0], "O": ["O"]}
-        graphs = molecule_collection(12, seed=60 + q)
-        for g in graphs:
+        spellings = {"C": [1, True, 1.0], "N": [0, False, 0.0]}
+        mixed = molecule_collection(12, seed=60 + q)
+        consistent = molecule_collection(12, seed=60 + q)
+        for g, h in zip(mixed, consistent):
             for v in list(g.vertices()):
-                label = g.vertex_label(v)
-                g.set_vertex_label(v, rng.choice(spellings.get(label, [label])))
-        graphs = assign_ids(graphs)
-        for make in (GSimJoinOptions.minedit, GSimJoinOptions.extended):
-            walked = gsim_join(graphs, 2, make(q=q))
+                choices = spellings.get(g.vertex_label(v))
+                if choices:
+                    g.set_vertex_label(v, rng.choice(choices))
+                    h.set_vertex_label(v, choices[q - 1])
+        with pytest.raises(ParameterError, match="equal but print differently"):
+            gsim_join(mixed, 2, GSimJoinOptions.full(q=q))
+        for make in (GSimJoinOptions.minedit, GSimJoinOptions.full):
+            walked = gsim_join(consistent, 2, make(q=q))
             with monkeypatch.context() as patch:
                 patch.setattr("repro.engine.executor.extract_qgrams", oracle_profile)
-                recursive = gsim_join(graphs, 2, make(q=q))
+                recursive = gsim_join(consistent, 2, make(q=q))
             assert walked.pairs == recursive.pairs
             assert_stat_parity(walked.stats, recursive.stats)
 
@@ -255,11 +260,9 @@ class TestNoCyclicGarbage:
             assert profiles[0].signature_total and profiles[1].signature_total
             assert not overflow.signature_total
             merged = compare_qgrams(profiles[0], profiles[1])
-            merged.surplus_groups_r(profiles[0], profiles[1])
-            merged.surplus_groups_s(profiles[0], profiles[1])
             assert merged.absent_keys_r is not None
             counted = compare_qgrams(profiles[2], overflow, tau=1)
-            counted.surplus_groups_r(profiles[2], overflow)
+            assert counted.absent_keys_s is not None
             compare_qgrams(unsorted, profiles[3])
             assert len(profiles[4].grams) == profiles[4].size
             del profiles, vocab, overflow, unsorted, merged, counted

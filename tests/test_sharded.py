@@ -543,9 +543,10 @@ class TestResumeGuards:
             ("interned", True),
             ("improved_h", True),
             ("improved_h", False),
+            ("multicover", False),
         ],
         ids=["plan-auto", "anchor_bound-false", "interned-true",
-             "improved_h-true", "improved_h-false"],
+             "improved_h-true", "improved_h-false", "multicover-false"],
     )
     def test_manifest_with_deleted_option_refused(
         self, graphs, tmp_path, key, value

@@ -51,7 +51,6 @@ VARIANTS = {
     "basic": GSimJoinOptions.basic,
     "minedit": GSimJoinOptions.minedit,
     "full": GSimJoinOptions.full,
-    "extended": GSimJoinOptions.extended,
 }
 
 
