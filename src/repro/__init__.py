@@ -18,8 +18,8 @@ Package map:
 * :mod:`repro.core` — the public join/search API: ``gsim_join`` and
   friends, plus re-exports of the filter primitives;
 * :mod:`repro.engine` — the staged execution engine underneath it:
-  explicit join plans of first-class stages, one executor for all four
-  entry points, per-stage statistics (``docs/ARCHITECTURE.md``);
+  explicit join plans of first-class stages, one executor for every
+  entry point, per-stage statistics (``docs/ARCHITECTURE.md``);
 * :mod:`repro.graph` — the labeled-graph substrate (type, IO,
   generators, edit operations, isomorphism);
 * :mod:`repro.ged` — exact graph edit distance via A* with the paper's

@@ -34,7 +34,7 @@ whole-program rules three capabilities:
 from __future__ import annotations
 
 import copy
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["ProgramModel", "ENTRY_POINT_SUFFIXES", "VERIFIER_NAMES"]
 
@@ -43,10 +43,8 @@ ENTRY_POINT_SUFFIXES = (
     "gsim_join",
     "gsim_join_rs",
     "gsim_join_parallel",
+    "gsim_join_sharded",
     "GSimIndex.query",
-    "execute_self_join",
-    "execute_rs_join",
-    "execute_parallel_join",
 )
 
 #: Verification entry names for budget-threading reachability: the

@@ -543,9 +543,7 @@ class FunctionAnalyzer:
         if isinstance(node, ast.Call):
             return self._eval_call(node)
         if isinstance(node, ast.Attribute):
-            if node.attr in ("budget", "fallback_budget") and isinstance(
-                node.ctx, ast.Load
-            ):
+            if node.attr == "budget" and isinstance(node.ctx, ast.Load):
                 self.reads_budget_attr = True
             atoms, _ = self._eval(node.value)
             return atoms, False

@@ -1,8 +1,9 @@
 """Hot-path allocation rule.
 
 The engine's driver loops (``engine.executor``, ``engine.stages``),
-the vectorized batch kernels ``engine.batch``, their thin ``core``
-wrappers (``core.join``, ``core.search``), ``ged.astar``, the compiled
+the vectorized batch kernels ``engine.batch``, the in-memory join
+driver ``core.join`` and the search index ``core.search``,
+``ged.astar``, the compiled
 verifier ``ged.compiled``, the q-gram extraction walk ``grams.qgrams``
 (per path step), the interned filter kernels ``grams.vocab``
 / ``grams.mismatch``, the columnar store builder ``grams.columnar``

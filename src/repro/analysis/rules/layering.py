@@ -22,7 +22,7 @@ fault plans) sits directly above ``exceptions`` so both ``ged`` and
 the engine may depend on it without creating a cycle.  ``engine`` (the
 staged execution engine: plans, stages, executor) sits between ``ged``
 and ``core``: it owns the pipeline machinery, while ``core`` is the
-thin public API layer wrapping it.  ``repro/__init__.py`` (the facade) and
+public API layer over it (the in-memory join driver included).  ``repro/__init__.py`` (the facade) and
 ``repro/__main__.py`` are unrestricted; everything else may not import
 the facade.  A package missing from the table is flagged so the DAG
 must be extended deliberately.

@@ -24,27 +24,120 @@ q-grams) cannot be pruned by any prefix argument; they are kept on an
 *unprunable* list and paired with every graph, which keeps the join
 exact on heterogeneous collections.
 
-Both joins are thin wrappers over the staged execution engine
-(:mod:`repro.engine`): ``build_plan(options)`` assembles the stage
-list, one :class:`repro.engine.executor.Executor` drives it, and every
-stage reports survivor counts and wall time into
-``result.stats.stages`` (see ``docs/ARCHITECTURE.md`` and the CLI's
-``--explain-plan``).
+The three in-memory entry points — ``gsim_join``, ``gsim_join_rs`` and
+``gsim_join_parallel`` — share one driver, :func:`_join`, over the
+staged execution engine (:mod:`repro.engine`): ``build_plan(options)``
+assembles the stage list, one :class:`repro.engine.executor.Executor`
+scans and verifies, and every stage reports survivor counts and wall
+time into ``result.stats.stages`` (see ``docs/ARCHITECTURE.md`` and the
+CLI's ``--explain-plan``).  The parallel join differs only in where the
+fresh candidate pairs are verified: on the process pool of
+:mod:`repro.engine.parallel` instead of in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.executor import execute_rs_join, execute_self_join
-from repro.engine.options import GSimJoinOptions
-from repro.engine.result import JoinResult
+from repro.engine.executor import (
+    Executor,
+    Outcome,
+    add_outcome,
+    rs_join_meta,
+    self_join_meta,
+)
+from repro.engine.options import (
+    GSimJoinOptions,
+    reject_mixed_directedness,
+    reject_mixed_label_spellings,
+    validate_collection,
+)
+from repro.engine.parallel import PoolSettings, verify_deferred
+from repro.engine.result import JoinResult, JoinStatistics
 from repro.graph.graph import Graph
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultPlan
+from repro.runtime.journal import JoinJournal
 
-__all__ = ["GSimJoinOptions", "gsim_join", "gsim_join_rs"]
+__all__ = ["GSimJoinOptions", "gsim_join", "gsim_join_rs", "gsim_join_parallel"]
+
+
+def _join(
+    graphs: Sequence[Graph],
+    split: Optional[int],
+    tau: int,
+    options: GSimJoinOptions,
+    budget: Optional[VerificationBudget],
+    checkpoint: Optional[Union[str, os.PathLike]],
+    fault: Optional[FaultPlan],
+    pool: PoolSettings = PoolSettings(),
+) -> JoinResult:
+    """Run the scan over ``graphs`` and verify every candidate block.
+
+    ``split=None`` self-joins (pairs reported earlier graph first);
+    otherwise graphs ``[:split]`` probe the index over ``[split:]``
+    (pairs reported outer graph first).  With one worker (the default
+    ``pool``) each block is verified in place, stepping ``fault`` in
+    this process.  With more (self-join only), each block replays its
+    journaled pairs and defers the rest; the deferred pairs are
+    verified on the pool, ``fault`` armed in its workers, and the
+    results are reported in scan order.
+    """
+    stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
+    result = JoinResult(stats=stats)
+    ids = [g.graph_id for g in graphs]
+    if split is None:
+
+        def emit(r: int, s: int, outcome: Outcome) -> None:
+            add_outcome(result, outcome, ids[s], ids[r])
+
+    else:
+
+        def emit(r: int, s: int, outcome: Outcome) -> None:
+            add_outcome(result, outcome, ids[r], ids[s])
+
+    journaled: contextlib.AbstractContextManager = contextlib.nullcontext()
+    if checkpoint is not None:
+        journaled = JoinJournal.open(
+            checkpoint,
+            self_join_meta(graphs, tau, options, budget)
+            if split is None
+            else rs_join_meta(
+                graphs[:split], graphs[split:], tau, options, budget
+            ),
+        )
+    deferred = pool.workers > 1
+    with journaled as journal:
+        executor = Executor(
+            tau, options, stats, budget=budget, journal=journal,
+            injector=None if fault is None or deferred else fault.start(),
+        )
+        executor.prepare(graphs)
+        store = executor.build_store()
+        if not deferred:
+            for i, candidate_ids in executor.scan(split):
+                executor.verify_block(i, candidate_ids, emit)
+        else:
+            blocks: List[Tuple[int, Dict[int, bool]]] = []
+            todo: List[Tuple[int, int]] = []
+            found: Dict[Tuple[int, int], Outcome] = {}
+
+            def keep(r: int, s: int, outcome: Outcome) -> None:
+                found[r, s] = outcome
+
+            for i, candidate_ids in executor.scan():
+                executor.verify_block(i, candidate_ids, keep, defer=todo)
+                blocks.append((i, candidate_ids))
+            verify_deferred(executor, todo, graphs, pool, keep, fault, store)
+            for i, candidate_ids in blocks:
+                for j in candidate_ids:
+                    outcome = found.get((i, j))
+                    if outcome is not None:
+                        emit(i, j, outcome)
+    executor.finish(result)
+    return result
 
 
 def gsim_join(
@@ -86,10 +179,10 @@ def gsim_join(
     CheckpointError
         When ``checkpoint`` names a journal from a different run.
     """
-    return execute_self_join(
-        graphs, tau, options=options, budget=budget,
-        checkpoint=checkpoint, fault=fault,
-    )
+    if options is None:
+        options = GSimJoinOptions()
+    validate_collection(graphs, tau, options)
+    return _join(graphs, None, tau, options, budget, checkpoint, fault)
 
 
 def gsim_join_rs(
@@ -123,7 +216,59 @@ def gsim_join_rs(
     CheckpointError
         When ``checkpoint`` names a journal from a different run.
     """
-    return execute_rs_join(
-        outer, inner, tau, options=options, budget=budget,
-        checkpoint=checkpoint, fault=fault,
-    )
+    if options is None:
+        options = GSimJoinOptions()
+    validate_collection(outer, tau, options)
+    validate_collection(inner, tau, options)
+    graphs = list(outer) + list(inner)
+    reject_mixed_directedness(graphs)
+    reject_mixed_label_spellings(graphs)
+    return _join(graphs, len(outer), tau, options, budget, checkpoint, fault)
+
+
+def gsim_join_parallel(
+    graphs: Sequence[Graph],
+    tau: int,
+    options: Optional[GSimJoinOptions] = None,
+    workers: int = 2,
+    budget: Optional[VerificationBudget] = None,
+    checkpoint: Optional[Union[str, os.PathLike]] = None,
+    fault: Optional[FaultPlan] = None,
+    max_retries: int = 2,
+    chunk_timeout: Optional[float] = None,
+    retry_backoff: float = 0.1,
+) -> JoinResult:
+    """Self-join with verification parallelized over ``workers`` processes.
+
+    Produces exactly the pairs, undecided pairs and integer statistics
+    of :func:`gsim_join`; result order follows the candidate scan.
+    ``workers=1`` *is* :func:`gsim_join` (no pool).  Journals resume
+    across the two.
+
+    Robustness knobs (all default-off; see ``docs/ROBUSTNESS.md``):
+
+    ``budget``/``checkpoint``/``fault``
+        As in :func:`gsim_join` — budgeted verification with an
+        ``undecided`` channel, a write-through resume journal, and
+        deterministic fault injection (armed inside pool workers).
+    ``chunk_timeout``
+        Seconds to wait for one chunk before declaring its worker hung;
+        must comfortably exceed the legitimate worst-case chunk time.
+    ``max_retries``
+        Re-dispatches of a failed chunk (fresh pool each time, capped
+        exponential backoff of ``retry_backoff·2^attempt`` seconds)
+        before its pairs are verified in-process under ``budget``
+        (default :data:`repro.engine.parallel.DEFAULT_FALLBACK_BUDGET`).
+
+    Raises
+    ------
+    ParameterError
+        Same validation as :func:`gsim_join`, plus ``workers >= 1``,
+        ``max_retries >= 0`` and positive ``chunk_timeout``/non-negative
+        ``retry_backoff``.
+    """
+    pool = PoolSettings(workers, max_retries, retry_backoff, chunk_timeout)
+    if options is None:
+        options = GSimJoinOptions()
+    validate_collection(graphs, tau, options)
+    return _join(graphs, None, tau, options, budget, checkpoint, fault, pool)

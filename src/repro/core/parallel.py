@@ -1,84 +1,15 @@
-"""Multi-core GSimJoin with a fault-tolerant verification executor.
+"""Multi-core GSimJoin: the self-join with verification on a process pool.
 
-A thin wrapper over :mod:`repro.engine.parallel`: the sequential scan
-collects candidate pairs via the staged execution engine, verification
-fans out in chunks over a ``concurrent.futures`` process pool, and the
-parent accrues worker records — results and per-pair statistics are
-identical to the sequential join (asserted by the test suite) while
-wall-clock phase timings reflect the parent's view.  See the engine
-module for the full mechanics (worker state, retry/timeout handling,
-the in-process fallback) and ``docs/ROBUSTNESS.md`` for the fault
+:func:`gsim_join_parallel` is defined beside :func:`~repro.core.join.
+gsim_join` in :mod:`repro.core.join` — both run the one in-memory
+driver — and re-exported here, with the in-process fallback's default
+budget, for callers that import it from this module.  The pool itself
+(worker state, retry/timeout handling, the in-process fallback) is
+:mod:`repro.engine.parallel`; ``docs/ROBUSTNESS.md`` has the fault
 model.
 """
 
-from __future__ import annotations
-
-import os
-from typing import Optional, Sequence, Union
-
-from repro.engine.parallel import DEFAULT_FALLBACK_BUDGET, execute_parallel_join
-from repro.engine.options import GSimJoinOptions
-from repro.engine.result import JoinResult
-from repro.graph.graph import Graph
-from repro.runtime.budget import VerificationBudget
-from repro.runtime.faults import FaultPlan
+from repro.core.join import gsim_join_parallel
+from repro.engine.parallel import DEFAULT_FALLBACK_BUDGET
 
 __all__ = ["gsim_join_parallel", "DEFAULT_FALLBACK_BUDGET"]
-
-
-def gsim_join_parallel(
-    graphs: Sequence[Graph],
-    tau: int,
-    options: Optional[GSimJoinOptions] = None,
-    workers: int = 2,
-    chunk_size: int = 8,
-    budget: Optional[VerificationBudget] = None,
-    checkpoint: Optional[Union[str, os.PathLike]] = None,
-    fault: Optional[FaultPlan] = None,
-    max_retries: int = 2,
-    chunk_timeout: Optional[float] = None,
-    retry_backoff: float = 0.1,
-    fallback_budget: Optional[VerificationBudget] = None,
-) -> JoinResult:
-    """Self-join with verification parallelized over ``workers`` processes.
-
-    Produces exactly the pairs of :func:`repro.core.join.gsim_join`;
-    result order follows the candidate scan.  ``workers=1`` degrades to
-    an in-process loop (useful for debugging without a pool).
-
-    Robustness knobs (all default-off; see ``docs/ROBUSTNESS.md``):
-
-    ``budget``/``checkpoint``/``fault``
-        As in :func:`repro.core.join.gsim_join` — budgeted verification
-        with an ``undecided`` channel, a write-through resume journal,
-        and deterministic fault injection (armed inside pool workers).
-    ``chunk_timeout``
-        Seconds to wait for one chunk before declaring its worker hung;
-        must comfortably exceed the legitimate worst-case chunk time.
-    ``max_retries``
-        Re-dispatches of a failed chunk (fresh pool each time, capped
-        exponential backoff of ``retry_backoff·2^attempt`` seconds)
-        before its pairs are verified in-process under
-        ``fallback_budget`` (default :data:`DEFAULT_FALLBACK_BUDGET`).
-
-    Raises
-    ------
-    ParameterError
-        Same validation as the sequential join, plus ``workers >= 1``,
-        ``chunk_size >= 1``, ``max_retries >= 0`` and positive
-        ``chunk_timeout``/non-negative ``retry_backoff``.
-    """
-    return execute_parallel_join(
-        graphs,
-        tau,
-        options=options,
-        workers=workers,
-        chunk_size=chunk_size,
-        budget=budget,
-        checkpoint=checkpoint,
-        fault=fault,
-        max_retries=max_retries,
-        chunk_timeout=chunk_timeout,
-        retry_backoff=retry_backoff,
-        fallback_budget=fallback_budget,
-    )

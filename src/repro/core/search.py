@@ -204,7 +204,8 @@ class GSimIndex:
                 )
             executor.attach_store(store)
         profile = extract_qgrams(g, self.options.q)
-        self._sorter.sort_profile(profile)
+        # The query is never stored: its unseen keys take temporary ids.
+        self._sorter.sort_profile(profile, intern=False)
         info = self._prefix(profile, tau)
 
         candidates = executor.collect_candidates(

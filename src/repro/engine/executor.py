@@ -21,18 +21,17 @@ the run's journal and fault injector — and owns the two loops Algorithm
   record→result mapping (:func:`add_outcome`, :func:`bounded_pair`).
   It owns the ``verify_time`` phase timer.
 
-The entry points are thin callers of these two.
-:func:`execute_self_join` and :func:`execute_rs_join` (here) run the
-scan and verify each block in place; the parallel driver
-(:mod:`repro.engine.parallel`) collects the scan's blocks, replays its
-journal through :meth:`~Executor.verify_block` and defers the fresh
-pairs to pool workers, which verify them on a worker-local executor;
-the sharded driver (:mod:`repro.engine.sharded`) runs one executor per
-sub-shard combo; ``GSimIndex.query`` (:mod:`repro.core.search`) runs
-one block per query.  What each driver still owns is what genuinely
-differs: pair enumeration (which scan shape, over which graphs), result
-assembly, journal keying (``positions``), spill queues and manifest,
-and the process pool.
+The entry points are thin callers of these two.  The in-memory join
+(``repro.core.join``) runs the scan and verifies each block in place,
+or — on a process pool — replays its journal through
+:meth:`~Executor.verify_block`, defers the fresh pairs and hands them
+to :func:`repro.engine.parallel.verify_deferred`, whose workers verify
+them on a worker-local executor; the sharded driver
+(:mod:`repro.engine.sharded`) runs one executor per sub-shard combo;
+``GSimIndex.query`` (:mod:`repro.core.search`) runs one block per
+query.  What each driver still owns is what genuinely differs: pair
+enumeration (which scan shape, over which graphs), result assembly,
+journal keying (``positions``), spill queues and manifest.
 
 Every stage reports survivor counts and wall time into the
 :class:`~repro.engine.result.StageStatistics` rows of the run's
@@ -42,10 +41,8 @@ a long-lived index accumulates across queries).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
-import os
 import time
 from typing import (
     Callable,
@@ -69,13 +66,7 @@ from repro.engine.batch import (
 )
 from repro.engine.count_filter import passes_size_filter
 from repro.engine.inverted_index import InvertedIndex
-from repro.engine.options import (
-    GSimJoinOptions,
-    build_sorter,
-    reject_mixed_directedness,
-    reject_mixed_label_spellings,
-    validate_collection,
-)
+from repro.engine.options import GSimJoinOptions, build_sorter
 from repro.engine.plan import JoinPlan, build_plan
 from repro.engine.prefix import PrefixInfo
 from repro.engine.result import (
@@ -91,13 +82,11 @@ from repro.grams.columnar import ColumnarStore, build_columnar_store, np
 from repro.grams.qgrams import QGramProfile, extract_qgrams
 from repro.grams.vocab import QGramVocabulary
 from repro.runtime.budget import VerificationBudget
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultInjector
 from repro.runtime.journal import JoinJournal, VerificationRecord
 
 __all__ = [
     "Executor",
-    "execute_self_join",
-    "execute_rs_join",
     "record_of",
     "bounded_pair",
     "add_outcome",
@@ -909,112 +898,3 @@ class Executor:
             stats.index_bytes += self.index.size_bytes
         stats.compile_time += self.cache.compile_seconds
         stats.compiled_graphs += len(self.cache)
-
-
-def _join(
-    graphs: Sequence[Graph],
-    split: Optional[int],
-    tau: int,
-    options: GSimJoinOptions,
-    budget: Optional[VerificationBudget],
-    checkpoint: Optional[Union[str, os.PathLike]],
-    meta: Optional[dict],
-    fault: Optional[FaultPlan],
-) -> JoinResult:
-    """Run the scan over ``graphs`` and verify every block in place.
-
-    ``split=None`` self-joins (pairs reported earlier graph first);
-    otherwise graphs ``[:split]`` probe the index over ``[split:]``
-    (pairs reported outer graph first).
-    """
-    stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
-    result = JoinResult(stats=stats)
-    ids = [g.graph_id for g in graphs]
-    if split is None:
-
-        def emit(r: int, s: int, outcome: Outcome) -> None:
-            add_outcome(result, outcome, ids[s], ids[r])
-
-    else:
-
-        def emit(r: int, s: int, outcome: Outcome) -> None:
-            add_outcome(result, outcome, ids[r], ids[s])
-
-    with (
-        JoinJournal.open(checkpoint, meta)
-        if checkpoint is not None
-        else contextlib.nullcontext()
-    ) as journal:
-        executor = Executor(
-            tau, options, stats, budget=budget, journal=journal,
-            injector=fault.start() if fault is not None else None,
-        )
-        executor.prepare(graphs)
-        executor.build_store()
-        for i, candidate_ids in executor.scan(split):
-            executor.verify_block(i, candidate_ids, emit)
-    executor.finish(result)
-    return result
-
-
-def execute_self_join(
-    graphs: Sequence[Graph],
-    tau: int,
-    options: Optional[GSimJoinOptions] = None,
-    budget: Optional[VerificationBudget] = None,
-    checkpoint: Optional[Union[str, os.PathLike]] = None,
-    fault: Optional[FaultPlan] = None,
-) -> JoinResult:
-    """Self-join: all pairs within edit distance ``tau`` (Algorithm 1).
-
-    The engine-side implementation behind
-    :func:`repro.core.join.gsim_join` — see there for the public
-    contract.  Index-nested-loop: each graph probes the inverted index
-    over the *earlier* graphs' prefixes, verifies its candidates
-    through the plan's cascade, then inserts its own prefix.
-    """
-    if options is None:
-        options = GSimJoinOptions()
-    validate_collection(graphs, tau, options)
-    meta = (
-        self_join_meta(graphs, tau, options, budget)
-        if checkpoint is not None
-        else None
-    )
-    return _join(graphs, None, tau, options, budget, checkpoint, meta, fault)
-
-
-def execute_rs_join(
-    outer: Sequence[Graph],
-    inner: Sequence[Graph],
-    tau: int,
-    options: Optional[GSimJoinOptions] = None,
-    budget: Optional[VerificationBudget] = None,
-    checkpoint: Optional[Union[str, os.PathLike]] = None,
-    fault: Optional[FaultPlan] = None,
-) -> JoinResult:
-    """R×S join: ``{⟨r, s⟩ | ged(r, s) ≤ τ, r ∈ outer, s ∈ inner}``.
-
-    The engine-side implementation behind
-    :func:`repro.core.join.gsim_join_rs` — see there for the public
-    contract.  The inner collection is fully indexed first, then each
-    outer graph probes; the global q-gram ordering spans both
-    collections so prefixes are comparable.  ``checkpoint``/``fault``
-    mirror the self-join's journal resume and fault injection; journal
-    keys are ``(outer_position, inner_position)``.
-    """
-    if options is None:
-        options = GSimJoinOptions()
-    validate_collection(outer, tau, options)
-    validate_collection(inner, tau, options)
-    graphs = list(outer) + list(inner)
-    reject_mixed_directedness(graphs)
-    reject_mixed_label_spellings(graphs)
-    meta = (
-        rs_join_meta(outer, inner, tau, options, budget)
-        if checkpoint is not None
-        else None
-    )
-    return _join(
-        graphs, len(outer), tau, options, budget, checkpoint, meta, fault
-    )

@@ -1,26 +1,27 @@
-"""Multi-core GSimJoin with a fault-tolerant verification pool.
+"""The fault-tolerant process pool that verifies deferred candidate pairs.
 
 The join's phases have very different parallelism profiles: index
 construction and candidate generation are cheap and inherently
 sequential (the index-nested-loop consumes its own output), while
 verification — the filter cascade plus A* — dominates the runtime and
-is embarrassingly parallel across candidate pairs.
-:func:`execute_parallel_join` therefore runs the driver core's scan
-(:meth:`~repro.engine.executor.Executor.scan`) once to *collect* every
-probe's candidate block, replays its journal through
-:meth:`~repro.engine.executor.Executor.verify_block` — which defers the
-fresh pairs instead of verifying them — and verifies the deferred pairs
-in chunks on a ``concurrent.futures`` process pool.
+is embarrassingly parallel across candidate pairs.  A driver that runs
+a pool therefore scans as usual but lets
+:meth:`~repro.engine.executor.Executor.verify_block` *defer* each fresh
+pair instead of verifying it, then hands its executor and the deferred
+pairs to :func:`verify_deferred`, which verifies them in chunks of
+eight on a ``concurrent.futures`` process pool.  The in-memory
+self-join (``repro.core.join``) and the sharded driver's combos
+(:mod:`repro.engine.sharded`) are its two callers.
 
-What this module owns is the pool: each worker verifies its chunks on a
-worker-local :class:`~repro.engine.executor.Executor` built from the
-shipped options, columnar store and frozen global ordering (the
-interning vocabulary), one
-:meth:`~repro.engine.executor.Executor.verify_block` per run of pairs
-sharing a probe graph.  Profiles and label multisets are built
-lazily, at most once per worker and only for pairs that need them, and
-sorted in the shipped ordering, so mismatch-instance selection and the
-improved A* vertex order match the sequential join exactly.
+Each worker verifies its chunks on a worker-local
+:class:`~repro.engine.executor.Executor` built from the shipped
+options, columnar store and frozen global ordering (the interning
+vocabulary), one :meth:`~repro.engine.executor.Executor.verify_block`
+per run of pairs sharing a probe graph.  Profiles and label multisets
+are built lazily, at most once per worker and only for pairs that need
+them, and sorted in the shipped ordering, so mismatch-instance
+selection and the improved A* vertex order match the in-place join
+exactly.
 
 Workers return one :class:`~repro.runtime.journal.VerificationRecord`
 per pair (their executor journals into the chunk's record list); the
@@ -28,11 +29,10 @@ parent folds the records into the join statistics with
 :meth:`~repro.engine.executor.Executor.accept` — including the
 per-stage :class:`~repro.engine.result.StageStatistics` rows, derived
 from each record's prune attribution — in chunk order, so results *and*
-per-pair statistics are identical to the sequential join (asserted by
+per-pair statistics are identical to the in-place join (asserted by
 the test suite) while wall-clock phase timings reflect the parent's
 view (``verify_time`` includes the elapsed pool time and ``ged_time``
-the summed worker search time).  The sharded driver reuses the same
-pool for its ``workers > 1`` runs.
+the summed worker search time).
 
 Fault tolerance (``docs/ROBUSTNESS.md``): chunks are awaited with an
 optional per-chunk timeout; a timeout, a dead worker
@@ -40,38 +40,22 @@ optional per-chunk timeout; a timeout, a dead worker
 worker tears the pool down, re-dispatches the unfinished chunks on a
 fresh pool with capped exponential backoff, and after ``max_retries``
 failed attempts verifies the poisoned chunk's pairs *in-process* under
-a strict budget, catching per-pair errors — so the join always
-terminates with a complete accounting: every candidate pair ends up in
-``pairs``, rejected, or in the ``undecided`` channel.
+the run's budget (else :data:`DEFAULT_FALLBACK_BUDGET`), catching
+per-pair errors — so the join always terminates with a complete
+accounting: every candidate pair ends up in ``pairs``, rejected, or in
+the ``undecided`` channel.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.executor import (
-    Executor,
-    Outcome,
-    add_outcome,
-    self_join_meta,
-)
-from repro.engine.options import GSimJoinOptions, validate_collection
-from repro.engine.result import JoinResult, JoinStatistics
+from repro.engine.executor import Emit, Executor
+from repro.engine.options import GSimJoinOptions
+from repro.engine.result import JoinStatistics
 from repro.exceptions import ParameterError, ReproError
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore
@@ -79,9 +63,9 @@ from repro.grams.qgrams import QGramProfile, extract_qgrams
 from repro.grams.vocab import QGramVocabulary
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultPlan
-from repro.runtime.journal import JoinJournal, VerificationRecord
+from repro.runtime.journal import VerificationRecord
 
-__all__ = ["execute_parallel_join", "DEFAULT_FALLBACK_BUDGET", "PoolSettings"]
+__all__ = ["verify_deferred", "DEFAULT_FALLBACK_BUDGET", "PoolSettings"]
 
 #: Budget applied to poisoned pairs verified in-process after
 #: ``max_retries`` — strict enough that one adversarial pair cannot
@@ -93,6 +77,9 @@ DEFAULT_FALLBACK_BUDGET = VerificationBudget(
 #: Cap on the exponential retry backoff (seconds).
 _MAX_BACKOFF = 5.0
 
+#: Candidate pairs per worker chunk.
+_CHUNK_SIZE = 8
+
 Pair = Tuple[int, int]
 
 
@@ -100,8 +87,9 @@ Pair = Tuple[int, int]
 class PoolSettings:
     """Worker count and failure policy of a pool-verified run.
 
-    The parallel and the sharded driver share it, so both check their
-    runtime arguments and back off between retries the same way.
+    The in-memory self-join and the sharded driver share it, so both
+    check their runtime arguments and back off between retries the same
+    way.
 
     Raises
     ------
@@ -278,10 +266,10 @@ def _fallback_verify(
 ) -> List[VerificationRecord]:
     """Verify a poisoned chunk in-process, never letting a pair escape.
 
-    Runs under ``budget`` (strict by construction) with no fault
-    injector armed; a pair that still raises a library error is
-    recorded as undecided with ``pruned_by="error"`` so the join's
-    accounting stays complete.
+    Runs under ``budget`` (never unbounded) with no fault injector
+    armed; a pair that still raises a library error is recorded as
+    undecided with ``pruned_by="error"`` so the join's accounting stays
+    complete.
     """
     executor = _local_executor(graphs, tau, options, sorter, budget, None, None)
     records: List[VerificationRecord] = []
@@ -300,132 +288,6 @@ def _fallback_verify(
     return records
 
 
-def verify_on_pool(
-    pairs: List[Pair],
-    graphs: Sequence[Graph],
-    tau: int,
-    options: GSimJoinOptions,
-    sorter: QGramVocabulary,
-    budget: Optional[VerificationBudget],
-    settings: PoolSettings,
-    stats: JoinStatistics,
-    chunk_size: int = 8,
-    fault: Optional[FaultPlan] = None,
-    store: Optional[ColumnarStore] = None,
-    fallback_budget: Optional[VerificationBudget] = None,
-) -> Iterator[VerificationRecord]:
-    """Verify ``pairs`` (profile positions ``(r, s)`` into ``graphs``)
-    in chunks, yielding one record per pair in chunk order.
-
-    ``workers=1`` verifies in-process, chunk by chunk as the caller
-    consumes the records (a fault propagates); otherwise every chunk
-    runs on the fault-tolerant pool of :func:`_run_chunks` first.
-    ``fallback_budget`` defaults to ``budget``, else
-    :data:`DEFAULT_FALLBACK_BUDGET`.
-    """
-    chunks = [
-        pairs[k : k + chunk_size] for k in range(0, len(pairs), chunk_size)
-    ]
-    if settings.workers == 1:
-        executor = _local_executor(
-            graphs, tau, options, sorter, budget, fault, store
-        )
-        for chunk in chunks:
-            yield from _chunk_records(executor, chunk)
-        return
-    if fallback_budget is None:
-        fallback_budget = budget if budget is not None else DEFAULT_FALLBACK_BUDGET
-    chunk_records = _run_chunks(
-        chunks, list(graphs), tau, options, sorter, budget, fault, store,
-        settings, fallback_budget, stats,
-    )
-    for idx in range(len(chunks)):
-        yield from chunk_records[idx]
-
-
-def execute_parallel_join(
-    graphs: Sequence[Graph],
-    tau: int,
-    options: Optional[GSimJoinOptions] = None,
-    workers: int = 2,
-    chunk_size: int = 8,
-    budget: Optional[VerificationBudget] = None,
-    checkpoint: Optional[Union[str, os.PathLike]] = None,
-    fault: Optional[FaultPlan] = None,
-    max_retries: int = 2,
-    chunk_timeout: Optional[float] = None,
-    retry_backoff: float = 0.1,
-    fallback_budget: Optional[VerificationBudget] = None,
-) -> JoinResult:
-    """Self-join with verification parallelized over ``workers`` processes.
-
-    The engine-side implementation behind
-    :func:`repro.core.parallel.gsim_join_parallel` — see there for the
-    public contract.  Produces exactly the pairs of
-    :func:`repro.engine.executor.execute_self_join`; result order
-    follows the candidate scan.  ``workers=1`` degrades to an
-    in-process loop (useful for debugging without a pool).
-
-    Raises
-    ------
-    ParameterError
-        Same validation as the sequential join, plus ``workers >= 1``,
-        ``chunk_size >= 1``, ``max_retries >= 0`` and positive
-        ``chunk_timeout``/non-negative ``retry_backoff``.
-    """
-    if options is None:
-        options = GSimJoinOptions()
-    if chunk_size < 1:
-        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    settings = PoolSettings(workers, max_retries, retry_backoff, chunk_timeout)
-    validate_collection(graphs, tau, options)
-
-    stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
-    result = JoinResult(stats=stats)
-    found: Dict[Pair, Outcome] = {}
-
-    def keep(r: int, s: int, outcome: Outcome) -> None:
-        found[r, s] = outcome
-
-    with (
-        JoinJournal.open(
-            checkpoint, self_join_meta(graphs, tau, options, budget)
-        )
-        if checkpoint is not None
-        else contextlib.nullcontext()
-    ) as journal:
-        executor = Executor(tau, options, stats, budget=budget, journal=journal)
-        executor.prepare(graphs)
-        store = executor.build_store()
-        # Phase 1: the whole scan, then the journal's replay; the fresh
-        # pairs are deferred to the pool in scan order.
-        blocks = list(executor.scan())
-        todo: List[Pair] = []
-        for i, candidate_ids in blocks:
-            executor.verify_block(i, candidate_ids, keep, defer=todo)
-
-        # Phase 2: verify the rest on the pool.  Workers build their
-        # plan from the parent executor's options.
-        started = time.perf_counter()
-        for rec in verify_on_pool(
-            todo, graphs, tau, executor.options, executor.sorter,
-            budget, settings, stats, chunk_size=chunk_size, fault=fault,
-            store=store, fallback_budget=fallback_budget,
-        ):
-            executor.accept(rec, keep)
-        stats.verify_time += time.perf_counter() - started
-
-    # Assembly: walk the candidate scan order once.
-    ids = [g.graph_id for g in graphs]
-    for i, candidate_ids in blocks:
-        for j in candidate_ids:
-            outcome = found.get((i, j))
-            if outcome is not None:
-                add_outcome(result, outcome, ids[j], ids[i])
-    executor.finish(result)
-    return result
-
-
 def _run_chunks(
     chunks: List[List[Pair]],
     graphs: Sequence[Graph],
@@ -436,7 +298,6 @@ def _run_chunks(
     fault: Optional[FaultPlan],
     store: Optional[ColumnarStore],
     settings: PoolSettings,
-    fallback_budget: VerificationBudget,
     stats: JoinStatistics,
 ) -> Dict[int, List[VerificationRecord]]:
     """Run every chunk to completion, surviving worker death and hangs.
@@ -445,7 +306,8 @@ def _run_chunks(
     and collects results in submission order.  The first chunk whose
     future times out, arrives broken (``BrokenProcessPool``) or raises
     is charged a retry; once a chunk exceeds ``max_retries`` its pairs
-    are verified in-process via :func:`_fallback_verify`.  Progress is
+    are verified in-process via :func:`_fallback_verify`, under
+    ``budget`` or else :data:`DEFAULT_FALLBACK_BUDGET`.  Progress is
     guaranteed: every failing round increments some chunk's retry
     count, so rounds are bounded by ``len(chunks) · (max_retries + 1)``.
     """
@@ -494,9 +356,46 @@ def _run_chunks(
                 tau,
                 options,
                 sorter,
-                fallback_budget,
+                budget if budget is not None else DEFAULT_FALLBACK_BUDGET,
                 stats,
             )
         else:
             settings.backoff(retries[failed])
     return chunk_records
+
+
+def verify_deferred(
+    executor: Executor,
+    pairs: List[Pair],
+    graphs: Sequence[Graph],
+    settings: PoolSettings,
+    emit: Emit,
+    fault: Optional[FaultPlan] = None,
+    store: Optional[ColumnarStore] = None,
+) -> None:
+    """Verify ``executor``'s deferred ``pairs`` on the pool and fold
+    every record back into it.
+
+    ``pairs`` are profile positions ``(r, s)`` into ``graphs``, as
+    :meth:`~repro.engine.executor.Executor.verify_block` deferred them.
+    Workers build their plan from ``executor``'s options and sort in its
+    global ordering, verify under its budget and arm ``fault``; a
+    shipped ``store`` enables their batch prefilter.  The records are
+    folded in chunk order with
+    :meth:`~repro.engine.executor.Executor.accept` (journaled, and
+    passed to ``emit`` when a result or undecided pair).  Accrues
+    ``verify_time``.
+    """
+    started = time.perf_counter()
+    chunks = [
+        pairs[k : k + _CHUNK_SIZE] for k in range(0, len(pairs), _CHUNK_SIZE)
+    ]
+    chunk_records = _run_chunks(
+        chunks, list(graphs), executor.tau, executor.options,
+        executor.sorter, executor.budget, fault, store, settings,
+        executor.stats,
+    )
+    for idx in range(len(chunks)):
+        for rec in chunk_records[idx]:
+            executor.accept(rec, emit)
+    executor.stats.verify_time += time.perf_counter() - started

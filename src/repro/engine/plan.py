@@ -4,9 +4,10 @@
 tuple of first-class stage objects from :mod:`repro.engine.stages` —
 from a :class:`~repro.engine.options.GSimJoinOptions`.  The structural
 stages (prepare, prefix, candidates, size filter, verify) are fixed by
-the algorithm's shape; the per-pair filter cascade in the middle is the
-enabled subset of :data:`DEFAULT_FILTER_ORDER`, always in the paper's
-order (Algorithm 6: cheapest bound first).
+the algorithm's shape; the per-pair filter cascade in the middle runs
+in the paper's order (Algorithm 6: cheapest bound first) — the global
+label and count filters, then the local label filter when
+``options.local_label`` is set.
 
 ``JoinPlan.describe()`` renders the plan for the CLI's
 ``--explain-plan``.
@@ -31,24 +32,7 @@ from repro.engine.stages import (
     Verify,
 )
 
-__all__ = [
-    "JoinPlan",
-    "build_plan",
-    "DEFAULT_FILTER_ORDER",
-]
-
-#: The paper's cascade order (Algorithm 6), cheapest bound first.
-DEFAULT_FILTER_ORDER: Tuple[str, ...] = (
-    "global-label-filter",
-    "count-filter",
-    "local-label-filter",
-)
-
-_FILTER_FACTORIES = {
-    "global-label-filter": GlobalLabelFilter,
-    "count-filter": CountFilter,
-    "local-label-filter": LabelFilter,
-}
+__all__ = ["JoinPlan", "build_plan"]
 
 
 @dataclass(frozen=True)
@@ -109,25 +93,19 @@ class JoinPlan:
 def build_plan(options: GSimJoinOptions) -> JoinPlan:
     """Assemble the :class:`JoinPlan` that ``options`` implies.
 
-    The per-pair cascade is the enabled subset of
-    :data:`DEFAULT_FILTER_ORDER`: the global label and count filters
-    always, the local label filter with ``local_label``.
+    The per-pair cascade, cheapest bound first (Algorithm 6): the
+    global label and count filters always, the local label filter with
+    ``local_label``.
     """
-    enabled = {
-        "global-label-filter": True,
-        "count-filter": True,
-        "local-label-filter": options.local_label,
-    }
+    pair_filters: Tuple[PairFilter, ...] = (GlobalLabelFilter(), CountFilter())
+    if options.local_label:
+        pair_filters += (LabelFilter(),)
     stages = (
         PrepareProfiles(),
         MinEditFilter() if options.minedit_prefix else BasicPrefix(),
         PrefixCandidates(),
         SizeFilter(),
-        *(
-            _FILTER_FACTORIES[name]()
-            for name in DEFAULT_FILTER_ORDER
-            if enabled[name]
-        ),
+        *pair_filters,
         Verify(
             verifier=options.verifier,
             improved_order=options.improved_order,

@@ -1,6 +1,6 @@
 """Out-of-core sharded self-join with bounded memory and crash recovery.
 
-:func:`execute_sharded_join` runs Algorithm 1's join over a collection
+:func:`gsim_join_sharded` runs Algorithm 1's join over a collection
 that need not fit in memory.  The collection is streamed twice
 (:func:`repro.graph.io.load_graphs_iter`): once to learn every graph's
 size ``|V| + |E|`` and fingerprint the run, once to scatter the graphs
@@ -55,8 +55,9 @@ passes, combo enumeration under the memory budget, the global
 result or undecided pair spills right after it is verified), the
 manifest and the per-pair statistics snapshots, merged with
 :meth:`~repro.engine.result.JoinStatistics.merge`.  With ``workers > 1``
-fresh pairs are deferred to the parallel driver's pool.  The driver
-runs the scalar cascade: it builds no columnar store per combo.
+fresh pairs are deferred to the pool of :mod:`repro.engine.parallel`
+(:func:`~repro.engine.parallel.verify_deferred`).  The driver runs the
+scalar cascade: it builds no columnar store per combo.
 
 Transient I/O failures (``OSError``, including injected ENOSPC) retry
 the shard pair with capped exponential backoff up to ``max_retries``
@@ -73,7 +74,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.executor import (
@@ -85,7 +85,7 @@ from repro.engine.executor import (
     bounded_pair,
 )
 from repro.engine.options import GSimJoinOptions
-from repro.engine.parallel import PoolSettings, verify_on_pool
+from repro.engine.parallel import PoolSettings, verify_deferred
 from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
 from repro.ged.portfolio import resolve_backend
 from repro.exceptions import CheckpointError, MemoryBudgetError, ParameterError
@@ -105,7 +105,7 @@ from repro.runtime.sharded import (
     qualifying_shard_pairs,
 )
 
-__all__ = ["execute_sharded_join", "sharded_join_meta", "result_fingerprint"]
+__all__ = ["gsim_join_sharded", "sharded_join_meta", "result_fingerprint"]
 
 #: Logical residency estimate per graph: fixed object overhead plus a
 #: per-size-unit cost covering the graph, its q-gram profile and its
@@ -114,9 +114,6 @@ __all__ = ["execute_sharded_join", "sharded_join_meta", "result_fingerprint"]
 #: once), it is not an allocator.
 _GRAPH_OVERHEAD_BYTES = 4096
 _BYTES_PER_SIZE_UNIT = 1536
-
-#: Candidate pairs per worker chunk when ``workers > 1``.
-_CHUNK_SIZE = 8
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -430,9 +427,9 @@ def _run_combo(
     ``(hi, lo)``, stable across split levels.  Each result or
     undecided pair spills right after it is verified; with
     ``pool.workers > 1`` the fresh pairs are deferred to the
-    parallel driver's fault-tolerant pool (the parent keeps the fault
-    schedule, stepping once per pair at deferral).  The combo runs the
-    scalar cascade: no columnar store is built per combo.
+    fault-tolerant pool (the parent keeps the fault schedule, stepping
+    once per pair at deferral).  The combo runs the scalar cascade: no
+    columnar store is built per combo.
     """
     graphs: List[Graph] = []
     positions: List[int] = []
@@ -483,13 +480,7 @@ def _run_combo(
     for i, candidate_ids in executor.scan(split):
         executor.verify_block(i, candidate_ids, spill_result, defer=todo)
     if todo:
-        started = time.perf_counter()
-        for rec in verify_on_pool(
-            todo, graphs, tau, executor.options, executor.sorter,
-            budget, pool, stats, chunk_size=_CHUNK_SIZE,
-        ):
-            executor.accept(rec, spill_result)
-        stats.verify_time += time.perf_counter() - started
+        verify_deferred(executor, todo, graphs, pool, spill_result)
     executor.finish()
 
 
@@ -576,7 +567,7 @@ def _process_pair(
 # --- The driver ---------------------------------------------------------
 
 
-def execute_sharded_join(
+def gsim_join_sharded(
     source: Source,
     tau: int,
     options: Optional[GSimJoinOptions] = None,
@@ -593,16 +584,51 @@ def execute_sharded_join(
     fsync_interval: Optional[int] = None,
     on_error: str = "raise",
 ) -> JoinResult:
-    """Out-of-core self-join over a collection file or sequence.
+    """Out-of-core self-join: Algorithm 1 over size-banded shards.
 
-    The engine-side implementation behind
-    :func:`repro.core.sharded.gsim_join_sharded` — see there for the
-    public contract and ``docs/ROBUSTNESS.md`` for the recovery
-    contract.  ``source`` is preferably a collection *file path*
-    (streamed, never fully loaded); a graph sequence is accepted for
-    convenience and is scattered through the same shard files, which
-    round-trips labels as strings (use string labels for exact parity
-    with the in-memory join).
+    The bounded-memory sibling of :func:`repro.core.join.gsim_join`,
+    with the same result pairs (compare :func:`result_fingerprint`).
+    ``source`` is preferably the *path* of a collection file in the
+    library's text format — it is streamed, never fully loaded — or a
+    graph sequence for convenience (scattered through the same shard
+    files, which round-trips labels as strings: use string labels for
+    exact parity with the in-memory join).  All working state lives
+    under ``spill_dir``: the shard files, one journal and one JSONL
+    results queue per shard pair, and ``manifest.json``, the
+    atomically-updated recovery manifest (``docs/ROBUSTNESS.md``).
+
+    Knobs
+    -----
+    ``shards``
+        Number of size bands.  Band pairs whose size gap exceeds
+        ``tau`` are skipped without opening either file (the size
+        filter, lifted to the partition level).
+    ``memory_budget_mb``
+        Logical cap on resident graph data.  A shard pair that cannot
+        fit degrades to sub-shard combos (split level doubles each
+        retry) until it fits or single-graph sub-shards still exceed
+        the cap (:class:`~repro.exceptions.MemoryBudgetError`).
+    ``resume``
+        Continue the run recorded in ``spill_dir`` after a crash or
+        kill: ``done`` shard pairs are trusted from the manifest,
+        interrupted ones replay their journal and verify only the
+        remainder — the merged result is bit-identical to an
+        uninterrupted run.
+    ``workers``
+        Verify each shard pair's fresh candidates on a process pool
+        (the fault-tolerant pool of :mod:`repro.engine.parallel`).
+    ``max_retries`` / ``retry_backoff``
+        Transient-``OSError`` policy per shard pair (capped exponential
+        backoff), and the worker pool's chunk retry policy.
+    ``fsync_interval``
+        Per-pair journal durability (see :class:`~repro.runtime.
+        journal.JoinJournal`).
+    ``on_error``
+        ``"skip"`` streams past corrupt graphs exactly like
+        :func:`repro.graph.io.load_graphs` lenient mode.
+
+    ``budget`` and ``fault`` carry the usual robustness semantics of
+    :func:`~repro.core.join.gsim_join`.
 
     Raises
     ------

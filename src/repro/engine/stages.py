@@ -4,8 +4,9 @@ The paper's pipeline is one conceptual machine — prefix-indexed
 candidate generation, the Verify cascade (Algorithm 6), then A* — and
 this module gives each of its steps a first-class stage object.  A
 :class:`repro.engine.plan.JoinPlan` is an ordered tuple of these
-stages; the :class:`repro.engine.executor.Executor` drives them for all
-four entry points (self-join, R×S join, parallel join, index query).
+stages; the :class:`repro.engine.executor.Executor` drives them for
+every entry point (the in-memory joins, the sharded join, index
+queries).
 
 Stage taxonomy (``role``):
 
@@ -19,8 +20,8 @@ Stage taxonomy (``role``):
   fused into the probe loop exactly as in Algorithm 1;
 * ``pair-filter``      — :class:`GlobalLabelFilter`,
   :class:`CountFilter`, :class:`LabelFilter`: the per-pair Verify
-  cascade, always in the paper's order
-  (``repro.engine.plan.DEFAULT_FILTER_ORDER``);
+  cascade, always in this order, the paper's (Algorithm 6), which
+  :func:`repro.engine.plan.build_plan` fixes;
 * ``verify``           — :class:`Verify`: the exact GED computation on
   the survivors, with budget-bounded verdicts.
 

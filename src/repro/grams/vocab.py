@@ -15,14 +15,15 @@ distinct key to a dense integer id *assigned in global-ordering rank*
 * ``compare_qgrams`` becomes a single linear merge over two sorted id
   arrays (see :mod:`repro.grams.mismatch`).
 
-Keys unseen at build time (streaming :meth:`repro.core.search.GSimIndex.
-add` / ``query``) get fresh *overflow* ids past the frozen range.  They
-preserve the "unknown sorts last" contract exactly: overflow ids rank
-after every frozen id and among themselves by the key's ``repr`` (the
-historical tie-break), and a profile containing any overflow id is
-marked non-mergeable so pairwise comparison falls back to the Counter
-path of :func:`repro.grams.mismatch.compare_qgrams` for that profile
-only.
+Keys unseen at build time get fresh *overflow* ids past the frozen
+range when a graph is inserted (:meth:`repro.core.search.GSimIndex.add`),
+and temporary ids past every interned one when a graph is only queried
+with, so queries never grow the vocabulary.  Both preserve the "unknown
+sorts last" contract exactly: they rank after every frozen id and among
+themselves by the key's ``repr`` (the historical tie-break), and a
+profile containing any of them is marked non-mergeable so pairwise
+comparison falls back to the Counter path of
+:func:`repro.grams.mismatch.compare_qgrams` for that profile only.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class QGramVocabulary:
             return (0, key_id, "")
         return (1, 0, self._overflow_reprs[key_id - self.frozen_size])
 
-    def sort_profile(self, profile: QGramProfile) -> None:
+    def sort_profile(self, profile: QGramProfile, intern: bool = True) -> None:
         """Intern and sort a profile's q-grams in the global ordering.
 
         Interns the profile's distinct keys only (in order of first
@@ -96,13 +97,40 @@ class QGramVocabulary:
         pure integer sort; overflow ids take the ``repr``-ranked token
         path and mark the signature non-mergeable
         (``signature_total=False``).
+
+        ``intern=False`` sorts a profile that is only probed with, never
+        stored (an index query): its unseen keys get temporary ids past
+        the vocabulary, ranked by the same ``repr`` token as overflow
+        ids, so the order, the prefix and every comparison equal those
+        of the interning path while the vocabulary does not grow.
         """
-        key_ids = [self.intern(key) for key in profile.keys]
+        reprs: List[str] = []
+        if intern:
+            key_ids = [self.intern(key) for key in profile.keys]
+        else:
+            key_ids = []
+            for key in profile.keys:
+                key_id = self._ids.get(key)
+                if key_id is None:
+                    key_id = len(self._keys) + len(reprs)
+                    reprs.append(repr(key))
+                key_ids.append(key_id)
         ids = [key_ids[k] for k in profile.gram_keys]
         if not key_ids or max(key_ids) < self.frozen_size:
             profile.attach_signature(ids, source=self)
-        else:
+        elif not reprs:
             profile.attach_signature(ids, source=self, sort_token=self.sort_token)
+        else:
+            size = len(self._keys)
+            profile.attach_signature(
+                ids,
+                source=self,
+                sort_token=lambda key_id: (
+                    self.sort_token(key_id)
+                    if key_id < size
+                    else (1, 0, reprs[key_id - size])
+                ),
+            )
 
 
 def build_vocabulary(profiles: Iterable[QGramProfile]) -> QGramVocabulary:

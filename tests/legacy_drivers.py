@@ -1,15 +1,10 @@
 """Frozen pre-refactor join/search drivers — the parity oracle.
 
-This module is a faithful copy of the four hand-rolled drivers as they
+This module is a faithful copy of three hand-rolled drivers as they
 stood *before* the ``repro.engine`` staged-execution refactor:
 
 * ``legacy_gsim_join``      — ``repro.core.join.gsim_join``
 * ``legacy_gsim_join_rs``   — ``repro.core.join.gsim_join_rs``
-* ``legacy_gsim_join_serial_parallel`` — the ``workers=1`` in-process
-  path of ``repro.core.parallel.gsim_join_parallel`` (phase-1 candidate
-  collection, chunked verification in scan order, journal write-through,
-  final assembly).  The process-pool path was proven bit-identical to
-  this path by the PR 3 suite and is therefore represented by it.
 * ``LegacyGSimIndex``       — ``repro.core.search.GSimIndex``
 
 ``legacy_verify_pair`` (Algorithm 6) is inlined as well, so the oracle
@@ -39,9 +34,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import time
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional
 
 from repro.core import (
     InvertedIndex,
@@ -59,11 +53,8 @@ from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.labels import global_label_lower_bound, local_label_lower_bound
 from repro.grams.minedit import min_prefix_length
 from repro.grams.mismatch import compare_qgrams
-from repro.grams.qgrams import QGramProfile, extract_qgrams
+from repro.grams.qgrams import extract_qgrams
 from repro.grams.vocab import build_vocabulary
-from repro.graph.graph import Graph
-from repro.runtime.budget import VerificationBudget
-from repro.runtime.faults import FaultPlan
 from repro.runtime.journal import JoinJournal, VerificationRecord
 
 from .object_key_ordering import build_ordering
@@ -556,138 +547,6 @@ def legacy_gsim_join_rs(
     if cache is not None:
         stats.compile_time = cache.compile_seconds
         stats.compiled_graphs = len(cache)
-    return result
-
-
-def legacy_gsim_join_serial_parallel(
-    graphs,
-    tau,
-    options=None,
-    chunk_size=8,
-    budget=None,
-    checkpoint=None,
-    object_keys=False,
-):
-    """Pre-refactor ``gsim_join_parallel`` with ``workers=1``.
-
-    The phase-1 candidate collection, chunked in-scan-order
-    verification, journal write-through and final assembly are the
-    verbatim pre-refactor control flow; the process pool (proven
-    bit-identical to this path by the PR 3 suite) is elided.
-    """
-    from repro.core.join import GSimJoinOptions
-
-    if options is None:
-        options = GSimJoinOptions()
-    _validate(graphs, tau, options)
-
-    stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
-    result = JoinResult(stats=stats)
-
-    started = time.perf_counter()
-    profiles, prefixes, labels, sorter = _prepare_profiles(
-        graphs, tau, options, stats, object_keys
-    )
-    stats.index_time += time.perf_counter() - started
-
-    started = time.perf_counter()
-    index = InvertedIndex()
-    unprunable = []
-    pairs = []
-    for i, profile in enumerate(profiles):
-        info = prefixes[i]
-        r = profile.graph
-        candidate_ids = {}
-        if info.prunable:
-            for key in profile.prefix_keys(info.length):
-                for j in index.probe(key):
-                    if j not in candidate_ids and passes_size_filter(
-                        r, profiles[j].graph, tau
-                    ):
-                        candidate_ids[j] = True
-            for j in unprunable:
-                if j not in candidate_ids and passes_size_filter(
-                    r, profiles[j].graph, tau
-                ):
-                    candidate_ids[j] = True
-        else:
-            for j in range(i):
-                if passes_size_filter(r, profiles[j].graph, tau):
-                    candidate_ids[j] = True
-        pairs.extend((i, j) for j in candidate_ids)
-        if info.prunable:
-            for key in profile.prefix_keys(info.length):
-                index.add(key, i)
-        else:
-            unprunable.append(i)
-    stats.cand1 = len(pairs)
-    stats.candidate_time += time.perf_counter() - started
-    stats.index_distinct_keys = index.num_distinct_keys
-    stats.index_postings = index.num_postings
-    stats.index_bytes = index.size_bytes
-
-    journal = (
-        JoinJournal.open(checkpoint, _journal_meta(graphs, tau, options, budget))
-        if checkpoint is not None
-        else None
-    )
-    records = {}
-    cache = VerificationCache() if options.verifier == "compiled" else None
-    try:
-        todo = []
-        for key in pairs:
-            rec = journal.completed.get(key) if journal is not None else None
-            if rec is not None:
-                _replay_record(stats, rec)
-                records[key] = rec
-            else:
-                todo.append(key)
-
-        started = time.perf_counter()
-        chunks = [
-            todo[k: k + chunk_size] for k in range(0, len(todo), chunk_size)
-        ]
-        for chunk in chunks:
-            for i, j in chunk:
-                outcome = legacy_verify_pair(
-                    profiles[i],
-                    profiles[j],
-                    tau,
-                    labels[i],
-                    labels[j],
-                    use_local_label=options.local_label,
-                    improved_order=options.improved_order,
-                    stats=None,
-                    verifier=options.verifier,
-                    budget=budget,
-                    cache=cache,
-                )
-                rec = _record_of(i, j, outcome)
-                _replay_record(stats, rec)
-                stats.replayed_pairs -= 1  # fresh work, not a replay
-                records[(rec.i, rec.j)] = rec
-                if journal is not None:
-                    journal.append(rec)
-        stats.verify_time += time.perf_counter() - started
-    finally:
-        if journal is not None:
-            journal.close()
-
-    for i, j in pairs:
-        rec = records[(i, j)]
-        if rec.is_result:
-            result.pairs.append((graphs[j].graph_id, graphs[i].graph_id))
-        elif rec.undecided:
-            result.undecided.append(
-                BoundedPair(
-                    graphs[j].graph_id,
-                    graphs[i].graph_id,
-                    rec.lower,
-                    rec.upper,
-                    "error" if rec.pruned_by == "error" else "budget",
-                )
-            )
-    stats.results = len(result.pairs)
     return result
 
 

@@ -42,7 +42,6 @@ from repro.runtime.budget import VerificationBudget
 
 from .legacy_drivers import legacy_gsim_join
 from .test_vocab import (
-    PARITY_STATS,
     VARIANTS,
     assert_stat_parity,
     labeled_collection,
@@ -323,7 +322,7 @@ class TestOtherDriversParity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parallel_matches_sequential_scalar(self, workers):
         graphs = labeled_collection(26, seed=45)
-        batched = gsim_join_parallel(graphs, 3, workers=workers, chunk_size=5)
+        batched = gsim_join_parallel(graphs, 3, workers=workers)
         with scalar_path():
             scalar = gsim_join(graphs, 3)
         assert sorted(batched.pairs) == sorted(scalar.pairs)

@@ -278,10 +278,10 @@ class TestParallelCheckpoint:
         graphs = molecule_collection(20, seed=41)
         journal = tmp_path / "join.jsonl"
         first = gsim_join_parallel(
-            graphs, TAU, workers=2, chunk_size=4, checkpoint=journal
+            graphs, TAU, workers=2, checkpoint=journal
         )
         second = gsim_join_parallel(
-            graphs, TAU, workers=2, chunk_size=4, checkpoint=journal
+            graphs, TAU, workers=2, checkpoint=journal
         )
         assert_same_result(second, first)
         assert second.stats.replayed_pairs == first.stats.cand1
@@ -294,7 +294,7 @@ class TestParallelCheckpoint:
         clean = gsim_join(graphs, TAU)
         first = gsim_join(graphs, TAU, checkpoint=journal)
         resumed = gsim_join_parallel(
-            graphs, TAU, workers=2, chunk_size=4, checkpoint=journal
+            graphs, TAU, workers=2, checkpoint=journal
         )
         assert_same_result(resumed, clean)
         assert resumed.stats.replayed_pairs == first.stats.cand1

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import GSimJoinOptions, assign_ids, gsim_join, gsim_join_rs
+from repro import GSimJoinOptions, gsim_join, gsim_join_rs
 from repro.core.parallel import gsim_join_parallel
 from repro.core.search import GSimIndex
 from repro.exceptions import ParameterError
@@ -41,7 +41,6 @@ from .legacy_drivers import (
     LegacyGSimIndex,
     legacy_gsim_join,
     legacy_gsim_join_rs,
-    legacy_gsim_join_serial_parallel,
 )
 from .test_join import molecule_collection
 from .test_vocab import assert_stat_parity, labeled_collection
@@ -299,7 +298,7 @@ class TestParallelParity:
         graphs = molecule_collection(16, seed=41)
         options = GSimJoinOptions.full(q=3)
         parallel = gsim_join_parallel(
-            graphs, 2, options=options, workers=workers, chunk_size=4
+            graphs, 2, options=options, workers=workers
         )
         reference = legacy_gsim_join(graphs, 2, options=astar(options))
         assert parallel.pairs == reference.pairs
@@ -312,10 +311,10 @@ class TestParallelParity:
         budget = VerificationBudget(max_expansions=5)
         options = GSimJoinOptions.full(q=2)
         compiled = gsim_join_parallel(
-            graphs, 3, options=options, workers=2, chunk_size=4, budget=budget
+            graphs, 3, options=options, workers=2, budget=budget
         )
-        reference = legacy_gsim_join_serial_parallel(
-            graphs, 3, options=astar(options), chunk_size=4, budget=budget,
+        reference = legacy_gsim_join(
+            graphs, 3, options=astar(options), budget=budget
         )
         assert compiled.pairs == reference.pairs
         assert compiled.undecided == reference.undecided

@@ -1,7 +1,8 @@
 """Every driver runs the one driver core: shared accounting and results.
 
-The self-join, the R×S join, the parallel join (serial and pooled), the
-sharded join (serial and pooled) and the search index all scan and
+The in-memory joins (self-join, R×S and the parallel join, which run
+one driver in ``repro.core.join``, verifying in place or on a pool),
+the sharded join (serial and pooled) and the search index all scan and
 verify through ``repro.engine.executor.Executor``; these tests pin what
 that sharing guarantees across drivers — complete per-backend verify
 accounting, one record→result mapping for journals, and resumable
@@ -74,9 +75,9 @@ def test_verify_accounting_is_complete(driver, graphs, tmp_path):
 def test_fallback_record_resumes_identically_under_both_self_joins(
     graphs, tmp_path
 ):
-    """A journal holding an in-process fallback record (as the parallel
-    driver writes it) resumes to the same result under either
-    self-join driver: the undecided pair keeps ``reason="error"``."""
+    """A journal holding an in-process fallback record (as the pool
+    writes it) resumes to the same result in place and on a pool: the
+    undecided pair keeps ``reason="error"``."""
     clean = tmp_path / "clean.jsonl"
     gsim_join(graphs, TAU, checkpoint=clean)
     header, first = clean.read_text().splitlines()[:2]
@@ -88,7 +89,7 @@ def test_fallback_record_resumes_identically_under_both_self_joins(
     runs = {
         "sequential": lambda path: gsim_join(graphs, TAU, checkpoint=path),
         "parallel": lambda path: gsim_join_parallel(
-            graphs, TAU, workers=1, checkpoint=path
+            graphs, TAU, workers=2, checkpoint=path
         ),
     }
     fingerprints = set()

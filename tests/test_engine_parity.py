@@ -14,7 +14,6 @@ import dataclasses
 import pytest
 
 from repro.core.join import GSimJoinOptions, gsim_join, gsim_join_rs
-from repro.core.parallel import gsim_join_parallel
 from repro.engine.result import JoinStatistics
 from repro.core.search import GSimIndex
 from repro.exceptions import InjectedFaultError
@@ -24,7 +23,6 @@ from .legacy_drivers import (
     LegacyGSimIndex,
     legacy_gsim_join,
     legacy_gsim_join_rs,
-    legacy_gsim_join_serial_parallel,
 )
 from .test_join import molecule_collection
 
@@ -107,26 +105,6 @@ def test_rs_join_parity_with_budget():
         gsim_join_rs(outer, inner, TAU, budget=budget),
         legacy_gsim_join_rs(outer, inner, TAU, budget=budget),
     )
-
-
-# -------------------------------------------------------------- parallel
-
-
-def test_parallel_serial_parity():
-    graphs = molecule_collection(16, seed=19)
-    new = gsim_join_parallel(graphs, TAU, workers=1, chunk_size=4)
-    old = legacy_gsim_join_serial_parallel(graphs, TAU, chunk_size=4)
-    assert_parity(new, old)
-
-
-def test_parallel_serial_parity_with_budget():
-    graphs = molecule_collection(16, seed=5)
-    budget = VerificationBudget(max_expansions=4)
-    new = gsim_join_parallel(graphs, TAU, workers=1, chunk_size=4, budget=budget)
-    old = legacy_gsim_join_serial_parallel(
-        graphs, TAU, chunk_size=4, budget=budget
-    )
-    assert_parity(new, old)
 
 
 # ----------------------------------------------------------------- index

@@ -10,7 +10,7 @@ import dataclasses
 
 from repro.cli import main
 from repro.core.join import GSimJoinOptions, gsim_join
-from repro.engine.plan import DEFAULT_FILTER_ORDER, build_plan
+from repro.engine.plan import build_plan
 from repro.graph import save_graphs
 from repro.reporting import result_to_dict
 
@@ -34,7 +34,11 @@ def test_default_full_plan_stage_names():
         "local-label-filter",
         "verify",
     )
-    assert tuple(f.name for f in plan.pair_filters) == DEFAULT_FILTER_ORDER
+    assert tuple(f.name for f in plan.pair_filters) == (
+        "global-label-filter",
+        "count-filter",
+        "local-label-filter",
+    )
 
 
 def test_basic_plan_uses_basic_prefix_and_short_cascade():

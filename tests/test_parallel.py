@@ -1,5 +1,7 @@
 """Tests for the multi-core join."""
 
+import dataclasses
+
 import pytest
 
 from repro import GSimJoinOptions, gsim_join, gsim_join_parallel
@@ -12,26 +14,35 @@ class TestParallelJoin:
     def test_invalid_workers(self):
         with pytest.raises(ParameterError):
             gsim_join_parallel([], tau=1, workers=0)
-        with pytest.raises(ParameterError):
-            gsim_join_parallel([], tau=1, chunk_size=0)
 
     def test_empty_collection(self):
         result = gsim_join_parallel([], tau=1, workers=2)
         assert result.pairs == []
 
     def test_single_worker_matches_sequential(self):
+        """``workers=1`` is the sequential join: same pairs, undecided,
+        every integer statistic and the stage rows' counts."""
         graphs = molecule_collection(20, seed=70)
         sequential = gsim_join(graphs, tau=2)
         parallel = gsim_join_parallel(graphs, tau=2, workers=1)
-        assert parallel.pair_set() == sequential.pair_set()
-        assert parallel.stats.cand1 == sequential.stats.cand1
-        assert parallel.stats.cand2 == sequential.stats.cand2
+        assert parallel.pairs == sequential.pairs
+        assert parallel.undecided == sequential.undecided
+        for field in dataclasses.fields(sequential.stats):
+            value = getattr(sequential.stats, field.name)
+            if isinstance(value, int):
+                assert getattr(parallel.stats, field.name) == value, field.name
+        assert [
+            (row.name, row.input, row.survivors) for row in parallel.stats.stages
+        ] == [
+            (row.name, row.input, row.survivors)
+            for row in sequential.stats.stages
+        ]
 
     @pytest.mark.parametrize("tau", [1, 2])
     def test_pool_matches_sequential(self, tau):
         graphs = molecule_collection(24, seed=71)
         sequential = gsim_join(graphs, tau=tau)
-        parallel = gsim_join_parallel(graphs, tau=tau, workers=2, chunk_size=3)
+        parallel = gsim_join_parallel(graphs, tau=tau, workers=2)
         assert parallel.pair_set() == sequential.pair_set()
         assert parallel.stats.results == sequential.stats.results
 
@@ -68,7 +79,7 @@ class TestParallelJoin:
         options = GSimJoinOptions.full(q=3)
         sequential = gsim_join(graphs, tau=2, options=options)
         parallel = gsim_join_parallel(
-            graphs, tau=2, options=options, workers=workers, chunk_size=3
+            graphs, tau=2, options=options, workers=workers
         )
         assert parallel.pairs == sequential.pairs
         for field in (

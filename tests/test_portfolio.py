@@ -193,7 +193,7 @@ class TestAutoDispatch:
         options = replace(GSimJoinOptions.full(q=2), verifier="auto")
         sequential = gsim_join(graphs, 2, options=options)
         parallel = gsim_join_parallel(
-            graphs, 2, options=options, workers=2, chunk_size=3
+            graphs, 2, options=options, workers=2
         )
         assert parallel.pairs == sequential.pairs
         assert (

@@ -46,7 +46,7 @@ class TestCrashedWorker:
     def test_raise_fault_retries_to_parity(self, graphs, expected, tmp_path):
         fault = FaultPlan("raise", at=3, latch_path=str(tmp_path / "latch"))
         result = gsim_join_parallel(
-            graphs, TAU, workers=2, chunk_size=4,
+            graphs, TAU, workers=2,
             fault=fault, retry_backoff=0.0,
         )
         assert_matches_sequential(result, expected)
@@ -58,7 +58,7 @@ class TestCrashedWorker:
         rebuilds it and still matches the sequential result."""
         fault = FaultPlan("kill", at=2, latch_path=str(tmp_path / "latch"))
         result = gsim_join_parallel(
-            graphs, TAU, workers=2, chunk_size=4,
+            graphs, TAU, workers=2,
             fault=fault, retry_backoff=0.0,
         )
         assert_matches_sequential(result, expected)
@@ -68,7 +68,7 @@ class TestCrashedWorker:
         """A fault that fires on every attempt exhausts max_retries and
         the poisoned pairs are verified in-process — never lost."""
         result = gsim_join_parallel(
-            graphs, TAU, workers=2, chunk_size=4,
+            graphs, TAU, workers=2,
             fault=FaultPlan("raise", at=1),
             max_retries=1, retry_backoff=0.0,
         )
@@ -85,7 +85,7 @@ class TestHungWorker:
             latch_path=str(tmp_path / "latch"),
         )
         result = gsim_join_parallel(
-            graphs, TAU, workers=2, chunk_size=4,
+            graphs, TAU, workers=2,
             fault=fault, chunk_timeout=1.5, retry_backoff=0.0,
         )
         assert_matches_sequential(result, expected)
@@ -170,7 +170,7 @@ class TestFaultFreeParity:
         budget = VerificationBudget(max_expansions=2)
         sequential = gsim_join(graphs, TAU, budget=budget)
         parallel = gsim_join_parallel(
-            graphs, TAU, workers=2, chunk_size=4, budget=budget
+            graphs, TAU, workers=2, budget=budget
         )
         assert parallel.pairs == sequential.pairs
         assert parallel.undecided == sequential.undecided

@@ -1,10 +1,13 @@
 """Tests for the GSimIndex similarity-selection index."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import GSimIndex, GSimJoinOptions
+from repro import GSimIndex, GSimJoinOptions, JoinStatistics
+from repro.datasets import aids_like
 from repro.exceptions import ParameterError
 from repro.ged import ged_within, graph_edit_distance
 
@@ -109,6 +112,30 @@ class TestIncremental:
         index.add(twin)
         got = {gid for gid, _ in index.query(exotic, tau=1)}
         assert "twin" in got
+
+    def test_queries_leave_the_vocabulary_unchanged(self):
+        """A query's unseen q-gram keys are not interned: the vocabulary
+        keeps its size, and a long-lived index answers and counts
+        exactly like a freshly built one; an insert still interns."""
+        indexed = aids_like(60, seed=1)
+        queries = aids_like(40, seed=99)
+        for k, g in enumerate(queries):
+            g.graph_id = f"query-{k}"
+        index = GSimIndex(indexed, tau_max=2)
+        size = len(index._sorter)
+        stats, fresh_stats = JoinStatistics(), JoinStatistics()
+        for g in queries:
+            fresh = GSimIndex(indexed, tau_max=2)
+            assert index.query(g, 2, stats=stats) == fresh.query(
+                g, 2, stats=fresh_stats
+            )
+        assert len(index._sorter) == size
+        for field in dataclasses.fields(stats):
+            value = getattr(fresh_stats, field.name)
+            if isinstance(value, int):
+                assert getattr(stats, field.name) == value, field.name
+        index.add(queries[0])
+        assert len(index._sorter) > size
 
 
 class TestPropertyEquivalence:
