@@ -5,7 +5,8 @@ complete filter cascade, i.e. the Cand-2 of the full GSimJoin) is
 verified with three algorithms per τ:
 
 * ``A*``              — plain search (input order, Γ label heuristic);
-* ``+Improved Order`` — mismatching-q-gram vertices first (Algorithm 7);
+* ``+Improved Order`` — mismatching-q-gram vertices first (Algorithm 7),
+  the mismatching q-grams listed in the join's global ordering;
 * ``+Improved h(x)``  — additionally the local-label heuristic
   (Algorithm 8).
 
@@ -18,6 +19,7 @@ import time
 from workloads import PROT_Q, TAUS, dataset, format_table, write_series
 
 from repro.core import (
+    build_vocabulary,
     compare_qgrams,
     extract_qgrams,
     global_label_lower_bound,
@@ -38,6 +40,9 @@ def candidate_pairs(graphs, tau, q):
     filtering — the Verify cascade applied pairwise (a superset of the
     join's Cand-2, independent of prefix-filtering order)."""
     profiles = [extract_qgrams(g, q) for g in graphs]
+    vocab = build_vocabulary(profiles)
+    for profile in profiles:
+        vocab.sort_profile(profile)
     labels = [(g.vertex_label_multiset(), g.edge_label_multiset()) for g in graphs]
     pairs = []
     n = len(graphs)
@@ -55,12 +60,12 @@ def candidate_pairs(graphs, tau, q):
                 continue
             if local_label_lower_bound(
                 mm.mismatch_r, r, s, tau,
-                other_labels=labels[j], required_keys=mm.absent_keys_r,
+                other_labels=labels[j], required_mask=mm.required_mask_r,
             ) > tau:
                 continue
             if local_label_lower_bound(
                 mm.mismatch_s, s, r, tau,
-                other_labels=labels[i], required_keys=mm.absent_keys_s,
+                other_labels=labels[i], required_mask=mm.required_mask_s,
             ) > tau:
                 continue
             pairs.append((r, s, mm))

@@ -67,7 +67,7 @@ def main() -> None:
     print(f"Mismatching q-grams: {mismatch.epsilon_r} from r, "
           f"{mismatch.epsilon_s} from s")
     local = local_label_lower_bound(
-        mismatch.mismatch_s, s, r, tau, required_keys=mismatch.absent_keys_s
+        mismatch.mismatch_s, s, r, tau, required_mask=mismatch.required_mask_s
     )
     print(f"Local label filtering bound from s's mismatches (Example 8): {local}")
 

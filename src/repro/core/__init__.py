@@ -1,9 +1,7 @@
 """The paper's contribution: path q-grams, filter cascade, GSimJoin."""
 
 from repro.engine.count_filter import (
-    common_qgram_count,
     count_lower_bound,
-    passes_count_filter,
     passes_size_filter,
     size_lower_bound,
 )
@@ -16,7 +14,7 @@ from repro.grams.labels import (
     local_label_lower_bound,
 )
 from repro.grams.minedit import min_edit_exact, min_edit_lower_bound, min_prefix_length
-from repro.grams.mismatch import MismatchResult, compare_qgrams, mismatching_grams
+from repro.grams.mismatch import MismatchResult, compare_qgrams
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 from repro.core.parallel import gsim_join_parallel
 from repro.engine.prefix import PrefixInfo, basic_prefix, minedit_prefix
@@ -47,9 +45,7 @@ __all__ = [
     "QGramProfile",
     "extract_qgrams",
     "qgram_key",
-    "common_qgram_count",
     "count_lower_bound",
-    "passes_count_filter",
     "size_lower_bound",
     "passes_size_filter",
     "QGramVocabulary",
@@ -62,7 +58,6 @@ __all__ = [
     "min_prefix_length",
     "MismatchResult",
     "compare_qgrams",
-    "mismatching_grams",
     "gamma",
     "global_label_lower_bound",
     "local_label_lower_bound",

@@ -12,8 +12,8 @@ The index is built for a maximum threshold ``tau_max``; any query with
 their ``tau_max`` prefixes, a superset of every smaller-τ prefix, which
 keeps prefix filtering sound for all admissible thresholds (at the cost
 of a few extra candidates for small τ).  Graphs are also insertable
-incrementally — the global q-gram ordering is frozen at construction,
-and unseen q-gram keys conservatively sort last.
+incrementally — the global q-gram ordering is fixed at construction,
+and q-gram keys unseen then sort last, in the order first inserted.
 
 Queries run on the staged execution engine: the index builds its
 :class:`~repro.engine.plan.JoinPlan` once and drives a per-query
@@ -136,10 +136,9 @@ class GSimIndex:
     def add(self, g: Graph) -> None:
         """Insert a graph into the index.
 
-        Q-gram keys unseen at construction get overflow ids past the
-        vocabulary's frozen range — they sort after every frozen key
-        (among themselves by ``repr``), preserving the "unknown sorts
-        last" contract of the frozen global ordering.
+        Q-gram keys unseen at construction get the vocabulary's next
+        (overflow) ids — they sort after every key seen before, in the
+        order first inserted, so ascending id stays the global ordering.
 
         Raises
         ------
@@ -165,8 +164,8 @@ class GSimIndex:
 
         Returns ``(graph_id, distance)`` pairs (the query graph itself is
         excluded when indexed, by id).  ``stats`` optionally accrues
-        candidate counts, GED timings and per-stage survivor rows
-        across queries.
+        candidate counts, GED timings, the graphs this query compiled
+        and per-stage survivor rows across queries.
 
         Raises
         ------
@@ -223,10 +222,15 @@ class GSimIndex:
 
         # The query graph is external to the store: its probe-side row
         # is assembled ad hoc (unseen labels can never intersect).
+        cache = executor.cache
+        compiled, compile_seconds = len(cache), cache.compile_seconds
         executor.verify_block(
             -1, js, emit,
             probe=(profile, (g.vertex_label_multiset(), g.edge_label_multiset())),
         )
+        # The cache outlives the query: charge only what it compiled now.
+        executor.stats.compiled_graphs += len(cache) - compiled
+        executor.stats.compile_time += cache.compile_seconds - compile_seconds
         matches.sort(key=lambda pair: (pair[1], repr(pair[0])))
         return matches
 

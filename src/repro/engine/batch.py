@@ -28,10 +28,9 @@ verdicts bit-for-bit —
   satisfy ``ε_r > τ·D_path(r)`` or ``ε_s > τ·D_path(s)`` (the merge
   path's early bailout triggers exactly when the final counts would,
   since the counts only grow), and ``ε_r = |Q_r| − |Q_r ∩ Q_s|``, so
-  one signature-intersection kernel decides the whole block.  Applies
-  only to rows whose signature ids come from the store's vocabulary
-  (``mergeable``); other pairs simply leave the batch and rejoin the
-  scalar cascade with the hints they earned.
+  one signature-intersection kernel decides the whole block (every
+  row's ids come from the store's one vocabulary, see
+  :mod:`repro.grams.columnar`).
 
 Prune *attribution* matches the scalar cascade because stages run in
 plan order and each pair is charged to the first stage that prunes it.
@@ -196,7 +195,7 @@ def _global_label_prune(
 def _count_prune(
     store: ColumnarStore, r_row: SignatureRow, rows: "np.ndarray", tau: int
 ) -> "np.ndarray":
-    """Prune mask of the count filter (Lemma 1) over mergeable ``rows``."""
+    """Prune mask of the count filter (Lemma 1) over ``rows``."""
     inter = block_multiset_intersections(
         r_row.sig_values,
         r_row.sig_counts,
@@ -221,14 +220,11 @@ def evaluate_block(
 
     ``stages`` are the plan's first two pair filters (global label,
     then count); they are evaluated in that order,
-    pairs being charged to the first stage that prunes them.  A pair
-    the count kernel cannot handle (either side not ``mergeable``)
-    leaves the batch at that stage with the hints it earned; it is
-    neither pruned nor hinted further, and the scalar cascade resumes
-    from exactly that stage.  The same applies to every survivor when
-    the block shrinks under :data:`MIN_BATCH_BLOCK` mid-cascade: later
+    pairs being charged to the first stage that prunes them.  When the
+    block shrinks under :data:`MIN_BATCH_BLOCK` mid-cascade, later
     stages are skipped wholesale (the verdicts then report fewer
-    stages than requested) and the scalar cascade finishes the pairs.
+    stages than requested) and the scalar cascade finishes the
+    survivors from the stage they reached, with the hints they earned.
     """
     block = len(rows)
     row_array = np.asarray(rows, dtype=np.int64)
@@ -245,32 +241,16 @@ def evaluate_block(
             _count_prune if stage.name == "count-filter"
             else _global_label_prune
         )
-        if stage.name == "count-filter":
-            if not r_row.mergeable:
-                # The probe side has no store-vocabulary signature: the
-                # whole remaining block leaves the batch here.
-                alive[:] = False
-                pruned_per_stage.append(0)
-                stage_seconds.append(time.perf_counter() - started)
-                continue
-            eligible = alive & store.mergeable[row_array]
-        else:
-            eligible = alive
-        # Whole-block kernel when everything is still eligible (the
-        # common case); subset only when rows have already dropped out,
-        # so the steady state pays no gather/scatter bookkeeping.
-        if eligible.all():
+        # Whole-block kernel while every row is alive (the common
+        # case); subset only when rows have already dropped out, so the
+        # steady state pays no gather/scatter bookkeeping.
+        if alive.all():
             prune = kernel(store, r_row, row_array, tau)
-        elif not eligible.any():
-            alive = eligible
-            pruned_per_stage.append(0)
-            stage_seconds.append(time.perf_counter() - started)
-            continue
         else:
-            idx = np.nonzero(eligible)[0]
+            idx = np.nonzero(alive)[0]
             prune = np.zeros(block, dtype=bool)
             prune[idx[kernel(store, r_row, row_array[idx], tau)]] = True
-        alive = eligible & ~prune
+        alive &= ~prune
         n_pruned = int(prune.sum())
         if n_pruned:
             for t in np.nonzero(prune)[0].tolist():

@@ -7,7 +7,9 @@ q-grams, so two graphs within edit distance ``τ`` must share at least
 
 q-grams (as a multiset intersection).  When ``LB_path <= 0`` the filter
 is vacuous — the paper's *underflowing* — and the pair must be treated as
-a candidate regardless of overlap.
+a candidate regardless of overlap.  The join applies the bound through
+the mismatch counts of :func:`repro.grams.mismatch.compare_qgrams`
+(``|Q_r| − |Q_r ∩ Q_s| = ε_r``), which bails out once it is exceeded.
 """
 
 from __future__ import annotations
@@ -17,20 +19,10 @@ from repro.exceptions import ParameterError
 from repro.graph.graph import Graph
 
 __all__ = [
-    "common_qgram_count",
     "count_lower_bound",
-    "passes_count_filter",
     "size_lower_bound",
     "passes_size_filter",
 ]
-
-
-def common_qgram_count(p: QGramProfile, p2: QGramProfile) -> int:
-    """``|Q_r ∩ Q_s|`` — multiset intersection size of the key multisets."""
-    a, b = p.key_counts, p2.key_counts
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(min(count, b[key]) for key, count in a.items() if key in b)
 
 
 def count_lower_bound(p: QGramProfile, p2: QGramProfile, tau: int) -> int:
@@ -38,18 +30,6 @@ def count_lower_bound(p: QGramProfile, p2: QGramProfile, tau: int) -> int:
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
     return max(p.count_lower_bound(tau), p2.count_lower_bound(tau))
-
-
-def passes_count_filter(p: QGramProfile, p2: QGramProfile, tau: int) -> bool:
-    """True iff the pair survives count filtering (Lemma 1).
-
-    A vacuous bound (``LB_path <= 0``) always passes: count filtering can
-    then prune nothing and the pair must go to the next filter.
-    """
-    bound = count_lower_bound(p, p2, tau)
-    if bound <= 0:
-        return True
-    return common_qgram_count(p, p2) >= bound
 
 
 def size_lower_bound(r: Graph, s: Graph) -> int:

@@ -24,8 +24,10 @@ selection and the improved A* vertex order match the in-place join
 exactly.
 
 Workers return one :class:`~repro.runtime.journal.VerificationRecord`
-per pair (their executor journals into the chunk's record list); the
-parent folds the records into the join statistics with
+per pair (their executor journals into the chunk's record list), with
+the graphs the chunk compiled and the seconds that took; the parent
+adds the compile figures to its statistics and folds the records in
+with
 :meth:`~repro.engine.executor.Executor.accept` — including the
 per-stage :class:`~repro.engine.result.StageStatistics` rows, derived
 from each record's prune attribution — in chunk order, so results *and*
@@ -48,6 +50,7 @@ the ``undecided`` channel.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -94,9 +97,9 @@ class PoolSettings:
     Raises
     ------
     ParameterError
-        Unless ``workers >= 1``, ``max_retries >= 0``,
-        ``retry_backoff >= 0`` and ``chunk_timeout`` is unset or
-        positive.
+        Unless ``workers >= 1``, ``max_retries >= 0``, ``retry_backoff``
+        is finite and ``>= 0`` and ``chunk_timeout`` is unset or finite
+        and positive (a NaN timeout would fail every chunk).
     """
 
     workers: int = 1
@@ -112,13 +115,14 @@ class PoolSettings:
             raise ParameterError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
+        timeout = self.chunk_timeout
+        if timeout is not None and not 0 < timeout < math.inf:
             raise ParameterError(
-                f"chunk_timeout must be > 0, got {self.chunk_timeout}"
+                f"chunk_timeout must be finite and > 0, got {timeout}"
             )
-        if self.retry_backoff < 0:
+        if not 0 <= self.retry_backoff < math.inf:
             raise ParameterError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
+                f"retry_backoff must be finite and >= 0, got {self.retry_backoff}"
             )
 
     def backoff(self, attempt: int) -> None:
@@ -147,12 +151,15 @@ class _Lazy:
 
 
 class _ChunkLog:
-    """A worker executor's journal: collects each fresh record of one
-    chunk for the parent to fold in (there is nothing to replay)."""
+    """A worker executor's journal over one chunk: collects each fresh
+    record, and the graphs the chunk compiled and the seconds that took,
+    for the parent to fold in (there is nothing to replay)."""
 
     def __init__(self) -> None:
         self.completed: Dict[Pair, VerificationRecord] = {}
         self.records: List[VerificationRecord] = []
+        self.compiled_graphs = 0
+        self.compile_time = 0.0
 
     def append(self, record: VerificationRecord) -> None:
         """Collect one record."""
@@ -195,13 +202,13 @@ def _local_executor(
     return executor
 
 
-def _chunk_records(
-    executor: Executor, chunk: Sequence[Pair]
-) -> List[VerificationRecord]:
+def _verify_pairs(executor: Executor, chunk: Sequence[Pair]) -> _ChunkLog:
     """Verify ``chunk`` on ``executor``, one block per run of pairs
     sharing a probe graph; one record per pair, in chunk order."""
     log = _ChunkLog()
     executor.journal = log
+    cache = executor.cache
+    compiled, seconds = len(cache), cache.compile_seconds
     start = 0
     while start < len(chunk):
         i = chunk[start][0]
@@ -210,7 +217,9 @@ def _chunk_records(
             end += 1
         executor.verify_block(i, [j for _, j in chunk[start:end]])
         start = end
-    return log.records
+    log.compiled_graphs = len(cache) - compiled
+    log.compile_time = cache.compile_seconds - seconds
+    return log
 
 
 # Per-worker state, installed by the pool initializer.
@@ -231,9 +240,9 @@ def _init_worker(
     )
 
 
-def _verify_chunk(chunk: List[Pair]) -> List[VerificationRecord]:
+def _verify_chunk(chunk: List[Pair]) -> _ChunkLog:
     """Pool entry point: verify one chunk on this worker's executor."""
-    return _chunk_records(_worker["executor"], chunk)
+    return _verify_pairs(_worker["executor"], chunk)
 
 
 def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
@@ -276,7 +285,7 @@ def _fallback_verify(
     for i, j in chunk:
         stats.fallback_pairs += 1
         try:
-            records.extend(_chunk_records(executor, [(i, j)]))
+            records.extend(_verify_pairs(executor, [(i, j)]).records)
         except ReproError:
             stats.failed_pairs += 1
             records.append(
@@ -285,6 +294,8 @@ def _fallback_verify(
                     undecided=True,
                 )
             )
+    stats.compiled_graphs += len(executor.cache)
+    stats.compile_time += executor.cache.compile_seconds
     return records
 
 
@@ -307,7 +318,8 @@ def _run_chunks(
     future times out, arrives broken (``BrokenProcessPool``) or raises
     is charged a retry; once a chunk exceeds ``max_retries`` its pairs
     are verified in-process via :func:`_fallback_verify`, under
-    ``budget`` or else :data:`DEFAULT_FALLBACK_BUDGET`.  Progress is
+    ``budget`` or else :data:`DEFAULT_FALLBACK_BUDGET`.  Each finished
+    chunk's compile figures are added to ``stats``.  Progress is
     guaranteed: every failing round increments some chunk's retry
     count, so rounds are bounded by ``len(chunks) · (max_retries + 1)``.
     """
@@ -329,15 +341,16 @@ def _run_chunks(
             }
             for idx in pending:
                 try:
-                    chunk_records[idx] = futures[idx].result(
-                        timeout=settings.chunk_timeout
-                    )
+                    log = futures[idx].result(timeout=settings.chunk_timeout)
                 except Exception:
                     # TimeoutError (hung worker), BrokenProcessPool (dead
                     # worker), or an exception escaping _verify_chunk.
                     failed = idx
                     clean = False
                     break
+                chunk_records[idx] = log.records
+                stats.compiled_graphs += log.compiled_graphs
+                stats.compile_time += log.compile_time
         finally:
             if clean:
                 executor.shutdown(wait=True)

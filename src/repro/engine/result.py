@@ -97,7 +97,9 @@ class JoinStatistics:
     ged_calls: int = 0
     ged_expansions: int = 0
     compile_time: float = 0.0  #: compiled-verifier graph compilation (⊂ ged_time)
-    compiled_graphs: int = 0  #: distinct graphs compiled by the verifier cache
+    compiled_graphs: int = 0
+    #: graphs compiled by the verifier caches; a graph compiled by two
+    #: caches (two pool workers, two sharded combos) counts twice
 
     undecided: int = 0  #: pairs whose budget-bounded verdict spans tau
     memo_hits: int = 0  #: pairs answered by the verdict memo, no search run
@@ -135,7 +137,7 @@ class JoinStatistics:
             row.seconds += theirs.seconds
 
     def snapshot(self) -> Dict[str, Any]:
-        """The mergeable part as a JSON-ready dict (the sharded
+        """The summable part as a JSON-ready dict (the sharded
         manifest's per-pair record; see :meth:`from_snapshot`)."""
         data: Dict[str, Any] = {name: getattr(self, name) for name in _COUNTERS}
         data["verify_backends"] = dict(self.verify_backends)

@@ -653,12 +653,12 @@ def gsim_join_sharded(
     if shards < 1:
         raise ParameterError(f"shards must be >= 1, got {shards}")
     pool = PoolSettings(workers, max_retries, retry_backoff)
+    memory = MemoryBudget.from_mb(memory_budget_mb)
     resolve_backend(options.verifier)
     spill_dir = os.fspath(spill_dir)
     os.makedirs(spill_dir, exist_ok=True)
 
     injector = fault.start() if fault is not None else None
-    memory = MemoryBudget.from_mb(memory_budget_mb)
 
     sizes, ids_sha = _survey(source, on_error)
     n = len(sizes)

@@ -32,6 +32,7 @@ from typing import AbstractSet, Callable, Optional, Sequence
 from repro.grams.labels import gamma, local_label_lower_bound
 from repro.grams.mismatch import compare_qgrams
 from repro.grams.qgrams import extract_qgrams
+from repro.grams.vocab import QGramVocabulary
 from repro.graph.graph import Graph, Vertex
 
 __all__ = [
@@ -94,7 +95,10 @@ def make_local_label_heuristic(
     mapping order makes every ``r``-side remainder depend only on the
     search depth (n distinct sets per A* run), and ``s``-side
     remainders recur across branches, so the dominant cost — q-gram
-    extraction — is paid once per distinct remainder.
+    extraction — is paid once per distinct remainder.  The cached
+    profiles are sorted under one vocabulary of the heuristic's own
+    (keys ranked in the order first seen), so every comparison is
+    :func:`~repro.grams.mismatch.compare_qgrams`' merge.
 
     ``max_remaining`` gates the local-label term to states whose
     remainders have at most that many vertices; larger remainders fall
@@ -110,6 +114,7 @@ def make_local_label_heuristic(
     """
 
     profile_cache: dict = {}
+    vocabulary = QGramVocabulary()
 
     def remainder(g: Graph, rest: frozenset) -> tuple:
         key = (id(g), rest)
@@ -117,7 +122,9 @@ def make_local_label_heuristic(
         if entry is None:
             sub = g.subgraph(rest)
             labels = (sub.vertex_label_multiset(), sub.edge_label_multiset())
-            entry = (sub, extract_qgrams(sub, q), labels)
+            profile = extract_qgrams(sub, q)
+            vocabulary.sort_profile(profile)
+            entry = (sub, profile, labels)
             profile_cache[key] = entry
         return entry
 
@@ -136,11 +143,11 @@ def make_local_label_heuristic(
         mismatch = compare_qgrams(p_r, p_s)
         eps4 = local_label_lower_bound(
             mismatch.mismatch_r, r_sub, s_sub, tau,
-            other_labels=s_labels, required_keys=mismatch.absent_keys_r,
+            other_labels=s_labels, required_mask=mismatch.required_mask_r,
         )
         eps5 = local_label_lower_bound(
             mismatch.mismatch_s, s_sub, r_sub, tau,
-            other_labels=r_labels, required_keys=mismatch.absent_keys_s,
+            other_labels=r_labels, required_mask=mismatch.required_mask_s,
         )
         return max(eps1, eps4, eps5)
 

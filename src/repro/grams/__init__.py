@@ -29,7 +29,7 @@ from repro.grams.minedit import (
     min_edit_lower_bound,
     min_prefix_length,
 )
-from repro.grams.mismatch import MismatchResult, compare_qgrams, mismatching_grams
+from repro.grams.mismatch import MismatchResult, compare_qgrams
 from repro.grams.qgrams import Key, QGram, QGramProfile, extract_qgrams, qgram_key
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 
@@ -49,6 +49,5 @@ __all__ = [
     "min_edit_exact",
     "min_edit_lower_bound",
     "min_prefix_length",
-    "mismatching_grams",
     "qgram_key",
 ]

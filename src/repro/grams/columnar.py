@@ -24,9 +24,11 @@ reduces to ``Σ min(count_row, count_r)`` over matched values.
   |A ∩ B|`` with the per-type sizes kept in the ``vlab_len``/
   ``elab_len`` columns;
 * parallel scalar columns ``num_vertices``, ``num_edges``, ``d_path``
-  and ``sig_size``, plus a ``mergeable`` flag marking rows whose
-  signature ids come from the store's vocabulary (the precondition for
-  the batch count kernel).
+  and ``sig_size``.
+
+Every row's signature ids come from the store's one vocabulary (the
+first row's ``signature_source``): the batch count kernel intersects
+ids, so a profile sorted by another vocabulary is refused.
 
 Rows are only ever appended, by one encoder: :meth:`ColumnarStore.extend`
 encodes the new rows and concatenates them onto every column, and
@@ -46,7 +48,8 @@ unseen labels to the interners, so every holder of the store sees the
 new rows, while arrays handed out before (the views of
 :meth:`ColumnarStore.row`) are never written.
 
-A graph outside the store (an index query) enters the kernels through
+A graph outside the store (an index query, sorted by the store's
+vocabulary) enters the kernels through
 :meth:`ColumnarStore.external_row`, which maps unseen labels to unique
 *negative* ids — never colliding with the store's non-negative ids, so
 multiset intersections stay exact.
@@ -61,6 +64,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.exceptions import ParameterError
 from repro.grams.qgrams import QGramProfile
 
 if TYPE_CHECKING:
@@ -87,9 +91,7 @@ class SignatureRow:
     multiset (sorted distinct ids + multiplicities, ``sig_size`` the
     total), ``lab_values``/``lab_counts`` the compressed combined
     even/odd label multiset (``vlab_len``/``elab_len`` the per-type
-    totals); ``mergeable`` is true when the signature is drawn from the
-    store's vocabulary so the batch count kernel may intersect it
-    against store rows.
+    totals).
     """
 
     __slots__ = (
@@ -103,7 +105,6 @@ class SignatureRow:
         "lab_counts",
         "vlab_len",
         "elab_len",
-        "mergeable",
     )
 
     def __init__(
@@ -118,7 +119,6 @@ class SignatureRow:
         lab_counts: "np.ndarray",
         vlab_len: int,
         elab_len: int,
-        mergeable: bool,
     ) -> None:
         """Bind one row's columns (arrays are not copied)."""
         self.sig_values = sig_values
@@ -131,7 +131,6 @@ class SignatureRow:
         self.lab_counts = lab_counts
         self.vlab_len = vlab_len
         self.elab_len = elab_len
-        self.mergeable = mergeable
 
 
 def _compress(counts: Counter) -> Tuple["np.ndarray", "np.ndarray"]:
@@ -164,6 +163,16 @@ def _combined_labels(
                 count
             )
     return combined
+
+
+def _require_signed(profile: QGramProfile, source: Optional[object]) -> None:
+    """Refuse a profile not sorted by the store's vocabulary ``source``."""
+    if source is None or profile.signature_source is not source:
+        raise ParameterError(
+            "the columnar store needs every profile sorted by its own "
+            "vocabulary: sort it with the QGramVocabulary that sorted "
+            "the store's rows"
+        )
 
 
 def _appended_csr(
@@ -211,7 +220,6 @@ class ColumnarStore:
         "sig_size",
         "vlab_len",
         "elab_len",
-        "mergeable",
         "vlabel_ids",
         "elabel_ids",
     )
@@ -231,7 +239,6 @@ class ColumnarStore:
         self.sig_size = np.zeros(0, dtype=np.int64)
         self.vlab_len = np.zeros(0, dtype=np.int64)
         self.elab_len = np.zeros(0, dtype=np.int64)
-        self.mergeable = np.zeros(0, dtype=bool)
         self.vlabel_ids: Dict[object, int] = {}
         self.elabel_ids: Dict[object, int] = {}
 
@@ -242,34 +249,29 @@ class ColumnarStore:
 
         ``labels[i]`` is the ``(vertex, edge)`` label-multiset pair of
         ``profiles[i].graph``.  A store without a vocabulary yet takes
-        the first signed profile's ``signature_source``; rows whose
-        profile carries no signature from it get an empty signature
-        segment and ``mergeable=False`` (the batch count kernel skips
-        them, the scalar cascade takes over).  Labels the store never
-        saw are interned after the existing ids, so the result equals
-        :func:`build_columnar_store` over all rows at once.  Every
-        column is rebound to a new, longer array; arrays handed out
-        before (``row`` views) keep the rows they had.
+        the first profile's ``signature_source``.  Labels the store
+        never saw are interned after the existing ids, so the result
+        equals :func:`build_columnar_store` over all rows at once.
+        Every column is rebound to a new, longer array; arrays handed
+        out before (``row`` views) keep the rows they had.
+
+        Raises
+        ------
+        ParameterError
+            If a profile is not sorted by the store's vocabulary (the
+            store is then unchanged).
         """
-        if self.source is None:
-            self.source = next(
-                (p.signature_source for p in profiles if p.signature is not None),
-                None,
-            )
         source = self.source
+        if source is None and profiles:
+            source = profiles[0].signature_source
+        for profile in profiles:
+            _require_signed(profile, source)
+        self.source = source
         sig_rows: List[Tuple["np.ndarray", "np.ndarray"]] = []
         lab_rows: List[Tuple["np.ndarray", "np.ndarray"]] = []
         scalars: List[Tuple[int, int, int, int, int, int]] = []
-        mergeable: List[bool] = []
         for profile, pair in zip(profiles, labels):
-            row_mergeable = (
-                profile.signature is not None
-                and source is not None
-                and profile.signature_source is source
-            )
-            sig_rows.append(
-                _compress(Counter(profile.signature) if row_mergeable else Counter())
-            )
+            sig_rows.append(_compress(Counter(profile.signature)))
             lab_rows.append(
                 _compress(_combined_labels(pair, self.vlabel_ids, self.elabel_ids))
             )
@@ -282,7 +284,6 @@ class ColumnarStore:
                 sum(pair[0].values()),
                 sum(pair[1].values()),
             ))
-            mergeable.append(row_mergeable)
         self.sig_offsets, self.sig_values, self.sig_counts = _appended_csr(
             self.sig_offsets, self.sig_values, self.sig_counts, sig_rows
         )
@@ -298,7 +299,6 @@ class ColumnarStore:
         self.sig_size = _grown(self.sig_size, sig_size)
         self.vlab_len = _grown(self.vlab_len, vlab_len)
         self.elab_len = _grown(self.elab_len, elab_len)
-        self.mergeable = _grown(self.mergeable, mergeable)
 
     def __len__(self) -> int:
         """Number of rows (graphs) in the store."""
@@ -324,7 +324,6 @@ class ColumnarStore:
             lab_counts=self.lab_counts[lab_span],
             vlab_len=self.vlab_len[i],
             elab_len=self.elab_len[i],
-            mergeable=bool(self.mergeable[i]),
         )
 
     def external_row(self, profile: QGramProfile, labels: Tuple) -> SignatureRow:
@@ -335,18 +334,15 @@ class ColumnarStore:
         to unique negative ids of the matching parity (the same unseen
         label always maps to the same negative id within this row), so
         they can never match a store id and the intersection kernels
-        stay exact.  The row is ``mergeable`` only when the profile
-        carries a signature from the store's own vocabulary.
+        stay exact.
+
+        Raises
+        ------
+        ParameterError
+            If the profile is not sorted by the store's vocabulary.
         """
-        mergeable = (
-            profile.signature is not None
-            and self.source is not None
-            and profile.signature_source is self.source
-        )
-        if mergeable:
-            sig_values, sig_counts = _compress(Counter(profile.signature))
-        else:
-            sig_values = sig_counts = np.zeros(0, dtype=np.int64)
+        _require_signed(profile, self.source)
+        sig_values, sig_counts = _compress(Counter(profile.signature))
         combined: Counter = Counter()
         lens = []
         for counts, interner, parity in zip(
@@ -374,7 +370,6 @@ class ColumnarStore:
             lab_counts=lab_counts,
             vlab_len=lens[0],
             elab_len=lens[1],
-            mergeable=mergeable,
         )
 
 

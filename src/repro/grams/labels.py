@@ -137,7 +137,6 @@ def local_label_lower_bound(
     tau: int,
     other_labels: Optional[Tuple[Counter, Counter]] = None,
     exact: bool = True,
-    required_keys: Optional[frozenset] = None,
     required_mask: Optional[Sequence[bool]] = None,
 ) -> int:
     """Algorithm 5: a GED lower bound from mismatching q-grams.
@@ -159,23 +158,18 @@ def local_label_lower_bound(
         Use the exact bounded min-edit per component (the paper's
         choice); ``False`` switches to the greedy lower bound for very
         large components.
-    required_keys:
-        Keys whose instances are *guaranteed affected* by any edit
-        script — in practice the keys absent from ``other``
-        (:attr:`~repro.grams.mismatch.MismatchResult.absent_keys_r`).
-        Only those instances enter the *edit-loc* hitting set; for a key
-        present in both graphs with a surplus, which instances an edit
-        script affected is unknowable, so counting a specific choice
-        would over-estimate and wrongly prune (graph q-grams carry no
+    required_mask:
+        Per-instance flags aligned with ``mismatch_grams``
+        (:attr:`~repro.grams.mismatch.MismatchResult.required_mask_r`):
+        ``True`` for an instance whose key is absent from ``other``, so
+        it is *guaranteed affected* by any edit script.  Only those
+        instances enter the *edit-loc* hitting set; for a key present
+        in both graphs with a surplus, which instances an edit script
+        affected is unknowable, so counting a specific choice would
+        over-estimate and wrongly prune (graph q-grams carry no
         positions — the paper's Section III footnote 2 caveat).  With
         ``None`` every instance is treated as required, which is only
         sound when the caller knows the whole multiset must be affected.
-    required_mask:
-        Per-instance flags aligned with ``mismatch_grams`` — the
-        interned pipeline's form of the same information
-        (:attr:`~repro.grams.mismatch.MismatchResult.required_mask_r`),
-        avoiding key hashing entirely.  Takes precedence over
-        ``required_keys`` when given.
 
     Notes
     -----
@@ -192,12 +186,10 @@ def local_label_lower_bound(
     total = 0
     for indices in _component_index_groups(mismatch_grams):
         component = [mismatch_grams[i] for i in indices]
-        if required_mask is not None:
-            required = [mismatch_grams[i] for i in indices if required_mask[i]]
-        elif required_keys is None:
+        if required_mask is None:
             required = component
         else:
-            required = [g for g in component if g.key in required_keys]
+            required = [mismatch_grams[i] for i in indices if required_mask[i]]
         if not required:
             edit_loc = 0
         elif exact:

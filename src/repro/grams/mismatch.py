@@ -13,33 +13,25 @@ every key-level alignment, and the filters only use the instances'
 vertices and labels.  We keep the instances earliest in the global
 ordering for determinism.
 
-Two implementations produce bit-identical results:
-
-* the **merge path** — when both profiles carry a total interned
-  signature from the same :class:`repro.grams.vocab.QGramVocabulary`,
-  one linear merge over the two sorted id arrays yields ε₂/ε₃, the
-  mismatch instances and the absent-key flags in a single pass,
-  bailing out early once a count bound is exceeded; it builds
-  :class:`~repro.grams.qgrams.QGram` objects for the mismatching
-  instances only (:meth:`~repro.grams.qgrams.QGramProfile.instances`);
-* the **Counter path** — the historical Counter-based computation over
-  object keys, taken by every profile without a total signature.  In
-  the join's code the only such profiles are ``GSimIndex`` profiles
-  carrying overflow ids (graphs inserted with q-grams unseen at build
-  time); the object A*'s improved heuristic
-  (:func:`repro.ged.heuristics.make_local_label_heuristic`) compares
-  unsorted subgraph profiles on it too.  The property tests also use
-  it as the oracle of the merge.
+Both profiles must be sorted by one
+:class:`repro.grams.vocab.QGramVocabulary`, whose ids are the global
+ordering: one linear merge over the two sorted id arrays then yields
+ε₂/ε₃, the mismatch instances and the absent-key masks in a single
+pass, bailing out early once a count bound is exceeded; it builds
+:class:`~repro.grams.qgrams.QGram` objects for the mismatching
+instances only (:meth:`~repro.grams.qgrams.QGramProfile.instances`).
+The historical Counter computation over object keys lives on in the
+tests as the merge's oracle.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.grams.qgrams import Key, QGram, QGramProfile
+from repro.exceptions import ParameterError
+from repro.grams.qgrams import QGram, QGramProfile
 
-__all__ = ["MismatchResult", "compare_qgrams", "mismatching_grams"]
+__all__ = ["MismatchResult", "compare_qgrams"]
 
 
 class MismatchResult:
@@ -53,8 +45,7 @@ class MismatchResult:
     local_label_lower_bound`).  For keys present in both graphs with a
     surplus, only *some* unknown instances are affected, so they
     contribute to counts and labels but not to the per-instance hitting
-    set.  :attr:`absent_keys_r` / :attr:`absent_keys_s` expose the same
-    information as key sets (derived lazily on the merge path).
+    set.
 
     ``count_pruned`` is ``True`` when :func:`compare_qgrams` was given a
     ``tau`` and a count bound was exceeded — the merge then stopped
@@ -71,8 +62,6 @@ class MismatchResult:
         "required_mask_r",
         "required_mask_s",
         "count_pruned",
-        "_absent_r",
-        "_absent_s",
     )
 
     def __init__(
@@ -84,8 +73,6 @@ class MismatchResult:
         required_mask_r: List[bool],
         required_mask_s: List[bool],
         count_pruned: bool = False,
-        absent_keys_r: Optional[frozenset] = None,
-        absent_keys_s: Optional[frozenset] = None,
     ) -> None:
         self.mismatch_r = mismatch_r  #: instances of ``Q_r \ Q_s``
         self.mismatch_s = mismatch_s  #: instances of ``Q_s \ Q_r``
@@ -94,104 +81,33 @@ class MismatchResult:
         self.required_mask_r = required_mask_r
         self.required_mask_s = required_mask_s
         self.count_pruned = count_pruned
-        self._absent_r = absent_keys_r
-        self._absent_s = absent_keys_s
-
-    @property
-    def absent_keys_r(self) -> frozenset:
-        """Keys of ``r`` with zero occurrences in ``s``."""
-        if self._absent_r is None:
-            self._absent_r = frozenset(
-                gram.key
-                for gram, required in zip(self.mismatch_r, self.required_mask_r)
-                if required
-            )
-        return self._absent_r
-
-    @property
-    def absent_keys_s(self) -> frozenset:
-        """Keys of ``s`` with zero occurrences in ``r``."""
-        if self._absent_s is None:
-            self._absent_s = frozenset(
-                gram.key
-                for gram, required in zip(self.mismatch_s, self.required_mask_s)
-                if required
-            )
-        return self._absent_s
 
 
-def _surplus_counts(p: QGramProfile, other: QGramProfile) -> Dict[Key, int]:
-    """Per-key surplus ``max(0, c_p − c_other)`` (positive entries only)."""
-    surplus: Dict[Key, int] = {}
-    other_counts = other.key_counts
-    for key, count in p.key_counts.items():
-        extra = count - other_counts.get(key, 0)
-        if extra > 0:
-            surplus[key] = extra
-    return surplus
-
-
-def _pick_instances(p: QGramProfile, surplus: Dict[Key, int]) -> List[QGram]:
-    """First ``surplus[key]`` instances of each surplus key, in gram order."""
-    if not surplus:
-        return []
-    picked: List[QGram] = []
-    taken: Dict[Key, int] = defaultdict(int)
-    for gram in p.grams:
-        want = surplus.get(gram.key, 0)
-        if taken[gram.key] < want:
-            taken[gram.key] += 1
-            picked.append(gram)
-    return picked
-
-
-def mismatching_grams(p: QGramProfile, other: QGramProfile) -> List[QGram]:
-    """Instances of ``Q_p \\ Q_other`` (one direction of the difference)."""
-    return _pick_instances(p, _surplus_counts(p, other))
-
-
-def _counter_compare(
-    p_r: QGramProfile, p_s: QGramProfile, tau: Optional[int]
+def compare_qgrams(
+    p_r: QGramProfile, p_s: QGramProfile, tau: Optional[int] = None
 ) -> MismatchResult:
-    """The Counter path (historical computation over object keys)."""
-    mr = mismatching_grams(p_r, p_s)
-    ms = mismatching_grams(p_s, p_r)
-    absent_r = frozenset(
-        key for key in p_r.key_counts if key not in p_s.key_counts
-    )
-    absent_s = frozenset(
-        key for key in p_s.key_counts if key not in p_r.key_counts
-    )
-    mask_r = [gram.key in absent_r for gram in mr]
-    mask_s = [gram.key in absent_s for gram in ms]
-    pruned = tau is not None and (
-        len(mr) > tau * p_r.d_path or len(ms) > tau * p_s.d_path
-    )
-    return MismatchResult(
-        mr,
-        ms,
-        len(mr),
-        len(ms),
-        mask_r,
-        mask_s,
-        count_pruned=pruned,
-        absent_keys_r=absent_r,
-        absent_keys_s=absent_s,
-    )
+    """Bidirectional mismatching q-grams with their counts (Algorithm 6).
 
+    One linear merge over the two profiles' sorted id arrays produces
+    ε₂/ε₃, the mismatch instances (earliest in the global ordering — a
+    key's instances are contiguous in the sorted gram lists) and the
+    absent-key masks together.  ``tau``, when given, enables the count
+    filter's early bailout: once ``ε > τ·D_path`` on either side the
+    result comes back with ``count_pruned=True`` (and possibly partial
+    instance lists) — exactly the pairs the count filter rejects, since
+    the epsilons only grow.
 
-def _merge_compare(
-    p_r: QGramProfile, p_s: QGramProfile, tau: Optional[int]
-) -> MismatchResult:
-    """One-pass linear merge over two sorted interned id arrays.
-
-    Produces ε₂/ε₃, the mismatch instances (earliest in the global
-    ordering, exactly the Counter path's selection — a key's instances
-    are contiguous in the sorted gram lists) and the absent-key masks
-    together, bailing out as soon as a count bound is exceeded when
-    ``tau`` is given (the pair is then pruned whatever the final
-    epsilons would be, since they only grow).
+    Raises
+    ------
+    ParameterError
+        Unless both profiles were sorted by one vocabulary.
     """
+    source = p_r.signature_source
+    if source is None or p_s.signature_source is not source:
+        raise ParameterError(
+            "compare_qgrams needs two profiles sorted by one vocabulary: "
+            "call QGramVocabulary.sort_profile on both first"
+        )
     sig_r, sig_s = p_r.signature, p_s.signature
     instances_r, instances_s = p_r.instances, p_s.instances
     n, m = len(sig_r), len(sig_s)
@@ -284,26 +200,3 @@ def _merge_compare(
         mask_s,
         count_pruned=pruned,
     )
-
-
-def compare_qgrams(
-    p_r: QGramProfile, p_s: QGramProfile, tau: Optional[int] = None
-) -> MismatchResult:
-    """Bidirectional mismatching q-grams with their counts (Algorithm 6).
-
-    When both profiles carry a total interned signature from the same
-    vocabulary, the comparison is a single linear merge over the sorted
-    id arrays; otherwise the Counter path runs.  Both
-    produce identical results.  ``tau``, when given, enables the count
-    filter's early bailout: once ``ε > τ·D_path`` on either side the
-    result comes back with ``count_pruned=True`` (and possibly partial
-    instance lists) — exactly the pairs the count filter rejects.
-    """
-    if (
-        p_r.signature_total
-        and p_s.signature_total
-        and p_r.signature_source is p_s.signature_source
-        and p_r.signature_source is not None
-    ):
-        return _merge_compare(p_r, p_s, tau)
-    return _counter_compare(p_r, p_s, tau)

@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -120,24 +119,18 @@ class QGramProfile:
         instance (a compact unsigned :class:`array.array`).
 
     Attached by :meth:`repro.grams.vocab.QGramVocabulary.sort_profile`
-    (``None``/``False`` until then):
+    (``None`` until then):
 
     ``order``
         The sort permutation: position ``k`` of the global ordering
         holds the instance enumerated ``order[k]``-th.
     ``signature``
-        Interned integer ids of the instances in the global ordering.
-    ``signature_total``
-        ``True`` when the signature contains only frozen-range ids, so
-        ascending id *is* the global ordering and two such signatures
-        from the same vocabulary can be compared by a pure integer
-        merge.  ``False`` when overflow ids are present (streaming
-        inserts/queries) — pairwise comparison then falls back to the
-        Counter path of :func:`repro.grams.mismatch.compare_qgrams`.
+        Interned integer ids of the instances in the global ordering,
+        which is ascending id.
     ``signature_source``
         The vocabulary that interned the signature (identity-compared by
-        :func:`repro.grams.mismatch.compare_qgrams` so signatures from
-        different vocabularies are never merged).
+        :func:`repro.grams.mismatch.compare_qgrams` and the columnar
+        store, which refuse signatures from different vocabularies).
 
     Built on demand: :attr:`grams`, the instances as :class:`QGram`
     objects in the current order, and :meth:`instances`, a run of them.
@@ -155,7 +148,6 @@ class QGramProfile:
         "walks",
         "order",
         "signature",
-        "signature_total",
         "signature_source",
         "_grams",
     )
@@ -183,7 +175,6 @@ class QGramProfile:
         self.walks = walks
         self.order: Optional[List[int]] = None
         self.signature: Optional[List[int]] = None
-        self.signature_total = False
         self.signature_source: Optional[object] = None
         self._grams: Optional[List[QGram]] = None
 
@@ -236,33 +227,18 @@ class QGramProfile:
         """This graph's side of the count filtering bound: |Q_r| − τ·D_path."""
         return self.size - tau * self.d_path
 
-    def attach_signature(
-        self,
-        ids: List[int],
-        source: Optional[object] = None,
-        sort_token: Optional[Callable[[int], Tuple[int, int, str]]] = None,
-    ) -> None:
+    def attach_signature(self, ids: List[int], source: object) -> None:
         """Sort the instances by interned id and record the signature.
 
         ``ids[k]`` must be the interned id of the key of the ``k``-th
-        enumerated instance.  Without ``sort_token`` ascending id is
-        taken to be the global ordering (a pure integer sort — the fast
-        path); with it, each id is ranked by its token instead (used for
-        overflow ids, which rank by key ``repr``) and the signature is
-        marked non-mergeable.  Equal ids keep their enumeration order:
-        the sort is stable, matching a sort by object key exactly.  The
-        instance arrays stay in enumeration order; the permutation goes
-        to ``order``, and a built ``grams`` list is dropped so the next
-        access rebuilds it in the new order.
+        enumerated instance, and ascending id the global ordering.
+        Equal ids keep their enumeration order: the sort is stable,
+        matching a sort by object key exactly.  The instance arrays stay
+        in enumeration order; the permutation goes to ``order``, and a
+        built ``grams`` list is dropped so the next access rebuilds it
+        in the new order.
         """
-        positions = range(len(ids))
-        if sort_token is None:
-            order = sorted(positions, key=ids.__getitem__)
-            self.signature_total = True
-        else:
-            tokens = [sort_token(key_id) for key_id in ids]
-            order = sorted(positions, key=tokens.__getitem__)
-            self.signature_total = False
+        order = sorted(range(len(ids)), key=ids.__getitem__)
         self.order = order
         self.signature = [ids[k] for k in order]
         self.signature_source = source

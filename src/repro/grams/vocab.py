@@ -12,23 +12,22 @@ distinct key to a dense integer id *assigned in global-ordering rank*
 * :meth:`QGramVocabulary.sort_profile` is a pure integer sort with zero
   ``repr`` calls;
 * the inverted index is keyed by small ints instead of label tuples;
-* ``compare_qgrams`` becomes a single linear merge over two sorted id
+* ``compare_qgrams`` is a single linear merge over two sorted id
   arrays (see :mod:`repro.grams.mismatch`).
 
-Keys unseen at build time get fresh *overflow* ids past the frozen
-range when a graph is inserted (:meth:`repro.core.search.GSimIndex.add`),
-and temporary ids past every interned one when a graph is only queried
-with, so queries never grow the vocabulary.  Both preserve the "unknown
-sorts last" contract exactly: they rank after every frozen id and among
-themselves by the key's ``repr`` (the historical tie-break), and a
-profile containing any of them is marked non-mergeable so pairwise
-comparison falls back to the Counter path of
-:func:`repro.grams.mismatch.compare_qgrams` for that profile only.
+Keys unseen at build time get fresh *overflow* ids past the built range
+when a graph is inserted (:meth:`repro.core.search.GSimIndex.add`), and
+temporary ids past every interned one when a graph is only queried
+with, so queries never grow the vocabulary.  Both keep the "unknown
+sorts last" contract: they rank after every built id and among
+themselves in the order they are first seen, which is ascending id.
+Ascending id is therefore the global ordering of every signature, and
+any two profiles sorted by one vocabulary merge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.grams.qgrams import Key, QGramProfile
 
@@ -41,20 +40,15 @@ class QGramVocabulary:
     The constructor takes the key universe *already ranked* (ascending
     document frequency, ``repr`` tie-break) — use
     :func:`build_vocabulary` to derive the ranking from a profile
-    collection.  Ids ``0 .. frozen_size-1`` are the frozen range;
-    :meth:`intern` assigns overflow ids past it to unseen keys.
+    collection.  :meth:`intern` assigns the next id to an unseen key,
+    so keys interned later rank after every earlier one.
     """
 
-    __slots__ = ("_ids", "_keys", "_overflow_reprs", "frozen_size")
+    __slots__ = ("_ids", "_keys")
 
     def __init__(self, keys_in_rank_order: Iterable[Key] = ()) -> None:
         self._keys: List[Key] = list(keys_in_rank_order)
         self._ids: Dict[Key, int] = {key: i for i, key in enumerate(self._keys)}
-        #: Number of ids frozen at construction; smaller ids sort by value.
-        self.frozen_size: int = len(self._keys)
-        # repr of each overflow key, parallel to _keys[frozen_size:];
-        # overflow ids sort by it (the historical unknown-key tie-break).
-        self._overflow_reprs: List[str] = []
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -63,13 +57,12 @@ class QGramVocabulary:
         return key in self._ids
 
     def intern(self, key: Key) -> int:
-        """Id of ``key``, assigning a fresh overflow id when unseen."""
+        """Id of ``key``, assigning the next (overflow) id when unseen."""
         key_id = self._ids.get(key)
         if key_id is None:
             key_id = len(self._keys)
             self._ids[key] = key_id
             self._keys.append(key)
-            self._overflow_reprs.append(repr(key))
         return key_id
 
     def get(self, key: Key) -> Optional[int]:
@@ -80,57 +73,34 @@ class QGramVocabulary:
         """Inverse lookup: the key interned as ``key_id``."""
         return self._keys[key_id]
 
-    def sort_token(self, key_id: int) -> Tuple[int, int, str]:
-        """Sortable token ranking overflow ids after frozen ones by repr."""
-        if key_id < self.frozen_size:
-            return (0, key_id, "")
-        return (1, 0, self._overflow_reprs[key_id - self.frozen_size])
-
     def sort_profile(self, profile: QGramProfile, intern: bool = True) -> None:
         """Intern and sort a profile's q-grams in the global ordering.
 
-        Interns the profile's distinct keys only (in order of first
-        enumeration, so overflow ids are assigned exactly as a per-gram
-        pass would) and attaches the sorted ``signature`` and the sort
-        permutation ``order`` (equal keys keep their enumeration order —
-        the sort is stable).  On the common all-frozen path this is a
-        pure integer sort; overflow ids take the ``repr``-ranked token
-        path and mark the signature non-mergeable
-        (``signature_total=False``).
+        Interns the profile's distinct keys only, in order of first
+        enumeration (so unseen keys get overflow ids exactly as a
+        per-gram pass would assign them), and attaches the sorted
+        ``signature`` and the sort permutation ``order`` — one integer
+        sort; equal keys keep their enumeration order (the sort is
+        stable).
 
         ``intern=False`` sorts a profile that is only probed with, never
         stored (an index query): its unseen keys get temporary ids past
-        the vocabulary, ranked by the same ``repr`` token as overflow
-        ids, so the order, the prefix and every comparison equal those
-        of the interning path while the vocabulary does not grow.
+        the vocabulary in the same first-enumeration order, so the
+        order, the prefix and every comparison equal those of the
+        interning path while the vocabulary does not grow.
         """
-        reprs: List[str] = []
         if intern:
             key_ids = [self.intern(key) for key in profile.keys]
         else:
             key_ids = []
+            next_id = len(self._keys)
             for key in profile.keys:
                 key_id = self._ids.get(key)
                 if key_id is None:
-                    key_id = len(self._keys) + len(reprs)
-                    reprs.append(repr(key))
+                    key_id = next_id
+                    next_id += 1
                 key_ids.append(key_id)
-        ids = [key_ids[k] for k in profile.gram_keys]
-        if not key_ids or max(key_ids) < self.frozen_size:
-            profile.attach_signature(ids, source=self)
-        elif not reprs:
-            profile.attach_signature(ids, source=self, sort_token=self.sort_token)
-        else:
-            size = len(self._keys)
-            profile.attach_signature(
-                ids,
-                source=self,
-                sort_token=lambda key_id: (
-                    self.sort_token(key_id)
-                    if key_id < size
-                    else (1, 0, reprs[key_id - size])
-                ),
-            )
+        profile.attach_signature([key_ids[k] for k in profile.gram_keys], self)
 
 
 def build_vocabulary(profiles: Iterable[QGramProfile]) -> QGramVocabulary:

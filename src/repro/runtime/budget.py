@@ -15,6 +15,7 @@ pairs (and shipped to worker processes — both classes are picklable).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -43,15 +44,12 @@ class VerificationBudget:
     max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        """Validate the caps (negative caps are out of domain)."""
-        if self.max_expansions is not None and self.max_expansions < 0:
-            raise ParameterError(
-                f"max_expansions must be >= 0, got {self.max_expansions}"
-            )
-        if self.max_seconds is not None and self.max_seconds < 0:
-            raise ParameterError(
-                f"max_seconds must be >= 0, got {self.max_seconds}"
-            )
+        """Validate the caps: negative caps are out of domain, and a NaN
+        or infinite cap could never fire."""
+        for name in ("max_expansions", "max_seconds"):
+            cap = getattr(self, name)
+            if cap is not None and not 0 <= cap < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {cap}")
 
     @property
     def unlimited(self) -> bool:

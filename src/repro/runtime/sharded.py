@@ -32,6 +32,7 @@ of the layering DAG:
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple
 
@@ -64,8 +65,10 @@ class MemoryBudget:
 
     def __init__(self, limit: Optional[int] = None) -> None:
         """A budget capped at ``limit`` bytes (``None``: unlimited)."""
-        if limit is not None and limit <= 0:
-            raise ParameterError(f"memory limit must be > 0, got {limit}")
+        if limit is not None and not 0 < limit < math.inf:
+            raise ParameterError(
+                f"memory limit must be finite and > 0, got {limit}"
+            )
         self.limit = limit
         self.used = 0
         self.peak = 0
@@ -75,6 +78,10 @@ class MemoryBudget:
         """A budget capped at ``megabytes`` MiB (``None``: unlimited)."""
         if megabytes is None:
             return cls(None)
+        if not 0 < megabytes < math.inf:
+            raise ParameterError(
+                f"memory budget must be finite and > 0 MB, got {megabytes}"
+            )
         return cls(int(megabytes * 1024 * 1024))
 
     def charge(self, nbytes: int, what: str = "working set") -> None:

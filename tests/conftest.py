@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.graph.generators import random_labeled_graph
 from repro.graph.graph import Graph
+from repro.grams.qgrams import extract_qgrams
+from repro.grams.vocab import build_vocabulary
 
 VERTEX_LABELS = ["A", "B", "C"]
 EDGE_LABELS = ["x", "y"]
@@ -43,6 +45,16 @@ def star_graph(center_label, leaf_labels, edge_label="x", graph_id=None) -> Grap
     labels = [center_label] + list(leaf_labels)
     edges = [(0, i + 1, edge_label) for i in range(len(leaf_labels))]
     return build_graph(labels, edges, graph_id)
+
+
+def sorted_profiles(graphs, q):
+    """Q-gram profiles of ``graphs`` sorted by one vocabulary built over
+    them — what ``compare_qgrams`` needs."""
+    profiles = [extract_qgrams(g, q) for g in graphs]
+    vocab = build_vocabulary(profiles)
+    for profile in profiles:
+        vocab.sort_profile(profile)
+    return profiles
 
 
 @st.composite

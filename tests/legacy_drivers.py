@@ -20,9 +20,10 @@ longer ships, as oracles for the engine's one path:
 
 * ``object_keys=True`` sorts profiles in the object-key ordering of
   ``tests/object_key_ordering.py`` instead of interning them, so the
-  inverted index is keyed by q-gram tuples, ``compare_qgrams`` takes its
-  Counter path and minimum edit filtering runs the paper's double
-  binary search (``tests/test_vocab.py``);
+  inverted index is keyed by q-gram tuples, profiles are compared by
+  the Counter computation of ``tests/counter_compare.py`` and minimum
+  edit filtering runs the paper's double binary search
+  (``tests/test_vocab.py``);
 * ``verifier="astar"`` (or ``"object"``) verifies with the object-graph
   A* of ``repro.ged.astar`` and ``label_heuristic``, the heuristic the
   join's verifiers run (``tests/test_compiled_ged.py``).
@@ -57,6 +58,7 @@ from repro.grams.qgrams import extract_qgrams
 from repro.grams.vocab import build_vocabulary
 from repro.runtime.journal import JoinJournal, VerificationRecord
 
+from .counter_compare import counter_compare
 from .object_key_ordering import build_ordering
 
 BUDGETED_VERIFIERS = frozenset({"astar", "object", "compiled"})
@@ -104,7 +106,8 @@ def legacy_verify_pair(
             stats.pruned_by_global_label += 1
         return LegacyVerifyOutcome(False, "global_label")
 
-    mismatch = compare_qgrams(p_r, p_s, tau)
+    compare = compare_qgrams if p_r.signature is not None else counter_compare
+    mismatch = compare(p_r, p_s, tau)
     if mismatch.count_pruned:
         if stats:
             stats.pruned_by_count += 1
@@ -615,7 +618,8 @@ class LegacyGSimIndex:
                 f"tau={tau} exceeds the index's tau_max={self.tau_max}"
             )
         profile = extract_qgrams(g, self.options.q)
-        self._sorter.sort_profile(profile)
+        # A query's unseen keys rank last without entering the ordering.
+        self._sorter.sort_profile(profile, intern=False)
         info = self._prefix(profile, tau)
 
         candidates = {}
@@ -638,6 +642,7 @@ class LegacyGSimIndex:
 
         g_labels = (g.vertex_label_multiset(), g.edge_label_multiset())
         matches = []
+        compiled = len(self._cache) if self._cache is not None else 0
         for j in candidates:
             if self.graphs[j].graph_id == g.graph_id:
                 continue
@@ -655,5 +660,8 @@ class LegacyGSimIndex:
             )
             if outcome.is_result:
                 matches.append((self.graphs[j].graph_id, outcome.ged))
+        if stats and self._cache is not None:
+            # The graphs this query compiled, as the engine's index counts.
+            stats.compiled_graphs += len(self._cache) - compiled
         matches.sort(key=lambda pair: (pair[1], repr(pair[0])))
         return matches

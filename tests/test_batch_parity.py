@@ -30,6 +30,7 @@ from repro import GSimJoinOptions, assign_ids, gsim_join, gsim_join_rs
 from repro.core.parallel import gsim_join_parallel
 from repro.core.search import GSimIndex
 from repro.engine.result import JoinStatistics
+from repro.exceptions import ParameterError
 
 # Captured at import time: the real dispatch threshold, before the
 # autouse fixture below patches the consuming modules down to 1.
@@ -194,7 +195,6 @@ class TestKernels:
             assert row.num_vertices == g.num_vertices
             assert row.num_edges == g.num_edges
             assert row.d_path == p.d_path
-            assert row.mergeable
             assert row.vlab_len == sum(labels[i][0].values())
             assert row.elab_len == sum(labels[i][1].values())
             # Combined even/odd compressed label encoding: vertex ids
@@ -222,11 +222,10 @@ class TestKernels:
             for g in graphs
         ]
         store = build_columnar_store(profiles, labels)
-        # A foreign profile: sorted in a *different* vocabulary.
+        # An outside graph, sorted as an index query is.
         outside = labeled_collection(1, seed=97, num_labels=6)[0]
         q_profile = extract_qgrams(outside, options.q)
-        foreign_sorter = build_sorter([q_profile])
-        foreign_sorter.sort_profile(q_profile)
+        sorter.sort_profile(q_profile, intern=False)
         row = store.external_row(
             q_profile,
             (
@@ -234,7 +233,6 @@ class TestKernels:
                 outside.edge_label_multiset(),
             ),
         )
-        assert not row.mergeable
         vertex_pairs = [
             (v, c)
             for v, c in zip(row.lab_values.tolist(), row.lab_counts.tolist())
@@ -244,6 +242,35 @@ class TestKernels:
         seen = [(v // 2, c) for v, c in vertex_pairs if v >= 0]
         assert unseen + sum(c for _, c in seen) == outside.num_vertices
         assert all(v in store.vlabel_ids.values() for v, _ in seen)
+
+    def test_foreign_vocabulary_rows_are_refused(self):
+        """The count kernel intersects ids, so the store takes rows and
+        probes sorted by its own vocabulary only; a refused extension
+        leaves the store as it was."""
+        from repro.engine.options import build_sorter
+        from repro.grams.columnar import build_columnar_store
+        from repro.grams.qgrams import extract_qgrams
+
+        graphs = labeled_collection(6, seed=23, num_labels=2)
+        profiles = [extract_qgrams(g, 3) for g in graphs]
+        sorter = build_sorter(profiles[:4])
+        for p in profiles[:4]:
+            sorter.sort_profile(p)
+        labels = [
+            (g.vertex_label_multiset(), g.edge_label_multiset())
+            for g in graphs
+        ]
+        store = build_columnar_store(profiles[:4], labels[:4])
+        foreign, unsorted = profiles[4], profiles[5]
+        build_sorter([foreign]).sort_profile(foreign)
+        for outside in (foreign, unsorted):
+            with pytest.raises(ParameterError, match="own vocabulary"):
+                store.external_row(outside, labels[4])
+            with pytest.raises(ParameterError, match="own vocabulary"):
+                store.extend([outside], [labels[4]])
+        assert len(store) == 4
+        with pytest.raises(ParameterError, match="own vocabulary"):
+            build_columnar_store([unsorted], [labels[5]])
 
 
 # ----------------------------------------------------------------- self-join

@@ -151,6 +151,25 @@ class TestRobustnessFlags:
         ) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--budget-seconds", "--memory-budget-mb"])
+    def test_non_finite_budgets_are_errors(
+        self, collection_file, tmp_path, capsys, flag, value
+    ):
+        """``--budget-seconds nan`` was accepted (a budget that never
+        fires, written into the journal header) and a non-finite
+        ``--memory-budget-mb`` ended in a traceback; both are usage
+        errors now, raised before the spill directory is made."""
+        spill = tmp_path / "spill"
+        argv = ["join", collection_file, "--tau", "2", "--quiet", flag, value]
+        if flag == "--memory-budget-mb":
+            argv += ["--shards", "2", "--spill-dir", str(spill)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert not spill.exists()
+
     def test_checkpoint_run_then_resume(self, collection_file, tmp_path, capsys):
         journal = tmp_path / "join.jsonl"
         assert main(

@@ -32,11 +32,11 @@ from repro.ged.compiled import (
 from repro.ged.heuristics import label_heuristic
 from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.mismatch import compare_qgrams
-from repro.grams.qgrams import extract_qgrams
 from repro.graph.graph import Graph
 from repro.runtime import FaultPlan
 from repro.runtime.budget import VerificationBudget
 
+from .conftest import sorted_profiles
 from .legacy_drivers import (
     LegacyGSimIndex,
     legacy_gsim_join,
@@ -74,7 +74,7 @@ def run_both(r, s, *, tau, q, use_mismatch_order, budget, cache):
     """One object run and one compiled run over the same configuration."""
     cr, cs = cache.compile(r), cache.compile(s)
     if use_mismatch_order:
-        mm = compare_qgrams(extract_qgrams(r, q), extract_qgrams(s, q))
+        mm = compare_qgrams(*sorted_profiles([r, s], q))
         order = mismatch_vertex_order(r, mm.mismatch_r)
     else:
         order = input_vertex_order(r)

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from repro.core import compare_qgrams, extract_qgrams
+from repro.core import compare_qgrams
 from repro.datasets import figure1_graphs
 from repro.ged import graph_edit_distance
 from repro.ged.heuristics import (
@@ -16,7 +16,7 @@ from repro.ged.vertex_order import (
     spanning_tree_vertex_order,
 )
 
-from .conftest import build_graph, graph_pairs_within, path_graph
+from .conftest import build_graph, graph_pairs_within, path_graph, sorted_profiles
 
 
 def full_rest(r, s):
@@ -105,7 +105,7 @@ class TestVertexOrders:
 
     def test_mismatch_order_puts_mismatching_vertices_first(self):
         r, s = figure1_graphs()
-        mismatch = compare_qgrams(extract_qgrams(r, 1), extract_qgrams(s, 1))
+        mismatch = compare_qgrams(*sorted_profiles([r, s], 1))
         order = mismatch_vertex_order(r, mismatch.mismatch_r)
         assert sorted(order) == sorted(r.vertices())
         covered = set()

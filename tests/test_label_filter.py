@@ -15,7 +15,7 @@ from repro.core import (
 from repro.datasets import figure1_graphs, figure4_graphs
 from repro.ged import graph_edit_distance
 
-from .conftest import graph_pairs_within, path_graph
+from .conftest import graph_pairs_within, path_graph, sorted_profiles
 
 
 class TestGamma:
@@ -61,7 +61,7 @@ class TestComponents:
         _, s = figure1_graphs()
         pr, _ = None, None
         r, s = figure1_graphs()
-        mismatch = compare_qgrams(extract_qgrams(s, 1), extract_qgrams(r, 1))
+        mismatch = compare_qgrams(*sorted_profiles([s, r], 1))
         components = connected_gram_components(mismatch.mismatch_r)
         # C-O and C-N attach to different ring carbons -> 2 components.
         assert len(components) == 2
@@ -82,9 +82,10 @@ class TestLocalLabelFilter:
         because r has no nitrogen; C-O overlaps r's labels, and the two
         components together give a lower bound of 2 > tau = 1."""
         r, s = figure1_graphs()
-        mismatch = compare_qgrams(extract_qgrams(s, 1), extract_qgrams(r, 1))
+        mismatch = compare_qgrams(*sorted_profiles([s, r], 1))
         bound = local_label_lower_bound(
-            mismatch.mismatch_r, s, r, tau=1, required_keys=mismatch.absent_keys_r
+            mismatch.mismatch_r, s, r, tau=1,
+            required_mask=mismatch.required_mask_r,
         )
         assert bound == 2
 
@@ -94,14 +95,14 @@ class TestLocalLabelFilter:
 
     def test_greedy_variant_not_larger(self):
         r, s = figure4_graphs()
-        mismatch = compare_qgrams(extract_qgrams(s, 2), extract_qgrams(r, 2))
+        mismatch = compare_qgrams(*sorted_profiles([s, r], 2))
         exact = local_label_lower_bound(
             mismatch.mismatch_r, s, r, tau=4,
-            required_keys=mismatch.absent_keys_r, exact=True,
+            required_mask=mismatch.required_mask_r, exact=True,
         )
         greedy = local_label_lower_bound(
             mismatch.mismatch_r, s, r, tau=4,
-            required_keys=mismatch.absent_keys_r, exact=False,
+            required_mask=mismatch.required_mask_r, exact=False,
         )
         assert greedy <= exact or greedy <= 4
 
@@ -109,18 +110,21 @@ class TestLocalLabelFilter:
     @given(graph_pairs_within(tau_max=3, max_vertices=5))
     def test_sound_lower_bound_both_directions(self, pair):
         """The regression property behind the PROTEIN bug: the local
-        label bound must never exceed the true edit distance."""
+        label bound must never exceed the true edit distance, on the
+        join's path (the merge's instances and masks, under the count
+        filter's bailout at ``tau = ged``, which never fires)."""
         r, s, _ = pair
         ged = graph_edit_distance(r, s)
         for q in (1, 2):
-            mismatch = compare_qgrams(extract_qgrams(r, q), extract_qgrams(s, q))
+            mismatch = compare_qgrams(*sorted_profiles([r, s], q), ged)
+            assert not mismatch.count_pruned
             b_r = local_label_lower_bound(
                 mismatch.mismatch_r, r, s, tau=ged,
-                required_keys=mismatch.absent_keys_r,
+                required_mask=mismatch.required_mask_r,
             )
             b_s = local_label_lower_bound(
                 mismatch.mismatch_s, s, r, tau=ged,
-                required_keys=mismatch.absent_keys_s,
+                required_mask=mismatch.required_mask_s,
             )
             assert b_r <= ged
             assert b_s <= ged

@@ -11,11 +11,11 @@ from repro.core import (
     min_edit_lower_bound,
     min_prefix_length,
 )
-from repro.grams.mismatch import mismatching_grams
+from repro.grams.mismatch import compare_qgrams
 from repro.datasets import figure1_graphs, figure4_graphs
 from repro.exceptions import ParameterError
 
-from .conftest import path_graph, small_graphs
+from .conftest import path_graph, small_graphs, sorted_profiles
 
 
 class TestMinEditExact:
@@ -26,8 +26,8 @@ class TestMinEditExact:
         """Example 5: the two mismatching 1-grams of s (C-O, C-N) are
         disjoint, so two edit operations are needed."""
         r, s = figure1_graphs()
-        pr, ps = extract_qgrams(r, 1), extract_qgrams(s, 1)
-        mismatch = mismatching_grams(ps, pr)
+        pr, ps = sorted_profiles([r, s], 1)
+        mismatch = compare_qgrams(ps, pr).mismatch_r
         assert len(mismatch) == 2
         assert min_edit_exact(mismatch, cap=3) == 2
 
@@ -36,8 +36,8 @@ class TestMinEditExact:
         (phenol) include C-C-C, C-C-N and C=C-N and can be wiped out by
         exactly two vertex relabelings."""
         r, s = figure4_graphs()
-        pr, ps = extract_qgrams(r, 2), extract_qgrams(s, 2)
-        mismatch = mismatching_grams(ps, pr)
+        pr, ps = sorted_profiles([r, s], 2)
+        mismatch = compare_qgrams(ps, pr).mismatch_r
         keys = {g.key for g in mismatch}
         assert ("C", "-", "C", "-", "C") in keys
         assert ("C", "-", "C", "-", "N") in keys

@@ -1,17 +1,42 @@
 """Tests for CompareQGrams (mismatching q-gram extraction)."""
 
+import pytest
 from hypothesis import given, settings
 
-from repro.core import compare_qgrams, extract_qgrams, mismatching_grams
+from repro.core import build_vocabulary, compare_qgrams, extract_qgrams
 from repro.datasets import figure1_graphs
+from repro.exceptions import ParameterError
 
-from .conftest import graph_pairs_within, path_graph, small_graphs
+from .conftest import graph_pairs_within, path_graph, small_graphs, sorted_profiles
+from .counter_compare import counter_compare
+
+
+def absent_keys(grams, mask):
+    """Keys of the mismatching instances the mask flags as absent."""
+    return {gram.key for gram, required in zip(grams, mask) if required}
+
+
+def assert_same_result(merged, counted):
+    """The merge and the Counter oracle agree on everything they report."""
+    assert merged.count_pruned == counted.count_pruned
+    if merged.count_pruned:
+        return  # the merge stopped early: its lists are partial
+    for side in ("r", "s"):
+        assert getattr(merged, f"epsilon_{side}") == getattr(
+            counted, f"epsilon_{side}"
+        )
+        assert [(g.key, g.path) for g in getattr(merged, f"mismatch_{side}")] == [
+            (g.key, g.path) for g in getattr(counted, f"mismatch_{side}")
+        ]
+        assert getattr(merged, f"required_mask_{side}") == getattr(
+            counted, f"required_mask_{side}"
+        )
 
 
 class TestFigure1:
     def test_mismatch_counts(self):
         r, s = figure1_graphs()
-        pr, ps = extract_qgrams(r, 1), extract_qgrams(s, 1)
+        pr, ps = sorted_profiles([r, s], 1)
         result = compare_qgrams(pr, ps)
         # r \ s = {C=O}; s \ r = {C-O, C-N}.
         assert result.epsilon_r == 1
@@ -24,28 +49,39 @@ class TestFigure1:
 
     def test_absent_keys(self):
         r, s = figure1_graphs()
-        result = compare_qgrams(extract_qgrams(r, 1), extract_qgrams(s, 1))
-        assert result.absent_keys_r == {("C", "=", "O")}
-        assert result.absent_keys_s == {("C", "-", "O"), ("C", "-", "N")}
+        result = compare_qgrams(*sorted_profiles([r, s], 1))
+        assert absent_keys(result.mismatch_r, result.required_mask_r) == {
+            ("C", "=", "O")
+        }
+        assert absent_keys(result.mismatch_s, result.required_mask_s) == {
+            ("C", "-", "O"),
+            ("C", "-", "N"),
+        }
 
 
 class TestMultisetSemantics:
     def test_partial_overlap_surplus(self):
         a = path_graph(["A", "A", "A"])  # A-A gram x2
         b = path_graph(["A", "A"])  # A-A gram x1
-        pa, pb = extract_qgrams(a, 1), extract_qgrams(b, 1)
-        result = compare_qgrams(pa, pb)
+        result = compare_qgrams(*sorted_profiles([a, b], 1))
         assert result.epsilon_r == 1  # surplus of one instance
         assert result.epsilon_s == 0
         # The key occurs in both graphs, so it is NOT fully absent.
-        assert result.absent_keys_r == frozenset()
+        assert result.required_mask_r == [False]
 
     def test_identical_profiles_have_no_mismatch(self):
         g = path_graph(["A", "B", "C"])
-        p1, p2 = extract_qgrams(g, 1), extract_qgrams(g.copy(), 1)
-        result = compare_qgrams(p1, p2)
+        result = compare_qgrams(*sorted_profiles([g, g.copy()], 1))
         assert result.epsilon_r == result.epsilon_s == 0
         assert result.mismatch_r == [] and result.mismatch_s == []
+
+    def test_profiles_of_two_vocabularies_are_refused(self):
+        a, b = path_graph(["A", "B"]), path_graph(["A", "C"])
+        unsorted = extract_qgrams(a, 1)
+        (pa,), (pb,) = sorted_profiles([a], 1), sorted_profiles([b], 1)
+        for p_r, p_s in ((pa, pb), (unsorted, pb), (pb, unsorted)):
+            with pytest.raises(ParameterError, match="sort_profile"):
+                compare_qgrams(p_r, p_s)
 
 
 class TestProperties:
@@ -53,7 +89,7 @@ class TestProperties:
     @given(graph_pairs_within(tau_max=2, max_vertices=5))
     def test_epsilon_equals_multiset_difference(self, pair):
         r, s, _ = pair
-        pr, ps = extract_qgrams(r, 1), extract_qgrams(s, 1)
+        pr, ps = sorted_profiles([r, s], 1)
         result = compare_qgrams(pr, ps)
         expected_r = sum(
             max(0, c - ps.key_counts.get(k, 0)) for k, c in pr.key_counts.items()
@@ -67,8 +103,9 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(small_graphs(max_vertices=5))
     def test_self_comparison_is_empty(self, g):
-        p = extract_qgrams(g, 2)
-        assert mismatching_grams(p, p) == []
+        (p,) = sorted_profiles([g], 2)
+        result = compare_qgrams(p, p)
+        assert result.mismatch_r == [] and result.mismatch_s == []
 
     @settings(max_examples=30, deadline=None)
     @given(graph_pairs_within(tau_max=2, max_vertices=5))
@@ -76,8 +113,33 @@ class TestProperties:
         """Every instance of a fully-absent key must be in the mismatch
         list (they are all guaranteed affected)."""
         r, s, _ = pair
-        pr, ps = extract_qgrams(r, 1), extract_qgrams(s, 1)
+        pr, ps = sorted_profiles([r, s], 1)
         result = compare_qgrams(pr, ps)
-        for key in result.absent_keys_r:
+        for key in absent_keys(result.mismatch_r, result.required_mask_r):
             chosen = sum(1 for g in result.mismatch_r if g.key == key)
             assert chosen == pr.key_counts[key]
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph_pairs_within(tau_max=3, max_vertices=6))
+    def test_merge_matches_counter_oracle(self, pair):
+        """The merge equals the Counter computation over object keys —
+        instances, their order, masks and the count bailout — on
+        profiles sorted in one vocabulary, also when their keys were
+        unseen at build time: interned later (overflow ids) or only
+        ranked for a query (temporary ids)."""
+        r, s, _ = pair
+        for q in (1, 2):
+            for built_on in ((r, s), (r,), ()):
+                vocab = build_vocabulary(
+                    [extract_qgrams(g, q) for g in built_on]
+                )
+                pr, ps = extract_qgrams(r, q), extract_qgrams(s, q)
+                vocab.sort_profile(pr)
+                vocab.sort_profile(ps, intern=bool(built_on))
+                for tau in (None, 0, 1, 2):
+                    assert_same_result(
+                        compare_qgrams(pr, ps, tau), counter_compare(pr, ps, tau)
+                    )
+                    assert_same_result(
+                        compare_qgrams(ps, pr, tau), counter_compare(ps, pr, tau)
+                    )

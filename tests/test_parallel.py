@@ -1,6 +1,7 @@
 """Tests for the multi-core join."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -14,6 +15,16 @@ class TestParallelJoin:
     def test_invalid_workers(self):
         with pytest.raises(ParameterError):
             gsim_join_parallel([], tau=1, workers=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["chunk_timeout", "retry_backoff"])
+    def test_non_finite_pool_settings_rejected(self, name, value):
+        """A NaN chunk timeout failed every chunk (each retried, then
+        verified in-process under the fallback budget); all four are
+        refused before a pool starts."""
+        graphs = molecule_collection(6, seed=73)
+        with pytest.raises(ParameterError, match="finite"):
+            gsim_join_parallel(graphs, tau=1, workers=2, **{name: value})
 
     def test_empty_collection(self):
         result = gsim_join_parallel([], tau=1, workers=2)

@@ -246,26 +246,27 @@ class TestNoCyclicGarbage:
         # long joins.
         graphs = molecule_collection(10, seed=71)
         odd = path_graph(["Zz", "Zy", "Zx"])  # keys the vocabulary never saw
+        stranger = path_graph(["Zz", "Zw", "Zx"])
         gc.collect()
         gc.disable()
         try:
             profiles = [extract_qgrams(g, 2) for g in graphs]
             vocab = build_vocabulary(profiles)
             overflow = extract_qgrams(odd, 2)
-            unsorted = extract_qgrams(graphs[0], 2)
+            probe = extract_qgrams(stranger, 2)
             for profile in profiles + [overflow]:
                 vocab.sort_profile(profile)
                 basic_prefix(profile, 1)
                 minedit_prefix(profile, 2)
-            assert profiles[0].signature_total and profiles[1].signature_total
-            assert not overflow.signature_total
+            vocab.sort_profile(probe, intern=False)  # temporary ids
             merged = compare_qgrams(profiles[0], profiles[1])
-            assert merged.absent_keys_r is not None
-            counted = compare_qgrams(profiles[2], overflow, tau=1)
-            assert counted.absent_keys_s is not None
-            compare_qgrams(unsorted, profiles[3])
+            assert merged.required_mask_r is not None
+            overflowed = compare_qgrams(profiles[2], overflow, tau=1)
+            assert overflowed.count_pruned
+            probed = compare_qgrams(probe, overflow)
+            assert probed.epsilon_r == probed.epsilon_s == 1  # one 2-gram each
             assert len(profiles[4].grams) == profiles[4].size
-            del profiles, vocab, overflow, unsorted, merged, counted
+            del profiles, vocab, overflow, probe, merged, overflowed, probed
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -6,6 +6,7 @@ journal's crash-safety contract (torn final line tolerated, corruption
 and run mismatches refused) is checked by corrupting files directly.
 """
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from repro.graph.generators import random_labeled_graph
 from repro.runtime import (
     FaultPlan,
     JoinJournal,
+    MemoryBudget,
     VerificationBudget,
     VerificationRecord,
     seeded_at,
@@ -33,6 +35,20 @@ class TestBudgetObjects:
             VerificationBudget(max_expansions=-1)
         with pytest.raises(ParameterError):
             VerificationBudget(max_seconds=-0.5)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf])
+    def test_non_finite_caps_rejected(self, cap):
+        """A NaN or infinite cap could never fire (``monotonic() > nan``
+        is always false), and a NaN or infinite memory budget used to
+        crash converting to bytes."""
+        for make in (
+            lambda: VerificationBudget(max_seconds=cap),
+            lambda: VerificationBudget(max_expansions=cap),
+            lambda: MemoryBudget.from_mb(cap),
+            lambda: MemoryBudget(cap),
+        ):
+            with pytest.raises(ParameterError, match="finite"):
+                make()
 
     def test_unlimited(self):
         assert VerificationBudget().unlimited

@@ -2,12 +2,12 @@
 
 from hypothesis import given, settings
 
-from repro.core import GSimJoinOptions, JoinStatistics, extract_qgrams
+from repro.core import GSimJoinOptions, JoinStatistics
 from repro.datasets import figure1_graphs
 from repro.engine.executor import Executor
 from repro.ged import graph_edit_distance
 
-from .conftest import graph_pairs_within, path_graph
+from .conftest import graph_pairs_within, path_graph, sorted_profiles
 
 
 def labels_of(g):
@@ -16,7 +16,7 @@ def labels_of(g):
 
 def run_verify(r, s, tau, q=1, stats=None, **options):
     """Algorithm 6 on one pair, through the engine's per-pair path."""
-    p_r, p_s = extract_qgrams(r, q), extract_qgrams(s, q)
+    p_r, p_s = sorted_profiles([r, s], q)
     executor = Executor(
         tau,
         GSimJoinOptions(**options),

@@ -3,13 +3,14 @@
 The join runs on interned q-gram signatures.  It must be observationally
 identical to the object-key oracle — the drivers of
 ``tests/legacy_drivers.py`` with ``object_keys=True``, which sort
-profiles by ``(document frequency, repr(key))`` tokens, index q-gram
-tuples and compare profiles on the Counter path — with the same result
-pairs in the same order and the same prune-counter statistics, across
-join variants, thresholds, q-gram lengths, directed graphs, streaming
-index inserts and the gram-less (unprunable) edge case.  These tests
-are the contract that lets the interned path evolve while the oracle
-stays frozen.
+profiles by ``(document frequency, repr(key))`` tokens (keys unseen at
+build time last, by first arrival), index q-gram tuples and compare
+profiles by the Counter computation of ``tests/counter_compare.py`` —
+with the same result pairs in the same order and the same prune-counter
+statistics, across join variants, thresholds, q-gram lengths, directed
+graphs, streaming index inserts and the gram-less (unprunable) edge
+case.  These tests are the contract that lets the interned path evolve
+while the oracle stays frozen.
 """
 
 import random
@@ -22,10 +23,13 @@ from repro.engine.result import JoinStatistics
 from repro.engine.stages import BasicPrefix, MinEditFilter
 from repro.ged.compiled import VerificationCache
 from repro.grams.minedit import min_prefix_length, min_prefix_length_direct
+from repro.grams.mismatch import compare_qgrams
 from repro.grams.qgrams import extract_qgrams
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 from repro.graph.generators import random_labeled_graph
 
+from .conftest import cycle_graph, path_graph
+from .counter_compare import counter_compare
 from .legacy_drivers import LegacyGSimIndex, legacy_gsim_join, legacy_gsim_join_rs
 from .test_join import molecule_collection
 
@@ -82,7 +86,6 @@ class TestQGramVocabulary:
         assert vocab.get(("A",)) == 0
         assert vocab.get(("B",)) == 1
         assert vocab.get(("C",)) == 2
-        assert vocab.frozen_size == 3
         assert len(vocab) == 3
         assert ("A",) in vocab and ("Z",) not in vocab
         assert vocab.key_of(1) == ("B",)
@@ -103,18 +106,28 @@ class TestQGramVocabulary:
         vocab = QGramVocabulary([("A",)])
         assert vocab.get(("NEW",)) is None
         new_id = vocab.intern(("NEW",))
-        assert new_id == 1 == vocab.frozen_size
+        assert new_id == 1  # the first id past the built range
         assert vocab.intern(("NEW",)) == new_id  # idempotent
         assert vocab.get(("NEW",)) == new_id
         assert len(vocab) == 2
 
-    def test_overflow_sorts_last_by_repr(self):
-        vocab = QGramVocabulary([("A",), ("B",)])
-        z = vocab.intern(("Z",))
-        c = vocab.intern(("C",))
-        tokens = [vocab.sort_token(i) for i in (0, 1, c, z)]
-        assert tokens == sorted(tokens)  # frozen first, then C before Z
-        assert all(vocab.sort_token(f) < vocab.sort_token(z) for f in (0, 1))
+    def test_overflow_sorts_last_in_arrival_order(self):
+        """Unseen keys rank after the built ones in the order they
+        arrive, whatever their repr: a profile holding ``Z-Z`` (interned
+        first) and ``Y-Y`` sorts ``Z-Z`` first."""
+        built = extract_qgrams(path_graph(["A", "B"]), 1)
+        vocab = build_vocabulary([built])
+        vocab.sort_profile(extract_qgrams(path_graph(["Z", "Z"]), 1))
+        profile = extract_qgrams(path_graph(["Y", "Y", "Z", "Z", "A", "B"]), 1)
+        vocab.sort_profile(profile)
+        assert [gram.key for gram in profile.grams] == [
+            ("A", "x", "B"),
+            ("Z", "x", "Z"),
+            ("Y", "x", "Y"),
+            ("Y", "x", "Z"),
+            ("A", "x", "Z"),
+        ]
+        assert profile.signature == [0, 1, 2, 3, 4]
 
     def test_sort_profile_attaches_total_signature(self):
         graphs = molecule_collection(6, seed=12)
@@ -123,7 +136,6 @@ class TestQGramVocabulary:
         for profile in profiles:
             vocab.sort_profile(profile)
             assert profile.signature == sorted(profile.signature)
-            assert profile.signature_total
             assert profile.signature_source is vocab
             assert [vocab.key_of(i) for i in profile.signature] == [
                 gram.key for gram in profile.grams
@@ -154,7 +166,6 @@ class TestQGramVocabulary:
         for again, new in zip(resorted, fresh):
             assert again.order == new.order
             assert again.signature == new.signature
-            assert again.signature_total == new.signature_total
             assert again.signature_source is second_vocab
             assert [(g.key, g.path) for g in again.grams] == [
                 (g.key, g.path) for g in new.grams
@@ -167,19 +178,36 @@ class TestQGramVocabulary:
                         info.length
                     )
 
-    def test_sort_profile_with_overflow_marks_non_mergeable(self):
-        graphs = molecule_collection(6, seed=13)
+    def test_sort_profile_with_overflow_merges(self):
+        """Profiles with overflow ids (inserted) and temporary ids
+        (queried) are sorted by id and compare by the merge exactly as
+        the Counter oracle does."""
+        graphs = molecule_collection(8, seed=13)
         profiles = [extract_qgrams(g, 2) for g in graphs]
         vocab = build_vocabulary(profiles[:3])  # the rest contain unseen keys
         unseen = [
             p for p in profiles[3:] if any(k not in vocab for k in p.key_counts)
         ]
-        assert unseen, "seed must produce unseen keys"
-        for profile in unseen:
+        assert len(unseen) >= 2, "seed must produce unseen keys"
+        inserted, queried = unseen[:-1], unseen[-1]
+        for profile in profiles[:3] + inserted:
             vocab.sort_profile(profile)
-            assert not profile.signature_total
-            tokens = [vocab.sort_token(i) for i in profile.signature]
-            assert tokens == sorted(tokens)
+        size = len(vocab)
+        vocab.sort_profile(queried, intern=False)
+        assert len(vocab) == size
+        for profile in inserted + [queried]:
+            assert profile.signature == sorted(profile.signature)
+            assert profile.signature_source is vocab
+            for other in profiles[:3] + inserted:
+                merged = compare_qgrams(profile, other)
+                counted = counter_compare(profile, other)
+                assert (merged.epsilon_r, merged.epsilon_s) == (
+                    counted.epsilon_r,
+                    counted.epsilon_s,
+                )
+                assert merged.mismatch_r == counted.mismatch_r
+                assert merged.mismatch_s == counted.mismatch_s
+                assert merged.required_mask_r == counted.required_mask_r
 
 
 class TestDirectPrefixParity:
@@ -295,5 +323,40 @@ class TestSearchParity:
             g.graph_id = f"stranger-{i}"
         queries = graphs[:3] + novel[:2] + strangers
         for tau in (1, 2):
+            for g in queries:
+                self._assert_query_parity(on, off, g, tau)
+
+    def test_unseen_keys_reach_prefixes_in_arrival_order(self):
+        """``Z-Z`` arrives (with ``x``) before ``Y-Y`` and ``Y-Z`` (with
+        ``y``) though its repr sorts after theirs, so it leads ``y``'s
+        prefix; ranked by repr, ``y`` would index all three keys and the
+        ``Y-Y-Z-Z`` query at tau=1 would meet one more candidate."""
+        base = [
+            path_graph(["A", "B", "A"], graph_id="b0"),
+            path_graph(["B", "B", "A"], graph_id="b1"),
+            path_graph(["A", "A", "B", "B"], graph_id="b2"),
+            cycle_graph(["A", "B", "B", "A"], graph_id="b3"),
+        ]
+        on, off = self._indexes(base, tau_max=1, q=1)
+        for g in (
+            path_graph(["Z", "Z", "Z"], graph_id="x"),
+            path_graph(["Y", "Y", "Z", "Z"], graph_id="y"),
+            path_graph(["Y", "Z", "Y", "Z"], graph_id="w"),
+        ):
+            on.add(g)
+            off.add(g)
+        y = on._profiles[5]
+        assert [gram.key for gram in y.grams] == [
+            ("Z", "x", "Z"),
+            ("Y", "x", "Y"),
+            ("Y", "x", "Z"),
+        ]
+        queries = [
+            path_graph(["Y", "Y", "Z", "Z"], graph_id="q0"),
+            path_graph(["Y", "Z", "Z"], graph_id="q1"),
+            path_graph(["Z", "Y", "Y", "Z"], graph_id="q2"),
+            path_graph(["Z", "Z", "Y", "Y", "A"], graph_id="q3"),
+        ]
+        for tau in (0, 1):
             for g in queries:
                 self._assert_query_parity(on, off, g, tau)
