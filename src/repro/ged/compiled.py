@@ -11,13 +11,23 @@ vertex/edge-label ids (the same interning pattern as
 integer edge lookups, incidence lists, and precomputed label-multiset
 count arrays — and running a rewritten A* core over those arrays:
 
-* states are compact tuples over ints (mapping tuple + used bitmask),
-  with no per-state ``frozenset`` or ``Counter`` construction;
+* states are compact tuples over ints (mapping tuple, used bitmask and
+  the two label intersections of the state's remainders), with no
+  per-state ``frozenset`` or ``Counter`` construction;
 * the remaining-label heuristic ``Γ(L_V) + Γ(L_E)`` is maintained
   **incrementally**: the ``r``-side remainder depends only on the
-  search depth (tables built once per search), the ``s``-side is
-  rebuilt per expansion from the used bitmask, and each child applies
-  O(deg) do/undo counter deltas instead of re-deriving the bound;
+  search depth (tables built once per search, with each depth's back
+  edges); the ``s``-side counters move from the last expansion's used
+  set to the popped state's by the bits that differ, O(deg) a bit; a
+  state carries its intersections, so the next depth's come from one
+  label lookup and the edges leaving the ``r`` remainder there, and a
+  child's from O(deg) work on its own edges;
+* an expansion costs the mapped neighbourhood, not ``V(s)``: one sweep
+  over the neighbours of the back edges' images, plus each target's
+  count of edges into the used set (kept with the counters), gives
+  every target's extension cost; a floor shared by all targets bounds
+  the ones next to no such image, and when it exceeds τ only the
+  images' neighbours are tried;
 * the completion cost of the unmatched part of ``s`` falls out of the
   same remainder sizes for free.
 
@@ -38,13 +48,15 @@ distances, ``exceeded_threshold`` decisions, expansion/generation
 counts, and — under a :class:`~repro.runtime.budget.VerificationBudget`
 — identical ``lower``/``upper`` bounded verdicts, because states carry
 identical ``f`` values and are generated in the same order with the
-same tie-breaking.
+same tie-breaking.  A target the expansion never tries is one whose
+child the threshold would prune, so skipping it moves no tie counter.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 import time
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -333,7 +345,7 @@ def _extension_cost_int(
     The integer twin of :func:`repro.ged.astar._extension_cost`,
     charging vertex cost plus every edge between ``u``/``v`` and the
     previously mapped part — used by the greedy upper bound (the main
-    loop inlines a faster neighbor-list form).
+    loop gets the same cost from its counters and one neighbour sweep).
     """
     if v < 0:
         delta = 1
@@ -448,10 +460,9 @@ def compiled_ged_detailed(
 
     directed = cr.directed
     rvlab, svlab = cr.vlab, cs.vlab
-    radj, sadj = cr.adj, cs.adj
+    sadj = cs.adj
     s_incident = cs.incident
     s_out, s_in = cs.out_nbrs, cs.in_nbrs
-    s_edges = cs.edge_list
     num_s_edges = cs.num_edges
 
     # ---- per-search tables ------------------------------------------------
@@ -459,39 +470,55 @@ def compiled_ged_detailed(
     num_vl = max(cr.max_vlab, cs.max_vlab) + 1
     num_el = max(cr.max_elab, cs.max_elab) + 1
 
-    # r-side remainder label counts per depth d (vertices order[d:], and
-    # edges with >= 1 endpoint at position >= d).
+    # Back edges: order[d]'s r-edges to earlier positions j, as
+    # (j, label + 1) — out of order[d] in back_out, into it in back_in
+    # (empty when undirected).  They depend on the order alone, and they
+    # are exactly the edges that leave the r remainder at depth d.
     pos = [0] * n
     for d, u in enumerate(order):
         pos[u] = d
+    back_out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    back_in: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for x, y, el in cr.edge_list:
+        px, py = pos[x], pos[y]
+        if px > py:
+            back_out[px].append((py, el + 1))
+        elif directed:
+            back_in[py].append((px, el + 1))
+        else:
+            back_out[py].append((px, el + 1))
+
+    # r-side remainder label counts per depth d (vertices order[d:], and
+    # edges with >= 1 endpoint at position >= d).  u_count[d] is order[d]'s
+    # label count at its own depth; leave[d] lists each edge leaving the
+    # remainder when order[d] is mapped as (label, count before it left).
     rv_depth: List[List[int]] = [[0] * num_vl for _ in range(n + 1)]
     for d in range(n - 1, -1, -1):
         row = rv_depth[d]
         row[:] = rv_depth[d + 1]
         row[rvlab[order[d]]] += 1
-    leave_buckets: List[List[int]] = [[] for _ in range(n + 1)]
-    for x, y, el in cr.edge_list:
-        depth = pos[x] if pos[x] > pos[y] else pos[y]
-        leave_buckets[depth + 1].append(el)
+    u_count = [rv_depth[d][rvlab[u]] for d, u in enumerate(order)]
     re_depth: List[List[int]] = [[0] * num_el for _ in range(n + 1)]
     resize = [0] * (n + 1)
+    leave: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     row = re_depth[0]
-    for x, y, el in cr.edge_list:
+    for _x, _y, el in cr.edge_list:
         row[el] += 1
-    resize[0] = len(cr.edge_list)
-    for d in range(1, n + 1):
-        row = re_depth[d]
-        row[:] = re_depth[d - 1]
-        for el in leave_buckets[d]:
-            row[el] -= 1
-        resize[d] = resize[d - 1] - len(leave_buckets[d])
+    resize[0] = cr.num_edges
+    for d in range(n):
+        row = re_depth[d + 1]
+        row[:] = re_depth[d]
+        for _j, label in back_out[d] + back_in[d]:
+            leave[d].append((label - 1, row[label - 1]))
+            row[label - 1] -= 1
+        resize[d + 1] = resize[d] - len(leave[d])
 
-    # Full s-side label counts (per pop these are copied and decremented).
+    # Full s-side label counts: the counters of the empty used set.
     sv_full = [0] * num_vl
     for label_id in svlab:
         sv_full[label_id] += 1
     se_full = [0] * num_el
-    for _x, _y, el in s_edges:
+    for _x, _y, el in cs.edge_list:
         se_full[el] += 1
 
     counter = itertools.count()
@@ -517,20 +544,30 @@ def compiled_ged_detailed(
             return GedSearchResult(threshold + 1, 0, 0, True)
         return GedSearchResult(distance, 0, 0, False)
 
-    # State: (f, -depth, tie, g, mapping, used-bitmask).
-    heap: List[Tuple[int, int, int, int, Tuple[int, ...], int]] = []
-    if threshold is None or start_f <= threshold:
-        heapq.heappush(heap, (start_f, -0, next(counter), 0, (), 0))
+    limit = sys.maxsize if threshold is None else threshold
+    # State: (f, -depth, tie, g, mapping, used-bitmask, iv, ie), where iv
+    # and ie are the vertex- and edge-label intersections of the state's
+    # remainders: Γ(L_V) + Γ(L_E) = max(|·|) - iv + max(|·|) - ie.
+    heap: List[Tuple[int, int, int, int, Tuple[int, ...], int, int, int]] = []
+    if start_f <= limit:
+        heapq.heappush(heap, (start_f, -0, next(counter), 0, (), 0, iv0, ie0))
         generated += 1
 
     meter = budget.start() if budget is not None else None
+    # s-side counters of the used set `cur`: unused vertices per label
+    # (sv), edges not inside `cur` per label (se), their sizes, and per
+    # s vertex the number of its edges into `cur` (nu).
+    cur = 0
     sv = sv_full[:]
     se = se_full[:]
+    sv_size = m
+    se_size = num_s_edges
+    nu = [0] * m
 
     while heap:
         if meter is not None and not meter.tick():
             lower = heap[0][0]
-            _bf, _bk, _bt, bg, bmapping, bused = heap[0]
+            bg, bmapping, bused = heap[0][3:6]
             upper = _greedy_upper_int(cr, cs, order, bmapping, bused, bg)
             return GedSearchResult(
                 upper,
@@ -541,137 +578,139 @@ def compiled_ged_detailed(
                 lower=lower,
                 upper=upper,
             )
-        f, _neg_k, _tie, g, mapping, used = heapq.heappop(heap)
+        f, _neg_k, _tie, g, mapping, used, iv, ie = heapq.heappop(heap)
         k = len(mapping)
         expanded += 1
         if k == n:
             return GedSearchResult(g, expanded, generated, False)
 
-        k1 = k + 1
-        u = order[k]
-        u_row = u * n
-
-        # --- rebuild the s-side remainder counters for this expansion ---
-        sv[:] = sv_full
-        se[:] = se_full
-        sv_size = m
-        se_size = num_s_edges
-        uu = used
-        v0 = 0
-        while uu:
-            if uu & 1:
-                sv[svlab[v0]] -= 1
+        # --- move the s-side counters from `cur` to `used`, bit by bit ---
+        diff = used ^ cur
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            v = low.bit_length() - 1
+            if used & low:
+                sv[svlab[v]] -= 1
                 sv_size -= 1
-                for w, el in s_incident[v0]:
-                    if w < v0 and (used >> w) & 1:
+                for w, el in s_incident[v]:
+                    nu[w] += 1
+                    if (cur >> w) & 1:
                         se[el] -= 1
                         se_size -= 1
-            uu >>= 1
-            v0 += 1
+            else:
+                sv[svlab[v]] += 1
+                sv_size += 1
+                for w, el in s_incident[v]:
+                    nu[w] -= 1
+                    if (cur >> w) & 1:
+                        se[el] += 1
+                        se_size += 1
+            cur ^= low
 
-        # Base intersections against the child depth's r-side tables.
+        # --- the child depth's intersections, from the carried ones ------
+        k1 = k + 1
+        u = order[k]
+        lu = rvlab[u]
+        iv_base = iv - 1 if u_count[k] <= sv[lu] else iv
+        ie_base = ie
+        for el, before in leave[k]:
+            if before <= se[el]:
+                ie_base -= 1
         rv1 = rv_depth[k1]
         re1 = re_depth[k1]
-        iv_base = 0
-        for label_id in range(num_vl):
-            a, b = rv1[label_id], sv[label_id]
-            iv_base += a if a < b else b
-        ie_base = 0
-        for label_id in range(num_el):
-            a, b = re1[label_id], se[label_id]
-            ie_base += a if a < b else b
         rvsize1 = n - k1
         resize1 = resize[k1]
+        goal = k1 == n
+        bout = back_out[k]
+        bin_ = back_in[k]
+        nb = len(bout) + len(bin_)
 
-        # u's edges to the mapped part, and the image -> position map.
-        u_edges = [
-            (j, radj[u_row + order[j]])
-            for j in range(k)
-            if radj[u_row + order[j]]
-        ]
-        u_redges = (
-            [
-                (j, radj[order[j] * n + u])
-                for j in range(k)
-                if radj[order[j] * n + u]
-            ]
-            if directed
-            else u_edges
+        # --- children u -> v ----------------------------------------------
+        # The extension cost is [l(u) != l(v)] + nb + nu[v] - bonus[v]:
+        # each back edge costs 1, and so does each s-edge between v and
+        # the used set, except that a back edge whose image is v's
+        # neighbour in the same orientation pays for both at once
+        # (bonus 1), or for neither when the labels agree (bonus 2).  With
+        # nu[v] folded into the edge term (v's edges into the used set
+        # leave E_s^rem), the child's f = g + cost + Γ(L_V) + Γ(L_E) is
+        #   base + [l(u) != l(v)] + [sv[l(v)] <= rv1[l(v)]] - bonus[v]
+        #        + max(resize1 + nu[v], se_size) + (ie_base - ie_child),
+        # so a v next to no back edge's image has f >= near: when near
+        # exceeds the threshold, only the images' neighbours are tried.
+        # Every skip drops a child the threshold prunes anyway.
+        sv_left = sv_size - 1
+        base = (
+            g + nb + (rvsize1 if rvsize1 > sv_left else sv_left)
+            - iv_base - ie_base
         )
-        imap = [-1] * m
-        for j, w in enumerate(mapping):
+        bonus: Dict[int, int] = {}
+        for j, label in bout:
+            w = mapping[j]
             if w >= 0:
-                imap[w] = j
-        eps_delta = len(u_edges) + (len(u_redges) if directed else 0)
-
-        targets = [v for v in range(m) if not (used >> v) & 1]
-        targets.append(-1)
-        for v in targets:
-            # --- extension cost (inlined integer form) -------------------
-            if v < 0:
-                delta = 1 + eps_delta
-            else:
-                delta = 0 if rvlab[u] == svlab[v] else 1
-                v_row = v * m
-                for j, rl in u_edges:
-                    w = mapping[j]
-                    if w < 0 or sadj[v_row + w] != rl:
-                        delta += 1
-                for w2 in s_out[v]:
-                    j = imap[w2]
-                    if j >= 0 and radj[u_row + order[j]] == 0:
-                        delta += 1
-                if directed:
-                    for j, rl in u_redges:
-                        w = mapping[j]
-                        if w < 0 or sadj[w * m + v] != rl:
-                            delta += 1
-                    for w2 in s_in[v]:
-                        j = imap[w2]
-                        if j >= 0 and radj[order[j] * n + u] == 0:
-                            delta += 1
-            g2 = g + delta
-            if threshold is not None and g2 > threshold:
+                for v in s_in[w]:
+                    bonus[v] = bonus.get(v, 0) + (
+                        2 if sadj[v * m + w] == label else 1
+                    )
+        for j, label in bin_:
+            w = mapping[j]
+            if w >= 0:
+                w_row = w * m
+                for v in s_out[w]:
+                    bonus[v] = bonus.get(v, 0) + (
+                        2 if sadj[w_row + v] == label else 1
+                    )
+        bonus_of = bonus.get
+        near = base + (resize1 if resize1 > se_size else se_size)
+        for v in range(m) if near <= limit else sorted(bonus):
+            if (used >> v) & 1:
                 continue
-
-            # --- incremental remainder counters for the child ------------
-            if v < 0:
-                used2 = used
-                sv_size2 = sv_size
-                se_size2 = se_size
-                iv2 = iv_base
-                ie2 = ie_base
-            else:
-                used2 = used | (1 << v)
-                sv_size2 = sv_size - 1
-                label_id = svlab[v]
-                iv2 = iv_base - (1 if sv[label_id] <= rv1[label_id] else 0)
-                ie2 = ie_base
-                removed = 0
+            lv = svlab[v]
+            nv = nu[v]
+            e_left = resize1 + nv
+            f2 = (
+                base + (lu != lv) + (sv[lv] <= rv1[lv]) - bonus_of(v, 0)
+                + (e_left if e_left > se_size else se_size)
+            )
+            if f2 > limit:
+                continue
+            ie2 = ie_base
+            if nv:
                 for w, el in s_incident[v]:
                     if (used >> w) & 1:
                         if se[el] <= re1[el]:
                             ie2 -= 1
                         se[el] -= 1
-                        removed += 1
-                se_size2 = se_size - removed
-                if removed:
-                    for w, el in s_incident[v]:
-                        if (used >> w) & 1:
-                            se[el] += 1
-
-            if k1 == n:
-                g2 += sv_size2 + se_size2
-                h2 = 0
-            else:
-                gv = rvsize1 if rvsize1 > sv_size2 else sv_size2
-                ge = resize1 if resize1 > se_size2 else se_size2
-                h2 = (gv - iv2) + (ge - ie2)
-            f2 = g2 + h2
-            if threshold is not None and f2 > threshold:
-                continue
+                for w, el in s_incident[v]:
+                    if (used >> w) & 1:
+                        se[el] += 1
+                f2 += ie_base - ie2
+                if f2 > limit:
+                    continue
             heapq.heappush(
-                heap, (f2, -k1, next(counter), g2, mapping + (v,), used2)
+                heap,
+                (
+                    f2, -k1, next(counter),
+                    f2 if goal else g + nb + nv - bonus_of(v, 0) + (lu != lv),
+                    mapping + (v,), used | (1 << v),
+                    iv_base - (sv[lv] <= rv1[lv]), ie2,
+                ),
+            )
+            generated += 1
+
+        # --- the ε child: u deleted, the used set unchanged ---------------
+        f2 = (
+            g + 1 + nb
+            + (rvsize1 if rvsize1 > sv_size else sv_size) - iv_base
+            + (resize1 if resize1 > se_size else se_size) - ie_base
+        )
+        if f2 <= limit:
+            heapq.heappush(
+                heap,
+                (
+                    f2, -k1, next(counter), f2 if goal else g + 1 + nb,
+                    mapping + (-1,), used, iv_base, ie_base,
+                ),
             )
             generated += 1
 

@@ -82,7 +82,12 @@ class MemoryBudget:
             raise ParameterError(
                 f"memory budget must be finite and > 0 MB, got {megabytes}"
             )
-        return cls(int(megabytes * 1024 * 1024))
+        limit = int(megabytes * 1024 * 1024)
+        if limit < 1:
+            raise ParameterError(
+                f"memory budget must be at least one byte, got {megabytes} MB"
+            )
+        return cls(limit)
 
     def charge(self, nbytes: int, what: str = "working set") -> None:
         """Account ``nbytes`` of residency; raise before exceeding the cap."""

@@ -33,6 +33,7 @@ from repro.ged.heuristics import label_heuristic
 from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.mismatch import compare_qgrams
 from repro.graph.graph import Graph
+from repro.graph.operations import perturb
 from repro.runtime import FaultPlan
 from repro.runtime.budget import VerificationBudget
 
@@ -150,28 +151,58 @@ class TestCompilation:
 # ------------------------------------------------------------ search parity
 
 
+def small_searches(rng, directed):
+    """150 pairs of independent graphs of 0-6 vertices: every τ (and
+    none), q 1-3, tight budgets."""
+    for _ in range(150):
+        r = random_pair_graph(rng, rng.randrange(0, 7), directed)
+        s = random_pair_graph(rng, rng.randrange(0, 7), directed)
+        tau = rng.choice([0, 1, 2, 3, None])
+        q = rng.choice([1, 2, 3])
+        budget = (
+            VerificationBudget(max_expansions=rng.choice([1, 4, 25]))
+            if tau is not None and rng.random() < 0.4
+            else None
+        )
+        yield r, s, tau, q, budget, tau is not None and rng.random() < 0.5
+
+
+def mid_searches(rng, directed):
+    """60 near pairs of 8-14 vertices, 0-3 edits apart: deep searches,
+    where the used set moves by several bits between pops and many
+    expansions try only the targets next to the back edges' images."""
+    for _ in range(60):
+        num_vlabels = rng.randint(1, 8)
+        r = random_pair_graph(
+            rng, rng.randint(8, 14), directed,
+            num_vlabels=num_vlabels, p=rng.choice([0.15, 0.3]),
+        )
+        s = perturb(r, rng.randint(0, 3), rng, range(num_vlabels), range(2))
+        tau = rng.randint(1, 3)
+        max_expansions = rng.choice([None, 5, 40, 200])
+        budget = (
+            None if max_expansions is None
+            else VerificationBudget(max_expansions=max_expansions)
+        )
+        yield r, s, tau, rng.choice([2, 3]), budget, rng.random() < 0.5
+
+
 class TestSearchParity:
     @pytest.mark.parametrize("directed", [False, True])
     def test_randomized_bit_identical_searches(self, directed):
         rng = random.Random(99 if directed else 42)
         cache = VerificationCache()
-        for _ in range(150):
-            r = random_pair_graph(rng, rng.randrange(0, 7), directed)
-            s = random_pair_graph(rng, rng.randrange(0, 7), directed)
-            tau = rng.choice([0, 1, 2, 3, None])
-            q = rng.choice([1, 2, 3])
-            budget = (
-                VerificationBudget(max_expansions=rng.choice([1, 4, 25]))
-                if tau is not None and rng.random() < 0.4
-                else None
-            )
-            obj, comp, _, _, _ = run_both(
-                r, s, tau=tau, q=q,
-                use_mismatch_order=tau is not None and rng.random() < 0.5,
-                budget=budget, cache=cache,
-            )
-            for field in SEARCH_FIELDS:
-                assert getattr(obj, field) == getattr(comp, field), field
+        for searches in (small_searches, mid_searches):
+            within = 0
+            for r, s, tau, q, budget, mismatch in searches(rng, directed):
+                obj, comp, _, _, _ = run_both(
+                    r, s, tau=tau, q=q, use_mismatch_order=mismatch,
+                    budget=budget, cache=cache,
+                )
+                for field in SEARCH_FIELDS:
+                    assert getattr(obj, field) == getattr(comp, field), field
+                within += not (comp.exceeded_threshold or comp.budget_exhausted)
+            assert within > 0, searches.__name__
 
     def test_parameter_validation(self):
         g = random_pair_graph(random.Random(1), 3, False)

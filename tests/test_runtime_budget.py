@@ -50,6 +50,14 @@ class TestBudgetObjects:
             with pytest.raises(ParameterError, match="finite"):
                 make()
 
+    def test_sub_byte_memory_budget_names_the_value_given(self):
+        """A positive budget under one byte is refused in the MB the
+        caller passed, not as the 0 bytes it truncates to."""
+        with pytest.raises(ParameterError, match="one byte") as refused:
+            MemoryBudget.from_mb(1e-7)
+        assert "got 1e-07 MB" in str(refused.value)
+        assert MemoryBudget.from_mb(1 / (1024 * 1024)).limit == 1
+
     def test_unlimited(self):
         assert VerificationBudget().unlimited
         assert not VerificationBudget(max_expansions=10).unlimited
