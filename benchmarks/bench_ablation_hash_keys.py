@@ -13,6 +13,7 @@ import time
 from workloads import AIDS_Q, dataset, format_table, write_series
 
 from repro.core import build_vocabulary, extract_qgrams
+from repro.grams import LabelTable
 
 
 def _index_and_probe(profiles, key_of):
@@ -33,7 +34,8 @@ def test_ablation_hash_vs_tuple_keys(benchmark):
     graphs = list(dataset("aids"))
 
     def compute():
-        profiles = [extract_qgrams(g, AIDS_Q) for g in graphs]
+        table = LabelTable.of(graphs)
+        profiles = [extract_qgrams(g, AIDS_Q, table) for g in graphs]
         vocab = build_vocabulary(profiles)
         for p in profiles:
             vocab.sort_profile(p)

@@ -12,6 +12,7 @@ import time
 from workloads import PROT_Q, dataset, format_table, write_series
 
 from repro.core import build_vocabulary, extract_qgrams, min_prefix_length
+from repro.grams import LabelTable
 from repro.grams.minedit import min_edit_exact
 
 
@@ -37,7 +38,8 @@ def test_ablation_minedit_solver(benchmark):
     graphs = list(dataset("protein"))
 
     def compute():
-        profiles = [extract_qgrams(g, PROT_Q) for g in graphs]
+        table = LabelTable.of(graphs)
+        profiles = [extract_qgrams(g, PROT_Q, table) for g in graphs]
         vocab = build_vocabulary(profiles)
         for p in profiles:
             vocab.sort_profile(p)

@@ -33,13 +33,15 @@ from repro.ged import (
     make_local_label_heuristic,
     mismatch_vertex_order,
 )
+from repro.grams import LabelTable
 
 
 def candidate_pairs(graphs, tau, q):
     """Pairs surviving size, global label, count and local label
     filtering — the Verify cascade applied pairwise (a superset of the
     join's Cand-2, independent of prefix-filtering order)."""
-    profiles = [extract_qgrams(g, q) for g in graphs]
+    table = LabelTable.of(graphs)
+    profiles = [extract_qgrams(g, q, table) for g in graphs]
     vocab = build_vocabulary(profiles)
     for profile in profiles:
         vocab.sort_profile(profile)

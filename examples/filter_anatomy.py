@@ -9,6 +9,8 @@ the A* search statistics under each optimization level.
 Run:  python examples/filter_anatomy.py
 """
 
+from collections import Counter
+
 from repro.core import (
     build_vocabulary,
     compare_qgrams,
@@ -18,6 +20,7 @@ from repro.core import (
     local_label_lower_bound,
     min_prefix_length,
 )
+from repro.grams import LabelTable
 from repro.datasets import figure1_graphs
 from repro.ged import (
     graph_edit_distance_detailed,
@@ -33,7 +36,9 @@ def show_profile(name, profile):
     print(f"  Q_{name}: ", end="")
     parts = [
         f"{'-'.join(map(str, key))} (x{count})"
-        for key, count in sorted(profile.key_counts.items(), key=repr)
+        for key, count in sorted(
+            Counter(gram.key for gram in profile.grams).items(), key=repr
+        )
     ]
     print(", ".join(parts))
     print(f"  |Q_{name}| = {profile.size},  D_path({name}) = {profile.d_path}")
@@ -45,7 +50,9 @@ def main() -> None:
     print(f"Pair: {r.graph_id} vs {s.graph_id},  tau = {tau},  q = {q}\n")
 
     # --- Path-based q-grams and count filtering (Section III) ----------
-    p_r, p_s = extract_qgrams(r, q), extract_qgrams(s, q)
+    # One label table for both graphs: a q-gram's code means the same in each.
+    table = LabelTable.of([r, s])
+    p_r, p_s = extract_qgrams(r, q, table), extract_qgrams(s, q, table)
     print("Path-based q-grams (Example 3):")
     show_profile("r", p_r)
     show_profile("s", p_s)

@@ -120,9 +120,9 @@ class FilterPurityRule(Rule):
             for target in targets:
                 # Attribute writes only: subscript writes on dict/list
                 # parameters are the idiom for explicit accumulator
-                # out-parameters (e.g. ``vertex_counts`` in the q-gram
-                # walk), while attribute writes on a parameter are how a
-                # Graph would be corrupted.
+                # out-parameters (e.g. the ``seen`` spellings a label
+                # check fills), while attribute writes on a parameter
+                # are how a Graph would be corrupted.
                 if (
                     isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)

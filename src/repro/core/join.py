@@ -51,12 +51,12 @@ from repro.engine.executor import (
 from repro.engine.options import (
     GSimJoinOptions,
     reject_mixed_directedness,
-    reject_mixed_label_spellings,
     validate_collection,
 )
 from repro.engine.parallel import PoolSettings, verify_deferred
 from repro.engine.result import JoinResult, JoinStatistics
 from repro.graph.graph import Graph
+from repro.grams.qgrams import LabelTable
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultPlan
 from repro.runtime.journal import JoinJournal
@@ -76,6 +76,8 @@ def _join(
 ) -> JoinResult:
     """Run the scan over ``graphs`` and verify every candidate block.
 
+    One :class:`~repro.grams.qgrams.LabelTable` ranks the labels of all
+    of ``graphs``; building it is the run's one label-spelling check.
     ``split=None`` self-joins (pairs reported earlier graph first);
     otherwise graphs ``[:split]`` probe the index over ``[split:]``
     (pairs reported outer graph first).  With one worker (the default
@@ -85,6 +87,7 @@ def _join(
     verified on the pool, ``fault`` armed in its workers, and the
     results are reported in scan order.
     """
+    table = LabelTable.of(graphs)
     stats = JoinStatistics(num_graphs=len(graphs), tau=tau, q=options.q)
     result = JoinResult(stats=stats)
     ids = [g.graph_id for g in graphs]
@@ -114,7 +117,7 @@ def _join(
             tau, options, stats, budget=budget, journal=journal,
             injector=None if fault is None or deferred else fault.start(),
         )
-        executor.prepare(graphs)
+        executor.prepare(graphs, table)
         store = executor.build_store()
         if not deferred:
             for i, candidate_ids in executor.scan(split):
@@ -174,8 +177,8 @@ def gsim_join(
     Raises
     ------
     ParameterError
-        On negative ``tau``/``q``, missing ids, duplicate ids, or mixed
-        directedness.
+        On negative ``tau``/``q``, missing ids, duplicate ids, mixed
+        directedness, or labels that are equal but print differently.
     CheckpointError
         When ``checkpoint`` names a journal from a different run.
     """
@@ -222,7 +225,6 @@ def gsim_join_rs(
     validate_collection(inner, tau, options)
     graphs = list(outer) + list(inner)
     reject_mixed_directedness(graphs)
-    reject_mixed_label_spellings(graphs)
     return _join(graphs, len(outer), tau, options, budget, checkpoint, fault)
 
 

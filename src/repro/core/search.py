@@ -12,8 +12,9 @@ The index is built for a maximum threshold ``tau_max``; any query with
 their ``tau_max`` prefixes, a superset of every smaller-τ prefix, which
 keeps prefix filtering sound for all admissible thresholds (at the cost
 of a few extra candidates for small τ).  Graphs are also insertable
-incrementally — the global q-gram ordering is fixed at construction,
-and q-gram keys unseen then sort last, in the order first inserted.
+incrementally — the label table and the global q-gram ordering are
+fixed at construction; labels and q-gram keys unseen then rank last,
+in the order first inserted.
 
 Queries run on the staged execution engine: the index builds its
 :class:`~repro.engine.plan.JoinPlan` once and drives a per-query
@@ -32,7 +33,6 @@ from repro.engine.options import (
     GSimJoinOptions,
     build_sorter,
     reject_mixed_directedness,
-    reject_mixed_label_spellings,
 )
 from repro.engine.plan import JoinPlan, build_plan
 from repro.engine.prefix import PrefixInfo
@@ -42,7 +42,12 @@ from repro.exceptions import ParameterError
 from repro.ged.compiled import VerificationCache
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore, build_columnar_store
-from repro.grams.qgrams import QGramProfile, extract_qgrams
+from repro.grams.qgrams import (
+    LabelTable,
+    QGramProfile,
+    extract_qgrams,
+    reject_mixed_label_spellings,
+)
 from repro.grams.vocab import QGramVocabulary
 
 __all__ = ["GSimIndex"]
@@ -98,13 +103,18 @@ class GSimIndex:
         self._cache: Optional[VerificationCache] = VerificationCache()
 
         initial = list(graphs)
-        # Every label's one spelling, for checking inserts and queries.
+        # Every label's one spelling, for checking inserts and queries,
+        # and the label table built from them: labels first seen by an
+        # insert rank after the initial ones, in arrival order.
         self._spellings = reject_mixed_label_spellings(initial)
-        initial_profiles = [extract_qgrams(g, self.options.q) for g in initial]
+        self._table = LabelTable(self._spellings)
+        initial_profiles = [
+            extract_qgrams(g, self.options.q, self._table) for g in initial
+        ]
         # Freeze the ordering on the initial collection (or empty): an
         # interning vocabulary, ids in global-ordering rank; later
         # inserts intern unseen keys as overflow ids that sort last.
-        self._sorter: QGramVocabulary = build_sorter(initial_profiles)
+        self._sorter: QGramVocabulary = build_sorter(initial_profiles, self._table)
         for g, profile in zip(initial, initial_profiles):
             self._validate_new(g)
             self._insert(g, profile)
@@ -136,9 +146,12 @@ class GSimIndex:
     def add(self, g: Graph) -> None:
         """Insert a graph into the index.
 
-        Q-gram keys unseen at construction get the vocabulary's next
-        (overflow) ids — they sort after every key seen before, in the
-        order first inserted, so ascending id stays the global ordering.
+        Labels unseen at construction rank after every label seen
+        before, in the order first inserted, and q-gram keys unseen at
+        construction get the vocabulary's next (overflow) ids — they
+        sort after every key seen before, in the order first inserted,
+        so ascending id stays the global ordering.  Signatures stored
+        earlier never change, even when a new label widens the codes.
 
         Raises
         ------
@@ -149,7 +162,8 @@ class GSimIndex:
         """
         self._validate_new(g)
         self._spellings = reject_mixed_label_spellings([g], self._spellings)
-        self._insert(g, extract_qgrams(g, self.options.q))
+        self._table.admit(g)
+        self._insert(g, extract_qgrams(g, self.options.q, self._table))
 
     def _prefix(self, profile: QGramProfile, tau: int) -> PrefixInfo:
         return self._plan.prefix.prefix_info(profile, tau)
@@ -202,8 +216,9 @@ class GSimIndex:
                     self._profiles[len(store):], self._labels[len(store):]
                 )
             executor.attach_store(store)
-        profile = extract_qgrams(g, self.options.q)
-        # The query is never stored: its unseen keys take temporary ids.
+        # The query is never stored: its unseen labels take temporary
+        # ranks and its unseen keys temporary ids.
+        profile = extract_qgrams(g, self.options.q, self._table.covering(g))
         self._sorter.sort_profile(profile, intern=False)
         info = self._prefix(profile, tau)
 

@@ -79,7 +79,7 @@ from repro.engine.stages import PairContext, VerifyOutcome
 from repro.ged.compiled import VerificationCache
 from repro.graph.graph import Graph
 from repro.grams.columnar import ColumnarStore, build_columnar_store, np
-from repro.grams.qgrams import QGramProfile, extract_qgrams
+from repro.grams.qgrams import LabelTable, QGramProfile, extract_qgrams
 from repro.grams.vocab import QGramVocabulary
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultInjector
@@ -374,18 +374,20 @@ class Executor:
 
     # --- Collection preparation ---------------------------------------
 
-    def extract(self, graphs: Sequence[Graph]) -> Extracted:
+    def extract(self, graphs: Sequence[Graph], table: LabelTable) -> Extracted:
         """The per-graph half of :meth:`prepare`: the unsorted q-gram
-        profiles and the label multisets of ``graphs``.
+        profiles of ``graphs``, coded under the run's label ``table``,
+        and their label multisets.
 
-        Neither depends on the rest of the collection, so a caller may
-        extract a slice once and pass it to the :meth:`prepare` of
-        several executors (the sharded driver carries slices from combo
-        to combo).  Accrues the prepare row's seconds and
-        ``index_time``.
+        Neither depends on the rest of the collection beyond the table,
+        so a caller may extract a slice once and pass it to the
+        :meth:`prepare` of several executors (the sharded driver carries
+        slices from combo to combo under one run table).  Accrues the
+        prepare row's seconds and ``index_time``.
         """
         started = time.perf_counter()
-        profiles = [extract_qgrams(g, self.options.q) for g in graphs]
+        q = self.options.q
+        profiles = [extract_qgrams(g, q, table) for g in graphs]
         labels = [
             (g.vertex_label_multiset(), g.edge_label_multiset()) for g in graphs
         ]
@@ -395,15 +397,20 @@ class Executor:
         return profiles, labels
 
     def prepare(
-        self, graphs: Sequence[Graph], extracted: Optional[Extracted] = None
+        self,
+        graphs: Sequence[Graph],
+        table: LabelTable,
+        extracted: Optional[Extracted] = None,
     ) -> None:
-        """Extract q-grams and label multisets for ``graphs``, then build
-        and apply the global ordering and compute the prefixes.
+        """Extract q-grams and label multisets for ``graphs`` under
+        ``table``, then build and apply the global ordering and compute
+        the prefixes.
 
         ``extracted`` is ``graphs``' output of an earlier
-        :meth:`extract`, which is then not repeated.  The ordering and
-        the prefixes are always this collection's own: sorting a profile
-        overwrites whatever order an earlier vocabulary gave it.
+        :meth:`extract` under ``table``, which is then not repeated.
+        The ordering and the prefixes are always this collection's own:
+        sorting a profile overwrites whatever order an earlier
+        vocabulary gave it.
 
         Sets ``profiles``/``prefixes``/``labels``/``sorter``; accrues
         ``total_prefix_length``/``unprunable_graphs``, the prepare/
@@ -411,10 +418,10 @@ class Executor:
         """
         stats, tau = self.stats, self.tau
         profiles, labels = (
-            extracted if extracted is not None else self.extract(graphs)
+            extracted if extracted is not None else self.extract(graphs, table)
         )
         started = time.perf_counter()
-        sorter = build_sorter(profiles)
+        sorter = build_sorter(profiles, table)
         for profile in profiles:
             sorter.sort_profile(profile)
         prepared = time.perf_counter()

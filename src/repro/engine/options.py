@@ -13,25 +13,20 @@ answers and statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence
 
 from repro.exceptions import ParameterError
 from repro.ged.portfolio import resolve_backend
-from repro.grams.qgrams import QGramProfile
+from repro.grams.qgrams import LabelTable, QGramProfile
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
-from repro.graph.graph import Graph, Label
+from repro.graph.graph import Graph
 
 __all__ = [
     "GSimJoinOptions",
-    "LabelSpellings",
     "build_sorter",
     "reject_mixed_directedness",
-    "reject_mixed_label_spellings",
     "validate_collection",
 ]
-
-#: Vertex labels, then edge labels: each label seen -> its ``repr``.
-LabelSpellings = Tuple[Dict[Label, str], Dict[Label, str]]
 
 
 @dataclass(frozen=True)
@@ -93,14 +88,17 @@ class GSimJoinOptions:
         return replace(self, q=q)
 
 
-def build_sorter(profiles: Sequence[QGramProfile]) -> QGramVocabulary:
-    """The global ordering over ``profiles``: the interning vocabulary
-    of :mod:`repro.grams.vocab`, ids in ascending document frequency.
+def build_sorter(
+    profiles: Sequence[QGramProfile], table: LabelTable
+) -> QGramVocabulary:
+    """The global ordering over ``profiles``, all coded under ``table``:
+    the interning vocabulary of :mod:`repro.grams.vocab`, ids in
+    ascending document frequency.
 
     Every driver builds its ordering through this one name, so the
     benchmark ledger times the step wherever it runs.
     """
-    return build_vocabulary(profiles)
+    return build_vocabulary(profiles, table)
 
 
 def reject_mixed_directedness(graphs: Iterable[Graph]) -> None:
@@ -115,67 +113,20 @@ def reject_mixed_directedness(graphs: Iterable[Graph]) -> None:
         raise ParameterError("cannot mix directed and undirected graphs")
 
 
-def reject_mixed_label_spellings(
-    graphs: Iterable[Graph], known: Optional[LabelSpellings] = None
-) -> LabelSpellings:
-    """Reject labels that are equal but print differently.
-
-    Path q-grams are oriented by label ``repr``
-    (:func:`repro.grams.qgrams.extract_qgrams`), so equal labels spelled
-    differently — ``1``, ``True`` and ``1.0`` — would give two equal
-    paths unequal keys, and the count and prefix filters would drop
-    true pairs.  Vertex and edge labels are checked apart (they are
-    ranked apart).  ``known`` holds the spellings of graphs checked
-    earlier, as returned by an earlier call (a long-lived index passes
-    its own); it is not modified.
-
-    Returns
-    -------
-    LabelSpellings
-        The spellings of ``known`` and ``graphs`` together.
-
-    Raises
-    ------
-    ParameterError
-        Naming both spellings of the first label spelled two ways.
-    """
-    vertex_seen, edge_seen = (
-        ({}, {}) if known is None else (dict(known[0]), dict(known[1]))
-    )
-    for g in graphs:
-        _record_spellings(
-            vertex_seen, [g.vertex_label(v) for v in g.vertices()], "vertex"
-        )
-        _record_spellings(
-            edge_seen, [label for _, _, label in g.edges()], "edge"
-        )
-    return vertex_seen, edge_seen
-
-
-def _record_spellings(
-    seen: Dict[Label, str], labels: List[Label], kind: str
-) -> None:
-    """Add one graph's ``labels`` to ``seen``, refusing a second spelling."""
-    for text, label in dict(zip(map(repr, labels), labels)).items():
-        first = seen.setdefault(label, text)
-        if first != text:
-            raise ParameterError(
-                f"{kind} labels {first} and {text} are equal but print "
-                "differently; spell each label one way"
-            )
-
-
 def validate_collection(
     graphs: Sequence[Graph], tau: int, options: GSimJoinOptions
 ) -> None:
     """Reject invalid join inputs before any work happens.
 
+    Labels are checked where the run's :class:`LabelTable` is built
+    (:func:`repro.grams.qgrams.reject_mixed_label_spellings`), once
+    per run.
+
     Raises
     ------
     ParameterError
         On negative ``tau``/``q``, missing or duplicate graph ids,
-        mixed directedness, labels that are equal but print differently,
-        or an unknown verifier.
+        mixed directedness, or an unknown verifier.
     """
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -189,5 +140,4 @@ def validate_collection(
     if len(set(ids)) != len(ids):
         raise ParameterError("graph ids must be distinct")
     reject_mixed_directedness(graphs)
-    reject_mixed_label_spellings(graphs)
     resolve_backend(options.verifier)

@@ -16,12 +16,13 @@ self-join (``repro.core.join``) and the sharded driver's combos
 Each worker verifies its chunks on a worker-local
 :class:`~repro.engine.executor.Executor` built from the shipped
 options, columnar store and frozen global ordering (the interning
-vocabulary), one :meth:`~repro.engine.executor.Executor.verify_block`
-per run of pairs sharing a probe graph.  Profiles and label multisets
-are built lazily, at most once per worker and only for pairs that need
-them, and sorted in the shipped ordering, so mismatch-instance
-selection and the improved A* vertex order match the in-place join
-exactly.
+vocabulary, which ships with the run's label table), one
+:meth:`~repro.engine.executor.Executor.verify_block` per run of pairs
+sharing a probe graph.  Profiles and label multisets are built lazily,
+at most once per worker and only for pairs that need them, extracted
+under the shipped table and sorted in the shipped ordering, so
+mismatch-instance selection and the improved A* vertex order match the
+in-place join exactly.
 
 Workers return one :class:`~repro.runtime.journal.VerificationRecord`
 per pair (their executor journals into the chunk's record list), with
@@ -178,8 +179,9 @@ def _local_executor(
     """A worker-local executor over the shipped collection.
 
     ``options`` are the parent executor's, so the worker builds the same
-    plan; profiles are built lazily and sorted in the shipped global
-    ordering; a shipped ``store`` enables the batch prefilter.
+    plan; profiles are built lazily, extracted under the label table the
+    shipped global ordering carries and sorted in that ordering; a
+    shipped ``store`` enables the batch prefilter.
     """
     executor = Executor(
         tau, options, JoinStatistics(), budget=budget,
@@ -187,7 +189,7 @@ def _local_executor(
     )
 
     def profile(k: int) -> QGramProfile:
-        built = extract_qgrams(graphs[k], options.q)
+        built = extract_qgrams(graphs[k], options.q, sorter.table)
         sorter.sort_profile(built)
         return built
 
@@ -250,18 +252,22 @@ def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
 
     ``shutdown(wait=False)`` alone would leave a hung worker alive —
     and, being non-daemonic, it would block interpreter exit — so any
-    surviving worker processes are killed outright.  Reaches into the
-    executor's process table; if that private attribute ever disappears
-    the fallback is a plain blocking shutdown.
+    surviving worker processes are killed outright, then joined.  The
+    process table is read *before* ``shutdown``, which drops it.  It is
+    a private attribute; if it ever disappears the fallback is a plain
+    blocking shutdown.
     """
-    executor.shutdown(wait=False, cancel_futures=True)
     processes = getattr(executor, "_processes", None)
+    workers = [] if processes is None else list(processes.values())
+    executor.shutdown(wait=False, cancel_futures=True)
     if processes is None:
         executor.shutdown(wait=True)
         return
-    for process in list(processes.values()):
+    for process in workers:
         if process.is_alive():
             process.kill()
+    for process in workers:
+        process.join()
 
 
 def _fallback_verify(

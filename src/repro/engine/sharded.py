@@ -3,11 +3,13 @@
 :func:`gsim_join_sharded` runs Algorithm 1's join over a collection
 that need not fit in memory.  The collection is streamed twice
 (:func:`repro.graph.io.load_graphs_iter`): once to learn every graph's
-size ``|V| + |E|`` and fingerprint the run, once to scatter the graphs
-into *size bands* — contiguous ranges of the size-sorted order, written
-as shard files under the spill directory.  Banding makes the paper's
-size filter a *partition-level* prune: a pair of bands whose size gap
-exceeds ``tau`` cannot contain a single qualifying pair
+size ``|V| + |E|``, check its labels, build the run's one
+:class:`~repro.grams.qgrams.LabelTable` and fingerprint the run, once
+to scatter the graphs into *size bands* — contiguous ranges of the
+size-sorted order, written as shard files under the spill directory.
+Banding makes the paper's size filter a *partition-level* prune: a
+pair of bands whose size gap exceeds ``tau`` cannot contain a single
+qualifying pair
 (``||V_r|−|V_s|| + ||E_r|−|E_s|| ≥ |size_r − size_s| > τ``), so the
 whole shard pair is skipped before either file is opened.
 
@@ -27,9 +29,10 @@ per-pair artifacts make the run both *bounded* and *recoverable*:
   before that combo charges the budget, which charges carried slices
   again, so residency never exceeds one combo's charge.  At split 0
   with band-adjacent qualifying pairs (``0-0, 0-1, 1-1, 1-2, …``) each
-  graph is loaded and extracted once per join.  Each combo still
-  builds its own vocabulary, sort and prefixes, so carrying changes no
-  statistic, journal record or split level;
+  graph is loaded and extracted once per join.  Every slice is coded
+  under the run's label table, so a carried slice keeps its codes;
+  each combo still builds its own vocabulary, sort and prefixes, so
+  carrying changes no statistic, journal record or split level;
 * every candidate's verified outcome streams through a per-pair
   :class:`~repro.runtime.journal.JoinJournal` keyed by **global scan
   positions** ``(hi, lo)`` — stable across split levels, so work
@@ -89,9 +92,9 @@ from repro.engine.parallel import PoolSettings, verify_deferred
 from repro.engine.result import BoundedPair, JoinResult, JoinStatistics
 from repro.ged.portfolio import resolve_backend
 from repro.exceptions import CheckpointError, MemoryBudgetError, ParameterError
-from repro.graph.graph import Graph
-from repro.graph.io import dumps_graphs, load_graphs_iter
-from repro.grams.qgrams import QGramProfile
+from repro.graph.graph import Graph, Label
+from repro.graph.io import dumps_graphs, load_graphs_iter, stored_label
+from repro.grams.qgrams import LabelTable, QGramProfile, reject_mixed_label_spellings
 from repro.runtime.budget import VerificationBudget
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.journal import JoinJournal
@@ -191,46 +194,59 @@ def _scan_source(source: Source, on_error: str) -> Iterator[Graph]:
     return iter(source)
 
 
-def _survey(source: Source, on_error: str) -> Tuple[List[int], str]:
-    """Pass 1: per-graph sizes plus the run fingerprint, validated.
+def _survey(source: Source, on_error: str) -> Tuple[List[int], str, LabelTable]:
+    """Pass 1: per-graph sizes, the run's label table and the run
+    fingerprint, validated.
 
-    Streams the collection once, holding only scalars per graph.
-    Raises :class:`~repro.exceptions.ParameterError` on missing or
-    duplicate ids and mixed directedness — the same contract as
-    :func:`repro.engine.options.validate_collection`, enforced without
-    materializing the collection.
+    Streams the collection once, holding only scalars per graph and
+    one ``repr`` per distinct label.  Raises
+    :class:`~repro.exceptions.ParameterError` on missing or duplicate
+    ids, mixed directedness and labels that are equal but print
+    differently — the contract of the in-memory join, enforced without
+    materializing the collection.  The table ranks the labels as the
+    shard files hold them (:func:`~repro.graph.io.stored_label`), by
+    ``repr``, so every call — a resume included — builds the same
+    table, and the fingerprint orders each graph's labels by ``repr``,
+    so labels of any mix of types hash.
     """
     sizes: List[int] = []
     seen_ids = set()
     directedness = set()
     hasher = hashlib.sha256()
-    for g in _scan_source(source, on_error):
-        if g.graph_id is None:
-            raise ParameterError(
-                "all graphs need ids; use repro.graph.assign_ids first "
-                "(or ids in the collection file)"
-            )
-        if g.graph_id in seen_ids:
-            raise ParameterError(f"duplicate graph id {g.graph_id!r}")
-        seen_ids.add(g.graph_id)
-        directedness.add(g.is_directed)
-        if len(directedness) > 1:
-            raise ParameterError(
-                "cannot mix directed and undirected graphs in a join"
-            )
-        sizes.append(g.num_vertices + g.num_edges)
-        hasher.update(
-            repr(
-                (
-                    g.graph_id,
-                    g.num_vertices,
-                    g.num_edges,
-                    sorted(g.vertex_label_multiset().items()),
+
+    def surveyed() -> Iterator[Graph]:
+        for g in _scan_source(source, on_error):
+            if g.graph_id is None:
+                raise ParameterError(
+                    "all graphs need ids; use repro.graph.assign_ids first "
+                    "(or ids in the collection file)"
                 )
-            ).encode("utf-8")
-        )
-        hasher.update(b"\n")
-    return sizes, hasher.hexdigest()[:16]
+            if g.graph_id in seen_ids:
+                raise ParameterError(f"duplicate graph id {g.graph_id!r}")
+            seen_ids.add(g.graph_id)
+            directedness.add(g.is_directed)
+            if len(directedness) > 1:
+                raise ParameterError(
+                    "cannot mix directed and undirected graphs in a join"
+                )
+            sizes.append(g.num_vertices + g.num_edges)
+            labels = sorted(
+                g.vertex_label_multiset().items(), key=lambda item: repr(item[0])
+            )
+            hasher.update(
+                repr((g.graph_id, g.num_vertices, g.num_edges, labels)).encode("utf-8")
+            )
+            hasher.update(b"\n")
+            yield g
+
+    vertex, edge = reject_mixed_label_spellings(surveyed())
+    table = LabelTable((_stored(vertex), _stored(edge)))
+    return sizes, hasher.hexdigest()[:16], table
+
+
+def _stored(spellings: Dict[Label, str]) -> Dict[Label, str]:
+    """The spellings of ``spellings``' labels as a shard file holds them."""
+    return {text: repr(text) for text in map(stored_label, spellings)}
 
 
 def _write_shards(
@@ -404,6 +420,7 @@ def _step_io(injector: Optional[FaultInjector]) -> None:
 
 def _run_combo(
     pieces: Sequence[_Slice],
+    table: LabelTable,
     tau: int,
     options: GSimJoinOptions,
     budget: Optional[VerificationBudget],
@@ -418,10 +435,11 @@ def _run_combo(
 
     One piece is a diagonal combo — the triangle self-scan of one
     sub-shard; two are a cross combo, the second piece indexed and the
-    first probing it.  A piece not yet extracted is extracted here, and
-    keeps its profiles and label multisets for the next combo that
-    reads it; the global ordering and the prefixes are built for this
-    combo alone, as if every piece were fresh.  The pieces' global scan
+    first probing it.  A piece not yet extracted is extracted here,
+    under the run's label ``table``, and keeps its profiles and label
+    multisets for the next combo that reads it; the global ordering and
+    the prefixes are built for this combo alone, as if every piece were
+    fresh.  The pieces' global scan
     positions orient every pair — the later one verifies as ``r``, the
     in-memory scan's probe orientation — and key its journal record
     ``(hi, lo)``, stable across split levels.  Each result or
@@ -444,10 +462,10 @@ def _run_combo(
     labels: List[LabelPair] = []
     for piece in pieces:
         if piece.extracted is None:
-            piece.extracted = executor.extract(piece.graphs)
+            piece.extracted = executor.extract(piece.graphs, table)
         profiles += piece.extracted[0]
         labels += piece.extracted[1]
-    executor.prepare(graphs, (profiles, labels))
+    executor.prepare(graphs, table, (profiles, labels))
     split = len(pieces[0].graphs) if len(pieces) > 1 else None
     ids = [g.graph_id for g in graphs]
 
@@ -491,6 +509,7 @@ def _process_pair(
     split: int,
     spill_dir: str,
     run_meta: dict,
+    table: LabelTable,
     tau: int,
     options: GSimJoinOptions,
     budget: Optional[VerificationBudget],
@@ -551,7 +570,7 @@ def _process_pair(
                 memory.charge(estimate, f"shard pair {key} split {split}")
                 try:
                     _run_combo(
-                        [carry.get(*piece) for piece in ranges], tau, options,
+                        [carry.get(*piece) for piece in ranges], table, tau, options,
                         budget, pair_stats, journal, injector, res_q, pool,
                         spilled,
                     )
@@ -634,8 +653,8 @@ def gsim_join_sharded(
     ------
     ParameterError
         On invalid ``tau``/``shards``/``workers``/retry settings, an
-        unknown verifier, missing or duplicate graph ids, or mixed
-        directedness.
+        unknown verifier, missing or duplicate graph ids, mixed
+        directedness, or labels that are equal but print differently.
     CheckpointError
         When ``spill_dir`` already holds a manifest and ``resume`` is
         false, when the manifest belongs to a different run, or when a
@@ -660,7 +679,7 @@ def gsim_join_sharded(
 
     injector = fault.start() if fault is not None else None
 
-    sizes, ids_sha = _survey(source, on_error)
+    sizes, ids_sha, table = _survey(source, on_error)
     n = len(sizes)
     run_meta = sharded_join_meta(n, ids_sha, tau, options, budget, shards)
 
@@ -718,7 +737,7 @@ def gsim_join_sharded(
             entry = manifest.pair(key)
             try:
                 pair_stats, results_n, undecided_n = _process_pair(
-                    key, rec_a, rec_b, split, spill_dir, run_meta, tau,
+                    key, rec_a, rec_b, split, spill_dir, run_meta, table, tau,
                     options, budget, memory, carry, injector, pool,
                     fsync_interval,
                 )

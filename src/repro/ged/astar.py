@@ -20,7 +20,10 @@ fail: it returns a *bounded verdict* — ``lower`` is the minimum ``f``
 over the open list (every goal descends from an open state or was
 threshold-pruned, so ``lower ≤ ged``) and ``upper`` is the cost of a
 greedy completion of the best open state (the cost of an actual mapping,
-so ``ged ≤ upper``).  With ``budget=None`` behavior is unchanged.
+so ``ged ≤ upper``).  When the best open state is already a complete
+mapping, it is the goal the next pop would return, and the search
+returns its distance decided.  With ``budget=None`` behavior is
+unchanged.
 """
 
 from __future__ import annotations
@@ -224,9 +227,14 @@ def graph_edit_distance_detailed(
             # goal descends from an open state (lower bound = min f over
             # the open list; threshold-pruned branches cost > threshold
             # >= that f) and greedily completing the best open state
-            # yields an achievable mapping (upper bound).
+            # yields an achievable mapping (upper bound).  A complete
+            # state on top is the goal the next pop would return: its
+            # ``g`` already holds the completion cost, and it is the
+            # answer.
             lower = heap[0][0]
             _bf, _bk, _bt, bg, _bc, bmapping, bused = heap[0]
+            if len(bmapping) == n:
+                return GedSearchResult(bg, expanded, generated, False)
             upper = _greedy_upper_bound(
                 r, s, order, s_vertices, bmapping, bused, bg
             )

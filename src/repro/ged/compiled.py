@@ -568,6 +568,10 @@ def compiled_ged_detailed(
         if meter is not None and not meter.tick():
             lower = heap[0][0]
             bg, bmapping, bused = heap[0][3:6]
+            if len(bmapping) == n:
+                # A complete top state is the goal the next pop would
+                # return, its completion cost already in ``bg``.
+                return GedSearchResult(bg, expanded, generated, False)
             upper = _greedy_upper_int(cr, cs, order, bmapping, bused, bg)
             return GedSearchResult(
                 upper,

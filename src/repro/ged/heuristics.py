@@ -31,7 +31,7 @@ from typing import AbstractSet, Callable, Optional, Sequence
 
 from repro.grams.labels import gamma, local_label_lower_bound
 from repro.grams.mismatch import compare_qgrams
-from repro.grams.qgrams import extract_qgrams
+from repro.grams.qgrams import LabelTable, extract_qgrams
 from repro.grams.vocab import QGramVocabulary
 from repro.graph.graph import Graph, Vertex
 
@@ -96,9 +96,10 @@ def make_local_label_heuristic(
     search depth (n distinct sets per A* run), and ``s``-side
     remainders recur across branches, so the dominant cost — q-gram
     extraction — is paid once per distinct remainder.  The cached
-    profiles are sorted under one vocabulary of the heuristic's own
-    (keys ranked in the order first seen), so every comparison is
-    :func:`~repro.grams.mismatch.compare_qgrams`' merge.
+    profiles are extracted under one label table of the heuristic's own
+    (labels ranked in the order first seen) and sorted under one
+    vocabulary over it (keys ranked in the order first seen), so every
+    comparison is :func:`~repro.grams.mismatch.compare_qgrams`' merge.
 
     ``max_remaining`` gates the local-label term to states whose
     remainders have at most that many vertices; larger remainders fall
@@ -114,7 +115,8 @@ def make_local_label_heuristic(
     """
 
     profile_cache: dict = {}
-    vocabulary = QGramVocabulary()
+    table = LabelTable()
+    vocabulary = QGramVocabulary(table, q=q)
 
     def remainder(g: Graph, rest: frozenset) -> tuple:
         key = (id(g), rest)
@@ -122,7 +124,8 @@ def make_local_label_heuristic(
         if entry is None:
             sub = g.subgraph(rest)
             labels = (sub.vertex_label_multiset(), sub.edge_label_multiset())
-            profile = extract_qgrams(sub, q)
+            table.admit(sub)
+            profile = extract_qgrams(sub, q, table)
             vocabulary.sort_profile(profile)
             entry = (sub, profile, labels)
             profile_cache[key] = entry

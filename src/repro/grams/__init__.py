@@ -30,11 +30,19 @@ from repro.grams.minedit import (
     min_prefix_length,
 )
 from repro.grams.mismatch import MismatchResult, compare_qgrams
-from repro.grams.qgrams import Key, QGram, QGramProfile, extract_qgrams, qgram_key
+from repro.grams.qgrams import (
+    Key,
+    LabelTable,
+    QGram,
+    QGramProfile,
+    extract_qgrams,
+    qgram_key,
+)
 from repro.grams.vocab import QGramVocabulary, build_vocabulary
 
 __all__ = [
     "Key",
+    "LabelTable",
     "MismatchResult",
     "QGram",
     "QGramProfile",

@@ -1,4 +1,5 @@
-"""Path-based q-grams (Definition 1) and per-graph q-gram profiles.
+"""Path-based q-grams (Definition 1), one label table per collection, and
+per-graph q-gram profiles.
 
 A path-based q-gram is a simple path of length ``q``.  Reading the vertex
 and edge labels from either end produces two label sequences; the
@@ -7,13 +8,16 @@ orientations of the same undirected path compare equal).  A graph's
 q-grams form a *multiset* — unlike string q-grams they carry no starting
 position, so equal-label paths are genuinely duplicated.
 
-:class:`QGramProfile` bundles everything the filters need about one
-graph: the key multiset, the per-vertex counts ``|Q_u|`` and their
-maximum ``D_path`` (Theorem 1), and the instances themselves with their
-concrete vertex paths (required by minimum edit filtering and local
-label filtering).  The instances are kept as flat integer arrays over
-the graph's dense vertex ids; :class:`QGram` objects are built only for
-the instances a filter reads.
+A :class:`LabelTable` ranks a collection's vertex labels and its edge
+labels once, by ``repr``, so a label sequence is one integer — its
+*code*, one fixed-width digit per label — that means the same in every
+graph extracted under the table.  :class:`QGramProfile` bundles what the
+filters need about one graph: its distinct codes, the per-instance index
+into them, ``D_path`` (Theorem 1), and the instances' concrete vertex
+paths (required by minimum edit filtering and local label filtering).
+The instances are kept as flat integer arrays over the graph's dense
+vertex ids; :class:`QGram` objects, and the label-tuple keys they carry,
+are built only for the instances a filter reads.
 """
 
 from __future__ import annotations
@@ -33,13 +37,25 @@ from typing import (
 )
 
 from repro.exceptions import ParameterError
-from repro.graph.graph import Graph, Vertex
+from repro.graph.graph import Graph, Label, Vertex
 
-__all__ = ["QGram", "QGramProfile", "extract_qgrams", "qgram_key"]
+__all__ = [
+    "LabelSpellings",
+    "LabelTable",
+    "QGram",
+    "QGramProfile",
+    "extract_qgrams",
+    "qgram_key",
+    "recode",
+    "reject_mixed_label_spellings",
+]
 
 #: A q-gram key: the canonical interleaved label sequence
 #: ``(l(v0), l(e01), l(v1), ..., l(vq))``.
 Key = Tuple[object, ...]
+
+#: Vertex labels, then edge labels: each label seen -> its ``repr``.
+LabelSpellings = Tuple[Dict[Label, str], Dict[Label, str]]
 
 
 def qgram_key(g: Graph, path: Tuple[Vertex, ...]) -> Key:
@@ -89,6 +105,225 @@ class QGram:
         ]
 
 
+def reject_mixed_label_spellings(
+    graphs: Iterable[Graph], known: Optional[LabelSpellings] = None
+) -> LabelSpellings:
+    """Map every label of ``graphs`` to its ``repr``, refusing labels
+    that are equal but print differently.
+
+    A :class:`LabelTable` ranks labels by ``repr`` and looks them up by
+    label, so equal labels spelled differently — ``1``, ``True`` and
+    ``1.0`` — would share one rank under one spelling, and paths that
+    print differently would get equal keys.  Vertex and edge labels are
+    checked apart (they are ranked apart).  The result is what
+    :class:`LabelTable` is built from, so one pass over the labels both
+    checks them and feeds the table.  ``known`` holds the spellings of
+    graphs checked earlier, as returned by an earlier call (a
+    long-lived index passes its own); it is not modified.
+
+    Returns
+    -------
+    LabelSpellings
+        The spellings of ``known`` and ``graphs`` together.
+
+    Raises
+    ------
+    ParameterError
+        Naming both spellings of the first label spelled two ways.
+    """
+    vertex_seen, edge_seen = (
+        ({}, {}) if known is None else (dict(known[0]), dict(known[1]))
+    )
+    for g in graphs:
+        _record_spellings(
+            vertex_seen, [g.vertex_label(v) for v in g.vertices()], "vertex"
+        )
+        _record_spellings(
+            edge_seen, [label for _, _, label in g.edges()], "edge"
+        )
+    return vertex_seen, edge_seen
+
+
+def _record_spellings(
+    seen: Dict[Label, str], labels: List[Label], kind: str
+) -> None:
+    """Add one graph's ``labels`` to ``seen``, refusing a second spelling."""
+    spelled = dict(zip(map(repr, labels), labels))
+    for text, label in spelled.items():
+        first = seen.setdefault(label, text)
+        if first != text:
+            raise ParameterError(
+                f"{kind} labels {first} and {text} are equal but print "
+                "differently; spell each label one way"
+            )
+
+
+class _Ranking:
+    """The ranks of one kind of label (vertex or edge).
+
+    ``ranks`` maps each label to its rank and ``labels`` each rank to a
+    label that spells it; ``texts`` maps each ``repr`` to its rank, so
+    labels with equal ``repr`` count as one label.
+    """
+
+    __slots__ = ("ranks", "labels", "texts")
+
+    def __init__(self, spellings: Dict[Label, str]) -> None:
+        first: Dict[str, Label] = {}
+        for label, text in spellings.items():
+            first.setdefault(text, label)
+        texts = sorted(first)
+        self.labels: List[Label] = [first[text] for text in texts]
+        self.texts: Dict[str, int] = {text: rank for rank, text in enumerate(texts)}
+        self.ranks: Dict[Label, int] = {
+            label: self.texts[text] for label, text in spellings.items()
+        }
+
+    def copy(self) -> "_Ranking":
+        """An independent copy (for a temporary extension)."""
+        other = _Ranking({})
+        other.ranks, other.labels = dict(self.ranks), list(self.labels)
+        other.texts = dict(self.texts)
+        return other
+
+    def append(self, labels: Iterable[Label]) -> bool:
+        """Rank the unranked of ``labels`` after every ranked label, in
+        the given order (a label whose ``repr`` is ranked takes that
+        rank); whether any was unranked."""
+        grew = False
+        for label in labels:
+            if label in self.ranks:
+                continue
+            text = repr(label)
+            rank = self.texts.get(text)
+            if rank is None:
+                rank = self.texts[text] = len(self.labels)
+                self.labels.append(label)
+            self.ranks[label] = rank
+            grew = True
+        return grew
+
+
+class _Keys(dict):
+    """Label-tuple keys of the codes of one ``q`` and digit width: the
+    most significant digit first, vertex ranks at even positions and
+    edge ranks at odd ones.  Indexing decodes a code once and keeps its
+    key (the instances of a mismatch run are decoded pair after pair);
+    :meth:`decode` keeps nothing."""
+
+    __slots__ = ("digits", "mask")
+
+    def __init__(self, digits: List[Tuple[int, List[Label]]], mask: int) -> None:
+        super().__init__()
+        self.digits = digits
+        self.mask = mask
+
+    def decode(self, code: int) -> Key:
+        """The key of ``code``."""
+        mask = self.mask
+        return tuple([labels[code >> shift & mask] for shift, labels in self.digits])
+
+    def __missing__(self, code: int) -> Key:
+        key = self[code] = self.decode(code)
+        return key
+
+
+class LabelTable:
+    """One ranking of a collection's vertex labels and of its edge labels.
+
+    Built from :func:`reject_mixed_label_spellings`' result, each kind
+    ranked by ``repr``.  A q-gram's *code* holds one ``width``-bit digit
+    per label — vertex ranks at even positions, edge ranks at odd ones,
+    the path's first label most significant — so it is the same integer
+    in every graph extracted under the table, and comparing two codes
+    compares their label sequences in ``repr`` order.
+
+    Ranks are append-only.  :meth:`admit` ranks labels first seen after
+    the build (a long-lived index's inserts) after every ranked label,
+    in arrival order, and widens the digits when a rank outgrows them;
+    a path that carries such a label is then oriented by that rank, not
+    by ``repr``.  :meth:`covering` does the same on a temporary copy
+    (an index query), leaving this table as it was.  Profiles record the
+    width they were coded at, so a code stays decodable after a
+    widening.
+    """
+
+    __slots__ = ("vertex", "edge", "width", "base", "_keys")
+
+    def __init__(self, spellings: Optional[LabelSpellings] = None) -> None:
+        vertex, edge = spellings if spellings is not None else ({}, {})
+        self.vertex = _Ranking(vertex)
+        self.edge = _Ranking(edge)
+        self.width = 0
+        self._keys: Dict[Tuple[int, int], _Keys] = {}
+        #: The table a temporary extension extends (else ``None``).
+        self.base: Optional[LabelTable] = None
+        self._widen()
+
+    @classmethod
+    def of(cls, graphs: Iterable[Graph]) -> "LabelTable":
+        """The table of ``graphs``' labels (spellings checked)."""
+        return cls(reject_mixed_label_spellings(graphs))
+
+    def _widen(self) -> None:
+        self.width = max(
+            self.width, max(len(self.vertex.labels), len(self.edge.labels)).bit_length()
+        )
+
+    def admit(self, g: Graph) -> bool:
+        """Rank ``g``'s unseen labels after the ranked ones, in arrival
+        order — vertex labels in vertex order, edge labels in edge order
+        — widening the digits if a rank outgrows them; whether any label
+        was unseen."""
+        vertex = self.vertex.append(g.vertex_label(v) for v in g.vertices())
+        edge = self.edge.append(label for _, _, label in g.edges())
+        self._widen()
+        return vertex or edge
+
+    def covering(self, g: Graph) -> "LabelTable":
+        """This table when it ranks every label of ``g``; otherwise a
+        temporary extension that ranks ``g``'s unseen labels as
+        :meth:`admit` would, while this table stays as it was."""
+        extension = LabelTable()
+        extension.vertex, extension.edge = self.vertex.copy(), self.edge.copy()
+        extension.width, extension.base = self.width, self
+        return extension if extension.admit(g) else self
+
+    def keys(self, q: int, width: int) -> _Keys:
+        """The keys of ``q``-gram codes cut at digit ``width``, decoded on
+        demand (ranks are append-only, so a decoded key never goes
+        stale)."""
+        keys = self._keys.get((q, width))
+        if keys is None:
+            digits = [
+                ((2 * q - i) * width, self.vertex.labels if i % 2 == 0 else self.edge.labels)
+                for i in range(2 * q + 1)
+            ]
+            keys = self._keys[q, width] = _Keys(digits, (1 << width) - 1)
+        return keys
+
+
+def recode(codes: Iterable[int], q: int, width: int, new_width: int) -> List[int]:
+    """``codes`` of ``q``-grams re-cut from ``width``-bit to
+    ``new_width``-bit digits.
+
+    Widening always fits.  Narrowing gives ``-1``, which is no code,
+    for a code with a digit past the narrower range: such a code holds
+    a label the narrower digits never ranked.
+    """
+    mask, limit = (1 << width) - 1, 1 << new_width
+    shifts = [(i * width, i * new_width) for i in range(2 * q + 1)]
+    recoded: List[int] = []
+    for code in codes:
+        digits = [(code >> old & mask, new) for old, new in shifts]
+        recoded.append(
+            -1
+            if any(digit >= limit for digit, _ in digits)
+            else sum(digit << new for digit, new in digits)
+        )
+    return recoded
+
+
 class QGramProfile:
     """All q-gram derived quantities of one graph.
 
@@ -97,22 +332,19 @@ class QGramProfile:
 
     ``graph``, ``q``
         The profiled graph and the q-gram length used.
-    ``key_counts``
-        The key multiset as a :class:`collections.Counter`.
-    ``vertex_counts``
-        ``|Q_u|`` for every vertex ``u`` (vertices in no q-gram included
-        with count 0).
     ``d_path``
         ``D_path = max_u |Q_u|`` — the maximum number of q-grams a single
         edit operation can affect (Theorem 1); 0 for a gram-less graph.
     ``vertices``
         The graph's vertices; a *dense id* is an index into this list.
-    ``keys``
-        The graph's distinct keys, one per distinct oriented label
-        sequence, in order of first enumeration.  Labels with equal
-        ``repr`` count as one label.
+    ``table``, ``width``
+        The :class:`LabelTable` the codes are under and the digit width
+        they were cut at.
+    ``codes``
+        The graph's distinct codes, one per distinct oriented label
+        sequence, in order of first enumeration.
     ``gram_keys``
-        Per instance, the index of its key in ``keys`` (a compact
+        Per instance, the index of its code in ``codes`` (a compact
         unsigned :class:`array.array`).
     ``walks``
         The instances' paths laid end to end: ``q + 1`` dense ids per
@@ -133,17 +365,18 @@ class QGramProfile:
         store, which refuse signatures from different vocabularies).
 
     Built on demand: :attr:`grams`, the instances as :class:`QGram`
-    objects in the current order, and :meth:`instances`, a run of them.
+    objects in the current order (keys decoded from the table), and
+    :meth:`instances`, a run of them.
     """
 
     __slots__ = (
         "graph",
         "q",
-        "key_counts",
-        "vertex_counts",
         "d_path",
         "vertices",
-        "keys",
+        "table",
+        "width",
+        "codes",
         "gram_keys",
         "walks",
         "order",
@@ -156,21 +389,21 @@ class QGramProfile:
         self,
         graph: Graph,
         q: int,
-        key_counts: Counter,
-        vertex_counts: Dict[Vertex, int],
         d_path: int,
         vertices: List[Vertex],
-        keys: List[Key],
+        table: LabelTable,
+        width: int,
+        codes: List[int],
         gram_keys: Sequence[int],
         walks: Sequence[int],
     ) -> None:
         self.graph = graph
         self.q = q
-        self.key_counts = key_counts
-        self.vertex_counts = vertex_counts
         self.d_path = d_path
         self.vertices = vertices
-        self.keys = keys
+        self.table = table
+        self.width = width
+        self.codes = codes
         self.gram_keys = gram_keys
         self.walks = walks
         self.order: Optional[List[int]] = None
@@ -207,11 +440,12 @@ class QGramProfile:
 
     def instances(self, start: int, stop: int) -> List[QGram]:
         """The instances at positions ``start:stop`` of the current order."""
-        keys, gram_keys, vertices = self.keys, self.gram_keys, self.vertices
+        codes, gram_keys, vertices = self.codes, self.gram_keys, self.vertices
         walks, width = self.walks, self.q + 1
+        keys = self.table.keys(self.q, self.width)
         return [
             QGram(
-                keys[gram_keys[e]],
+                keys[codes[gram_keys[e]]],
                 tuple([vertices[v] for v in walks[e * width : e * width + width]]),
             )
             for e in self._enumerated(start, stop)
@@ -268,69 +502,62 @@ def _compact(values: Iterable[int], bound: int) -> Sequence[int]:
     return array(typecode, values)
 
 
-def _ranked(table: Dict[str, object]) -> Tuple[Dict[str, int], List[object]]:
-    """Rank the labels of ``table`` (repr -> label) by repr.
+def extract_qgrams(
+    g: Graph, q: int, table: Optional[LabelTable] = None
+) -> QGramProfile:
+    """Extract the path-based q-gram profile of ``g`` under ``table``.
 
-    Returns the repr -> rank map and the rank -> label list.
-    """
-    reprs = sorted(table)
-    ranks = {text: rank for rank, text in enumerate(reprs)}
-    return ranks, [table[text] for text in reprs]
-
-
-def extract_qgrams(g: Graph, q: int) -> QGramProfile:
-    """Extract the path-based q-gram profile of ``g``.
-
+    ``table`` must rank every label of ``g``; without one, ``g`` is
+    profiled under a table of its own labels (:meth:`LabelTable.of`).
     For ``q = 0`` every vertex is its own q-gram and ``D_path = 1``
     (relabeling or deleting a vertex affects exactly its own 0-gram).
 
     The walk runs level by level over dense vertex ids: level ``d``
     holds every simple path of ``d`` edges, each extended by every
     neighbour not on it, parents and neighbours in enumeration order —
-    so the leaves come out in depth-first order.  Each graph's vertex
-    and edge labels are ranked once by ``repr``, and every partial path
-    carries its label sequence read in both directions as an integer
-    with one fixed-width digit per label, so the canonical orientation
-    of a leaf is the smaller of two integers.  Undirected paths are kept
-    in the orientation whose start precedes its end in enumeration
-    order, which reports each path once.  Each distinct oriented
-    sequence is decoded to its label-tuple key once per graph.
+    so the leaves come out in depth-first order.  Each label is looked
+    up in the table once per graph, and every partial path carries its
+    label sequence read in both directions as a code, so the canonical
+    orientation of a leaf is the smaller of two integers.  Undirected
+    paths are kept in the orientation whose start precedes its end in
+    enumeration order, which reports each path once.  Nothing is
+    decoded: keys are built from the codes only when a :class:`QGram`
+    is.
 
     Raises
     ------
     ParameterError
-        If ``q`` is negative.
+        If ``q`` is negative, ``table`` lacks a label of ``g``, or
+        (without a table) ``g`` has labels that are equal but print
+        differently.
     """
     if q < 0:
         raise ParameterError(f"q must be >= 0, got {q}")
+    if table is None:
+        table = LabelTable.of([g])
     vertices = list(g.vertices())
     position = {v: i for i, v in enumerate(vertices)}
-    vertex_labels = [g.vertex_label(v) for v in vertices]
-    vertex_reprs = [repr(label) for label in vertex_labels]
-    # (neighbour id, edge label repr, edge label) per adjacency entry.
-    neighbours = [
-        [(position[u], repr(label), label) for u, label in g.neighbor_items(v)]
-        for v in vertices
-    ]
-    vertex_rank, vertex_table = _ranked(dict(zip(vertex_reprs, vertex_labels)))
-    edge_rank, edge_table = _ranked(
-        {text: label for row in neighbours for _, text, label in row}
-    )
+    vertex_rank, edge_rank = table.vertex.ranks, table.edge.ranks
     # A label sequence is an integer, one ``width``-bit digit per label.
-    width = max(len(vertex_table), len(edge_table)).bit_length()
-    mask = (1 << width) - 1
-    ranks = [vertex_rank[text] for text in vertex_reprs]
-    # Per adjacency entry: (neighbour id, forward step, backward step) —
-    # the two label digits the step appends to the forward reading and
-    # prepends to the backward one.
-    adjacency = [
-        [
-            (u, edge << width | ranks[u], ranks[u] << width | edge)
-            for u, text, _ in row
-            for edge in (edge_rank[text],)
+    width = table.width
+    try:
+        ranks = [vertex_rank[g.vertex_label(v)] for v in vertices]
+        # Per adjacency entry: (neighbour id, forward step, backward
+        # step) — the two label digits the step appends to the forward
+        # reading and prepends to the backward one.
+        adjacency = [
+            [
+                (u, edge << width | ranks[u], ranks[u] << width | edge)
+                for w, label in g.neighbor_items(v)
+                for u, edge in ((position[w], edge_rank[label]),)
+            ]
+            for v in vertices
         ]
-        for row in neighbours
-    ]
+    except KeyError as missing:
+        raise ParameterError(
+            f"label {missing.args[0]!r} of graph {g.graph_id!r} is not in "
+            "the label table"
+        ) from None
 
     # (path, forward code, backward code) per partial path.
     level = [((i,), rank, rank) for i, rank in enumerate(ranks)]
@@ -367,33 +594,15 @@ def extract_qgrams(g: Graph, q: int) -> QGramProfile:
     codes = [code for _, code in leaves]
     del leaves
 
-    code_counts = Counter(codes)
-    index = {code: k for k, code in enumerate(code_counts)}
-    gram_keys = _compact([index[code] for code in codes], len(index))
-    # Decode each distinct code, most significant digit first: vertex
-    # labels at even positions, edge labels at odd ones.
-    digits = [
-        ((2 * q - i) * width, vertex_table if i % 2 == 0 else edge_table)
-        for i in range(2 * q + 1)
-    ]
-    keys = [
-        tuple([table[code >> shift & mask] for shift, table in digits])
-        for code in code_counts
-    ]
-    key_counts: Counter = Counter()
-    for key, count in zip(keys, code_counts.values()):
-        key_counts[key] += count
-
-    per_vertex = Counter(walks)
-    vertex_counts = {v: per_vertex[i] for i, v in enumerate(vertices)}
+    index = {code: k for k, code in enumerate(dict.fromkeys(codes))}
     return QGramProfile(
         graph=g,
         q=q,
-        key_counts=key_counts,
-        vertex_counts=vertex_counts,
-        d_path=max(vertex_counts.values(), default=0),
+        d_path=max(Counter(walks).values(), default=0),
         vertices=vertices,
-        keys=keys,
-        gram_keys=gram_keys,
+        table=table,
+        width=width,
+        codes=list(index),
+        gram_keys=_compact([index[code] for code in codes], len(index)),
         walks=walks,
     )

@@ -24,7 +24,7 @@ import os
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.exceptions import GraphError, GraphFormatError, ParameterError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, Label
 
 __all__ = [
     "load_graphs",
@@ -32,6 +32,7 @@ __all__ = [
     "loads_graphs",
     "save_graphs",
     "dumps_graphs",
+    "stored_label",
     "assign_ids",
     "from_networkx",
     "to_networkx",
@@ -220,6 +221,13 @@ def dumps_graphs(graphs: Iterable[Graph]) -> str:
             lines.append(f"e {a} {b} {label}")
     lines.append("")
     return "\n".join(lines)
+
+
+def stored_label(label: Label) -> str:
+    """``label`` as :func:`loads_graphs` reads it back after
+    :func:`dumps_graphs` wrote it: its text, runs of whitespace as one
+    space."""
+    return " ".join(f"{label}".split())
 
 
 def save_graphs(graphs: Iterable[Graph], path: Union[str, os.PathLike]) -> None:

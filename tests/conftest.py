@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
 
 from repro.graph.generators import random_labeled_graph
 from repro.graph.graph import Graph
-from repro.grams.qgrams import extract_qgrams
+from repro.grams.qgrams import LabelTable, extract_qgrams
 from repro.grams.vocab import build_vocabulary
 
 VERTEX_LABELS = ["A", "B", "C"]
@@ -47,14 +48,35 @@ def star_graph(center_label, leaf_labels, edge_label="x", graph_id=None) -> Grap
     return build_graph(labels, edges, graph_id)
 
 
+def shared_profiles(graphs, q):
+    """Unsorted q-gram profiles of ``graphs`` under one label table —
+    what one vocabulary can sort."""
+    table = LabelTable.of(graphs)
+    return [extract_qgrams(g, q, table) for g in graphs]
+
+
 def sorted_profiles(graphs, q):
     """Q-gram profiles of ``graphs`` sorted by one vocabulary built over
     them — what ``compare_qgrams`` needs."""
-    profiles = [extract_qgrams(g, q) for g in graphs]
+    profiles = shared_profiles(graphs, q)
     vocab = build_vocabulary(profiles)
     for profile in profiles:
         vocab.sort_profile(profile)
     return profiles
+
+
+def profile_counts(profile):
+    """``(key multiset, |Q_u| per vertex)`` of a profile, rebuilt from its
+    grams: the key Counter in first-enumeration order, and every
+    vertex's count (0 for a vertex in no q-gram) in vertex order."""
+    grams = profile.grams
+    if profile.order is not None:  # back to enumeration order
+        grams = [gram for _, gram in sorted(zip(profile.order, grams))]
+    per_vertex = Counter(v for gram in grams for v in gram.path)
+    return (
+        Counter(gram.key for gram in grams),
+        {v: per_vertex[v] for v in profile.vertices},
+    )
 
 
 @st.composite

@@ -18,14 +18,16 @@ from typing import Dict, List, Optional
 from repro.grams.mismatch import MismatchResult
 from repro.grams.qgrams import Key, QGram, QGramProfile
 
+from .conftest import profile_counts
+
 __all__ = ["counter_compare", "mismatching_grams"]
 
 
 def _surplus_counts(p: QGramProfile, other: QGramProfile) -> Dict[Key, int]:
     """Per-key surplus ``max(0, c_p − c_other)`` (positive entries only)."""
     surplus: Dict[Key, int] = {}
-    other_counts = other.key_counts
-    for key, count in p.key_counts.items():
+    other_counts = profile_counts(other)[0]
+    for key, count in profile_counts(p)[0].items():
         extra = count - other_counts.get(key, 0)
         if extra > 0:
             surplus[key] = extra
@@ -63,8 +65,9 @@ def counter_compare(
     """
     mr = mismatching_grams(p_r, p_s)
     ms = mismatching_grams(p_s, p_r)
-    mask_r = [gram.key not in p_s.key_counts for gram in mr]
-    mask_s = [gram.key not in p_r.key_counts for gram in ms]
+    keys_r, keys_s = profile_counts(p_r)[0], profile_counts(p_s)[0]
+    mask_r = [gram.key not in keys_s for gram in mr]
+    mask_s = [gram.key not in keys_r for gram in ms]
     pruned = tau is not None and (
         len(mr) > tau * p_r.d_path or len(ms) > tau * p_s.d_path
     )

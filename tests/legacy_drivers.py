@@ -23,7 +23,10 @@ longer ships, as oracles for the engine's one path:
   inverted index is keyed by q-gram tuples, profiles are compared by
   the Counter computation of ``tests/counter_compare.py`` and minimum
   edit filtering runs the paper's double binary search
-  (``tests/test_vocab.py``);
+  (``tests/test_vocab.py``).  Its profiles are extracted under a label
+  table of their own graph each, and the ordering orients their keys;
+  the interned path extracts under one table per run, as the engine
+  does;
 * ``verifier="astar"`` (or ``"object"``) verifies with the object-graph
   A* of ``repro.ged.astar`` and ``label_heuristic``, the heuristic the
   join's verifiers run (``tests/test_compiled_ged.py``).
@@ -54,7 +57,7 @@ from repro.ged.vertex_order import input_vertex_order, mismatch_vertex_order
 from repro.grams.labels import global_label_lower_bound, local_label_lower_bound
 from repro.grams.minedit import min_prefix_length
 from repro.grams.mismatch import compare_qgrams
-from repro.grams.qgrams import extract_qgrams
+from repro.grams.qgrams import LabelTable, extract_qgrams
 from repro.grams.vocab import build_vocabulary
 from repro.runtime.journal import JoinJournal, VerificationRecord
 
@@ -217,6 +220,11 @@ def _validate(graphs, tau, options):
         raise ParameterError("cannot mix directed and undirected graphs in a join")
 
 
+def _extract_all(graphs, q, object_keys):
+    table = None if object_keys else LabelTable.of(graphs)
+    return [extract_qgrams(g, q, table) for g in graphs]
+
+
 def _build_sorter(profiles, object_keys):
     if object_keys:
         return build_ordering(profiles)
@@ -292,7 +300,7 @@ def _replay_record(stats, rec):
 
 
 def _prepare_profiles(graphs, tau, options, stats, object_keys):
-    profiles = [extract_qgrams(g, options.q) for g in graphs]
+    profiles = _extract_all(graphs, options.q, object_keys)
     sorter = _build_sorter(profiles, object_keys)
     prefixes = []
     for profile in profiles:
@@ -459,7 +467,7 @@ def legacy_gsim_join_rs(
 
     started = time.perf_counter()
     all_graphs = list(outer) + list(inner)
-    profiles_all = [extract_qgrams(g, options.q) for g in all_graphs]
+    profiles_all = _extract_all(all_graphs, options.q, object_keys)
     sorter = _build_sorter(profiles_all, object_keys)
     prefixes_all = []
     for profile in profiles_all:
@@ -574,7 +582,10 @@ class LegacyGSimIndex:
         )
 
         initial = list(graphs)
-        initial_profiles = [extract_qgrams(g, self.options.q) for g in initial]
+        self._table = None if object_keys else LabelTable.of(initial)
+        initial_profiles = [
+            extract_qgrams(g, self.options.q, self._table) for g in initial
+        ]
         self._sorter = _build_sorter(initial_profiles, object_keys)
         for g, profile in zip(initial, initial_profiles):
             self._validate_new(g)
@@ -605,7 +616,9 @@ class LegacyGSimIndex:
 
     def add(self, g):
         self._validate_new(g)
-        self._insert(g, extract_qgrams(g, self.options.q))
+        if self._table is not None:
+            self._table.admit(g)
+        self._insert(g, extract_qgrams(g, self.options.q, self._table))
 
     def _prefix(self, profile, tau):
         return _prefix_info(profile, tau, self.options)
@@ -617,7 +630,8 @@ class LegacyGSimIndex:
             raise ParameterError(
                 f"tau={tau} exceeds the index's tau_max={self.tau_max}"
             )
-        profile = extract_qgrams(g, self.options.q)
+        table = None if self._table is None else self._table.covering(g)
+        profile = extract_qgrams(g, self.options.q, table)
         # A query's unseen keys rank last without entering the ordering.
         self._sorter.sort_profile(profile, intern=False)
         info = self._prefix(profile, tau)

@@ -9,23 +9,37 @@ module keeps the depth-first walk the extraction used to run — one
 recursive call per path step, a ``QGram`` per leaf — so the tests can
 demand the exact ``(key, path)`` sequence, ``|Q_u|`` counts and
 ``D_path`` from the level-wise walk.
+
+A path orients by its labels' sort tokens: their ``repr`` by default,
+as a label table built over the graph ranks them, or any token order
+the caller passes — the object-key oracle's tokens, which rank labels
+first seen after a build by arrival (``tests/object_key_ordering.py``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.grams.qgrams import QGram, QGramProfile
-from repro.graph.graph import Graph, Vertex
+from repro.grams.qgrams import LabelTable, QGram, QGramProfile
+from repro.graph.graph import Graph, Label, Vertex
 
 __all__ = ["oracle_extract", "oracle_profile"]
 
+#: ``token(label, kind)``: the sort token of a vertex (kind 0) or edge
+#: (kind 1) label.
+Token = Callable[[Label, int], object]
 
-def _walk_grams(g: Graph, q: int, vertex_counts: Dict[Vertex, int]) -> List[QGram]:
+
+def _repr_token(label: Label, kind: int) -> object:
+    return repr(label)
+
+
+def _walk_grams(
+    g: Graph, q: int, vertex_counts: Dict[Vertex, int], token: Token
+) -> List[QGram]:
     """Fused path walk + key construction.
 
-    Carries the interleaved label sequence (and its repr view, for the
+    Carries the interleaved label sequence (and its token view, for the
     canonical-orientation comparison) along the DFS so shared path
     prefixes never re-fetch labels.
     """
@@ -37,10 +51,10 @@ def _walk_grams(g: Graph, q: int, vertex_counts: Dict[Vertex, int]) -> List[QGra
     # are resolved once up front, so the walk never calls repr() or
     # touches the graph's label maps.
     vlabel = {v: g.vertex_label(v) for v in g.vertices()}
-    vrepr = {v: repr(label) for v, label in vlabel.items()}
+    vrepr = {v: token(label, 0) for v, label in vlabel.items()}
     adjacency = {
         v: [
-            (u, position[u], label, repr(label))
+            (u, position[u], label, token(label, 1))
             for u, label in g.neighbor_items(v)
         ]
         for v in g.vertices()
@@ -48,7 +62,7 @@ def _walk_grams(g: Graph, q: int, vertex_counts: Dict[Vertex, int]) -> List[QGra
 
     path: List[Vertex] = []
     labels: List[object] = []
-    reprs: List[str] = []
+    reprs: List[object] = []
     on_path = set()
     last_depth = q + 1
 
@@ -96,46 +110,50 @@ def _walk_grams(g: Graph, q: int, vertex_counts: Dict[Vertex, int]) -> List[QGra
     return grams
 
 
-def oracle_extract(g: Graph, q: int) -> Tuple[List[QGram], Dict[Vertex, int], int]:
-    """``(grams in enumeration order, |Q_u| per vertex, D_path)`` of ``g``."""
+def oracle_extract(
+    g: Graph, q: int, token: Token = _repr_token
+) -> Tuple[List[QGram], Dict[Vertex, int], int]:
+    """``(grams in enumeration order, |Q_u| per vertex, D_path)`` of ``g``,
+    each path oriented by ``token``."""
     vertex_counts: Dict[Vertex, int] = {v: 0 for v in g.vertices()}
     if q == 0:
         grams = [QGram((g.vertex_label(v),), (v,)) for v in g.vertices()]
         for v in vertex_counts:
             vertex_counts[v] = 1
     else:
-        grams = _walk_grams(g, q, vertex_counts)
+        grams = _walk_grams(g, q, vertex_counts, token)
     return grams, vertex_counts, max(vertex_counts.values(), default=0)
 
 
-def oracle_profile(g: Graph, q: int) -> QGramProfile:
+def oracle_profile(g: Graph, q: int, table: Optional[LabelTable] = None) -> QGramProfile:
     """A :class:`QGramProfile` laid out from :func:`oracle_extract`.
 
     A drop-in for :func:`repro.grams.qgrams.extract_qgrams`, so a join
     can run on profiles of the recursive walk and be compared with one
-    on the level-wise walk.  Distinct keys are told apart by their label
-    ``repr`` sequence, as the level-wise walk tells them apart.
+    on the level-wise walk.  Paths orient by ``table``'s ranks, and each
+    distinct key is coded under it, one digit per label.
     """
-    grams, vertex_counts, d_path = oracle_extract(g, q)
+    if table is None:
+        table = LabelTable.of([g])
+    ranks = (table.vertex.ranks, table.edge.ranks)
+    grams, _, d_path = oracle_extract(g, q, lambda label, kind: ranks[kind][label])
     vertices = list(g.vertices())
     position = {v: i for i, v in enumerate(vertices)}
-    index: Dict[Tuple[str, ...], int] = {}
-    keys = []
+    index: Dict[int, int] = {}
     gram_keys = []
     for gram in grams:
-        token = tuple(map(repr, gram.key))
-        if token not in index:
-            index[token] = len(keys)
-            keys.append(gram.key)
-        gram_keys.append(index[token])
+        code = 0
+        for i, label in enumerate(gram.key):
+            code = code << table.width | ranks[i % 2][label]
+        gram_keys.append(index.setdefault(code, len(index)))
     return QGramProfile(
         graph=g,
         q=q,
-        key_counts=Counter(gram.key for gram in grams),
-        vertex_counts=vertex_counts,
         d_path=d_path,
         vertices=vertices,
-        keys=keys,
+        table=table,
+        width=table.width,
+        codes=list(index),
         gram_keys=gram_keys,
         walks=[position[v] for gram in grams for v in gram.path],
     )

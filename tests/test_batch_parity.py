@@ -167,12 +167,13 @@ class TestKernels:
     def test_store_row_roundtrip(self):
         from repro.engine.options import build_sorter
         from repro.grams.columnar import build_columnar_store
-        from repro.grams.qgrams import extract_qgrams
+        from repro.grams.qgrams import LabelTable, extract_qgrams
 
         graphs = labeled_collection(8, seed=21)
         options = GSimJoinOptions()
-        profiles = [extract_qgrams(g, options.q) for g in graphs]
-        sorter = build_sorter(profiles)
+        table = LabelTable.of(graphs)
+        profiles = [extract_qgrams(g, options.q, table) for g in graphs]
+        sorter = build_sorter(profiles, table)
         for p in profiles:
             sorter.sort_profile(p)
         labels = [
@@ -209,12 +210,13 @@ class TestKernels:
     def test_external_row_unseen_labels_are_negative(self):
         from repro.engine.options import build_sorter
         from repro.grams.columnar import build_columnar_store
-        from repro.grams.qgrams import extract_qgrams
+        from repro.grams.qgrams import LabelTable, extract_qgrams
 
         graphs = labeled_collection(6, seed=22, num_labels=2)
         options = GSimJoinOptions()
-        profiles = [extract_qgrams(g, options.q) for g in graphs]
-        sorter = build_sorter(profiles)
+        table = LabelTable.of(graphs)
+        profiles = [extract_qgrams(g, options.q, table) for g in graphs]
+        sorter = build_sorter(profiles, table)
         for p in profiles:
             sorter.sort_profile(p)
         labels = [
@@ -224,7 +226,7 @@ class TestKernels:
         store = build_columnar_store(profiles, labels)
         # An outside graph, sorted as an index query is.
         outside = labeled_collection(1, seed=97, num_labels=6)[0]
-        q_profile = extract_qgrams(outside, options.q)
+        q_profile = extract_qgrams(outside, options.q, table.covering(outside))
         sorter.sort_profile(q_profile, intern=False)
         row = store.external_row(
             q_profile,
@@ -249,11 +251,12 @@ class TestKernels:
         leaves the store as it was."""
         from repro.engine.options import build_sorter
         from repro.grams.columnar import build_columnar_store
-        from repro.grams.qgrams import extract_qgrams
+        from repro.grams.qgrams import LabelTable, extract_qgrams
 
         graphs = labeled_collection(6, seed=23, num_labels=2)
-        profiles = [extract_qgrams(g, 3) for g in graphs]
-        sorter = build_sorter(profiles[:4])
+        table = LabelTable.of(graphs)
+        profiles = [extract_qgrams(g, 3, table) for g in graphs]
+        sorter = build_sorter(profiles[:4], table)
         for p in profiles[:4]:
             sorter.sort_profile(p)
         labels = [
@@ -262,7 +265,7 @@ class TestKernels:
         ]
         store = build_columnar_store(profiles[:4], labels[:4])
         foreign, unsorted = profiles[4], profiles[5]
-        build_sorter([foreign]).sort_profile(foreign)
+        build_sorter([foreign], table).sort_profile(foreign)
         for outside in (foreign, unsorted):
             with pytest.raises(ParameterError, match="own vocabulary"):
                 store.external_row(outside, labels[4])

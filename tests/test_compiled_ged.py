@@ -204,6 +204,33 @@ class TestSearchParity:
                 within += not (comp.exceeded_threshold or comp.budget_exhausted)
             assert within > 0, searches.__name__
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_cut_before_the_goal_pop_is_decided(self, directed):
+        """A budget that runs out one expansion before the goal pop
+        leaves the goal on top of the heap: both A*s return its distance
+        decided, bit-identically (they used to return an open bracket
+        such as [2, 3] for distance 2)."""
+        rng = random.Random(7 if directed else 8)
+        cache = VerificationCache()
+        cut = 0
+        for _ in range(150):
+            r = random_pair_graph(rng, rng.randint(4, 9), directed)
+            s = perturb(r, rng.randint(0, 3), rng, range(3), range(2))
+            full = compiled_ged_detailed(cache.compile(r), cache.compile(s), threshold=3)
+            if full.exceeded_threshold or full.expanded < 2:
+                continue
+            budget = VerificationBudget(max_expansions=full.expanded - 1)
+            obj, comp, _, _, _ = run_both(
+                r, s, tau=3, q=2, use_mismatch_order=False, budget=budget,
+                cache=cache,
+            )
+            for field in SEARCH_FIELDS:
+                assert getattr(obj, field) == getattr(comp, field), field
+            assert not comp.budget_exhausted
+            assert comp.distance == full.distance
+            cut += 1
+        assert cut > 50
+
     def test_parameter_validation(self):
         g = random_pair_graph(random.Random(1), 3, False)
         d = random_pair_graph(random.Random(1), 3, True)

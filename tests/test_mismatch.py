@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import build_vocabulary, compare_qgrams, extract_qgrams
+from repro.grams.qgrams import LabelTable
 from repro.datasets import figure1_graphs
 from repro.exceptions import ParameterError
 
-from .conftest import graph_pairs_within, path_graph, small_graphs, sorted_profiles
+from .conftest import (
+    graph_pairs_within,
+    path_graph,
+    profile_counts,
+    small_graphs,
+    sorted_profiles,
+)
 from .counter_compare import counter_compare
 
 
@@ -91,11 +98,12 @@ class TestProperties:
         r, s, _ = pair
         pr, ps = sorted_profiles([r, s], 1)
         result = compare_qgrams(pr, ps)
+        keys_r, keys_s = profile_counts(pr)[0], profile_counts(ps)[0]
         expected_r = sum(
-            max(0, c - ps.key_counts.get(k, 0)) for k, c in pr.key_counts.items()
+            max(0, c - keys_s.get(k, 0)) for k, c in keys_r.items()
         )
         expected_s = sum(
-            max(0, c - pr.key_counts.get(k, 0)) for k, c in ps.key_counts.items()
+            max(0, c - keys_r.get(k, 0)) for k, c in keys_s.items()
         )
         assert result.epsilon_r == expected_r
         assert result.epsilon_s == expected_s
@@ -117,7 +125,7 @@ class TestProperties:
         result = compare_qgrams(pr, ps)
         for key in absent_keys(result.mismatch_r, result.required_mask_r):
             chosen = sum(1 for g in result.mismatch_r if g.key == key)
-            assert chosen == pr.key_counts[key]
+            assert chosen == profile_counts(pr)[0][key]
 
     @settings(max_examples=40, deadline=None)
     @given(graph_pairs_within(tau_max=3, max_vertices=6))
@@ -130,10 +138,11 @@ class TestProperties:
         r, s, _ = pair
         for q in (1, 2):
             for built_on in ((r, s), (r,), ()):
+                table = LabelTable.of([r, s])
                 vocab = build_vocabulary(
-                    [extract_qgrams(g, q) for g in built_on]
+                    [extract_qgrams(g, q, table) for g in built_on], table
                 )
-                pr, ps = extract_qgrams(r, q), extract_qgrams(s, q)
+                pr, ps = extract_qgrams(r, q, table), extract_qgrams(s, q, table)
                 vocab.sort_profile(pr)
                 vocab.sort_profile(ps, intern=bool(built_on))
                 for tau in (None, 0, 1, 2):

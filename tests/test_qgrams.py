@@ -14,33 +14,35 @@ from repro.datasets import figure1_graphs
 from repro.engine.prefix import basic_prefix, minedit_prefix
 from repro.exceptions import ParameterError
 from repro.grams.mismatch import compare_qgrams
-from repro.grams.qgrams import qgram_key
+from repro.grams.qgrams import LabelTable, qgram_key
 from repro.grams.vocab import build_vocabulary
 from repro.graph.graph import Graph
 from repro.graph.paths import simple_paths
 
-from .conftest import build_graph, cycle_graph, path_graph, small_graphs
+from .conftest import build_graph, cycle_graph, path_graph, profile_counts, small_graphs
 from .recursive_walk import oracle_extract, oracle_profile
 from .test_join import molecule_collection
 from .test_vocab import assert_stat_parity
 
 #: Vertex ids that are neither contiguous, sorted nor all integers.
 MIXED_IDS = [11, 3, -4, 250, "u", "v7", ("t", 1), ("t", 2), 2.5]
-#: Labels of mixed types, with equal labels that print differently
-#: (``1 == True == 1.0``, ``0 == False == 0.0 == -0.0``).
-MIXED_LABELS = ["A", "B", 1, True, 1.0, 0, False, 0.0, -0.0, None, ("l", 1)]
+#: Labels of mixed types: each inner list holds equal labels that print
+#: differently (``1 == True == 1.0``, ``0 == False == 0.0 == -0.0``),
+#: of which one graph spells each one way.
+MIXED_LABELS = [["A"], ["B"], [1, True, 1.0], [0, False, 0.0, -0.0], [None], [("l", 1)]]
 
 
 @st.composite
 def mixed_graphs(draw, max_vertices=7):
     """Directed or undirected graphs over :data:`MIXED_IDS` and
-    :data:`MIXED_LABELS`."""
+    :data:`MIXED_LABELS`, each label spelled one way."""
     directed = draw(st.booleans())
     n = draw(st.integers(min_value=0, max_value=max_vertices))
     ids = draw(st.permutations(MIXED_IDS))[:n]
+    labels = [draw(st.sampled_from(spellings)) for spellings in MIXED_LABELS]
     g = Graph("mixed", directed=directed)
     for v in ids:
-        g.add_vertex(v, draw(st.sampled_from(MIXED_LABELS)))
+        g.add_vertex(v, draw(st.sampled_from(labels)))
     pairs = [
         (u, v)
         for i, u in enumerate(ids)
@@ -49,7 +51,7 @@ def mixed_graphs(draw, max_vertices=7):
     ]
     if pairs:
         for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)):
-            g.add_edge(u, v, draw(st.sampled_from(MIXED_LABELS)))
+            g.add_edge(u, v, draw(st.sampled_from(labels)))
     return g
 
 
@@ -59,7 +61,7 @@ class TestPaperExamples:
     def test_figure1_one_grams_of_r(self):
         r, _ = figure1_graphs()
         profile = extract_qgrams(r, 1)
-        assert profile.key_counts == {
+        assert profile_counts(profile)[0] == {
             ("C", "-", "C"): 3,
             ("C", "=", "O"): 1,
         }
@@ -68,7 +70,7 @@ class TestPaperExamples:
     def test_figure1_one_grams_of_s(self):
         _, s = figure1_graphs()
         profile = extract_qgrams(s, 1)
-        assert profile.key_counts == {
+        assert profile_counts(profile)[0] == {
             ("C", "-", "C"): 3,
             ("C", "-", "O"): 1,
             ("C", "-", "N"): 1,
@@ -93,8 +95,20 @@ class TestExtraction:
     def test_q0_grams_are_vertex_labels(self):
         g = path_graph(["A", "B", "A"])
         profile = extract_qgrams(g, 0)
-        assert profile.key_counts == {("A",): 2, ("B",): 1}
+        assert profile_counts(profile)[0] == {("A",): 2, ("B",): 1}
         assert profile.d_path == 1
+
+    def test_mixed_spellings_refused_without_a_table(self):
+        # A graph's own label table refuses labels that are equal but
+        # print differently, as every join and index entry point does.
+        g = path_graph([1, True, "A"])
+        with pytest.raises(ParameterError, match="equal but print differently"):
+            extract_qgrams(g, 1)
+
+    def test_label_missing_from_the_table_refused(self):
+        table = LabelTable.of([path_graph(["A", "B"])])
+        with pytest.raises(ParameterError, match="not in the label table"):
+            extract_qgrams(path_graph(["A", "C"]), 1, table)
 
     def test_negative_q_rejected(self):
         with pytest.raises(ParameterError):
@@ -109,29 +123,29 @@ class TestExtraction:
         g = path_graph(["A", "B"])
         profile = extract_qgrams(g, 3)
         assert profile.size == 0
-        assert profile.vertex_counts == {0: 0, 1: 0}
+        assert profile_counts(profile)[1] == {0: 0, 1: 0}
 
     def test_canonical_orientation(self):
         # Path A-x-B read from either end: key must be the lexicographically
         # smaller sequence regardless of construction order.
         g1 = path_graph(["A", "B"])
         g2 = path_graph(["B", "A"])
-        k1 = list(extract_qgrams(g1, 1).key_counts)[0]
-        k2 = list(extract_qgrams(g2, 1).key_counts)[0]
+        k1 = list(profile_counts(extract_qgrams(g1, 1))[0])[0]
+        k2 = list(profile_counts(extract_qgrams(g2, 1))[0])[0]
         assert k1 == k2 == ("A", "x", "B")
 
     def test_qgram_key_includes_edge_labels(self):
         g = build_graph(["A", "A"], [(0, 1, "x")])
         h = build_graph(["A", "A"], [(0, 1, "y")])
-        assert list(extract_qgrams(g, 1).key_counts) != list(
-            extract_qgrams(h, 1).key_counts
+        assert list(profile_counts(extract_qgrams(g, 1))[0]) != list(
+            profile_counts(extract_qgrams(h, 1))[0]
         )
 
     def test_vertex_counts_sum(self):
         g = cycle_graph(["A", "B", "C", "D"])
         profile = extract_qgrams(g, 2)
         # Each q-gram covers q+1 vertices.
-        assert sum(profile.vertex_counts.values()) == profile.size * 3
+        assert sum(profile_counts(profile)[1].values()) == profile.size * 3
 
     def test_gram_paths_are_real_paths(self):
         g = cycle_graph(["A", "B", "C", "D", "E"])
@@ -156,13 +170,13 @@ class TestInvariance:
     def test_key_multiset_is_isomorphism_invariant(self, g):
         h = g.relabel_vertices({v: v + 100 for v in g.vertices()})
         for q in (1, 2):
-            assert extract_qgrams(g, q).key_counts == extract_qgrams(h, q).key_counts
+            assert profile_counts(extract_qgrams(g, q))[0] == profile_counts(extract_qgrams(h, q))[0]
 
     @settings(max_examples=30, deadline=None)
     @given(small_graphs(max_vertices=6))
     def test_d_path_bounds_vertex_counts(self, g):
         profile = extract_qgrams(g, 2)
-        assert all(c <= profile.d_path for c in profile.vertex_counts.values())
+        assert all(c <= profile.d_path for c in profile_counts(profile)[1].values())
 
     def test_count_lower_bound_method(self):
         r, _ = figure1_graphs()
@@ -183,12 +197,12 @@ class TestLevelWiseWalk:
         assert [(repr(gram.key), gram.path) for gram in profile.grams] == [
             (repr(gram.key), gram.path) for gram in grams
         ]
-        assert list(profile.vertex_counts.items()) == list(vertex_counts.items())
+        assert list(profile_counts(profile)[1].items()) == list(vertex_counts.items())
         assert profile.d_path == d_path
         assert profile.size == len(grams)
         # The key multiset, its order and each key's representative.
         expected = Counter(gram.key for gram in grams)
-        assert [(repr(k), c) for k, c in profile.key_counts.items()] == [
+        assert [(repr(k), c) for k, c in profile_counts(profile)[0].items()] == [
             (repr(k), c) for k, c in expected.items()
         ]
 
@@ -196,7 +210,7 @@ class TestLevelWiseWalk:
     @given(mixed_graphs(), st.integers(min_value=0, max_value=4))
     def test_key_multiset_matches_path_reference(self, g, q):
         reference = Counter(qgram_key(g, path) for path in simple_paths(g, q))
-        assert extract_qgrams(g, q).key_counts == reference
+        assert profile_counts(extract_qgrams(g, q))[0] == reference
 
     def test_walks_are_dense_ids_of_the_paths(self):
         g = Graph()
@@ -207,7 +221,9 @@ class TestLevelWiseWalk:
         profile = extract_qgrams(g, 2)
         assert profile.vertices == ["c", "a", "b"]
         assert list(profile.walks) == [0, 1, 2]
-        assert profile.keys == [("B", "y", "A", "x", "C")]
+        # Ranks: A=0, B=1, C=2 and x=0, y=1, one bit each (width 2).
+        assert profile.codes == [0b01_01_00_00_10]
+        assert [gram.key for gram in profile.grams] == [("B", "y", "A", "x", "C")]
         assert list(profile.gram_keys) == [0]
         assert profile.grams[0].path == ("c", "a", "b")
 
@@ -250,10 +266,11 @@ class TestNoCyclicGarbage:
         gc.collect()
         gc.disable()
         try:
-            profiles = [extract_qgrams(g, 2) for g in graphs]
+            table = LabelTable.of(graphs + [odd])
+            profiles = [extract_qgrams(g, 2, table) for g in graphs]
             vocab = build_vocabulary(profiles)
-            overflow = extract_qgrams(odd, 2)
-            probe = extract_qgrams(stranger, 2)
+            overflow = extract_qgrams(odd, 2, table)
+            probe = extract_qgrams(stranger, 2, table.covering(stranger))
             for profile in profiles + [overflow]:
                 vocab.sort_profile(profile)
                 basic_prefix(profile, 1)
@@ -266,7 +283,7 @@ class TestNoCyclicGarbage:
             probed = compare_qgrams(probe, overflow)
             assert probed.epsilon_r == probed.epsilon_s == 1  # one 2-gram each
             assert len(profiles[4].grams) == profiles[4].size
-            del profiles, vocab, overflow, probe, merged, overflowed, probed
+            del table, profiles, vocab, overflow, probe, merged, overflowed, probed
             assert gc.collect() == 0
         finally:
             gc.enable()

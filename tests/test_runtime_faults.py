@@ -9,6 +9,8 @@ the chunk into the in-process fallback path.
 """
 
 import errno
+import multiprocessing
+import os
 
 import pytest
 
@@ -90,6 +92,28 @@ class TestHungWorker:
         )
         assert_matches_sequential(result, expected)
         assert result.stats.chunk_retries >= 1
+
+
+    def test_hung_worker_is_gone_when_the_join_returns(self, graphs, tmp_path):
+        """Tearing the wedged pool down kills its hung worker and reaps
+        it: no pool process outlives the join (the worker used to sleep
+        out its hang, and interpreter exit waited for it)."""
+        before = {process.pid for process in multiprocessing.active_children()}
+        fault = FaultPlan(
+            "hang", at=2, hang_seconds=60.0,
+            latch_path=str(tmp_path / "latch"),
+        )
+        gsim_join_parallel(
+            graphs, TAU, workers=2,
+            fault=fault, chunk_timeout=1.5, retry_backoff=0.0,
+        )
+        assert os.path.exists(tmp_path / "latch")  # a worker did hang
+        left = [
+            process.pid
+            for process in multiprocessing.active_children()
+            if process.pid not in before
+        ]
+        assert left == []
 
 
 class TestInProcessSemantics:

@@ -45,6 +45,7 @@ from repro.runtime import (
     qualifying_shard_pairs,
 )
 
+from .conftest import path_graph
 from .test_join import molecule_collection
 
 SRC = str(Path(__file__).parent.parent / "src")
@@ -383,6 +384,37 @@ class TestShardedParity:
         assert result.pairs == oracle.pairs
 
 
+    def test_labels_of_mixed_types_join_like_in_memory(self, tmp_path):
+        """A graph with a string and an integer vertex label: the survey
+        fingerprints its labels in ``repr`` order (it used to sort the
+        labels themselves, which raised ``TypeError``)."""
+        pair = [path_graph(["C", 1], graph_id=k) for k in range(2)]
+        assert gsim_join(pair, 0).pairs == [(0, 1)]
+        result = gsim_join_sharded(pair, 0, spill_dir=tmp_path / "spill")
+        assert result.pairs == [(0, 1)]
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_labels_equal_but_printed_differently_refused(self, tmp_path, kind):
+        """``1`` and ``1.0`` are one label to the join, two strings in a
+        shard file: the survey refuses them as the in-memory join does,
+        instead of dropping the pair at distance 0."""
+        if kind == "vertex":
+            pair = [path_graph([one] * 3, graph_id=k) for k, one in enumerate((1, 1.0))]
+        else:
+            pair = [
+                path_graph(["A"] * 3, edge_label=one, graph_id=k)
+                for k, one in enumerate((1, 1.0))
+            ]
+        for join in (
+            lambda: gsim_join(pair, 0),
+            lambda: gsim_join_sharded(pair, 0, spill_dir=tmp_path / "spill"),
+        ):
+            with pytest.raises(
+                ParameterError, match=f"{kind} labels 1 and 1.0 are equal"
+            ):
+                join()
+
+
 # --- Slices carried from combo to combo -----------------------------------
 
 
@@ -395,9 +427,9 @@ class TestSliceCarry:
         extracted = []
         extract = executor_module.extract_qgrams
 
-        def counting(g, q):
+        def counting(g, q, table):
             extracted.append(g.graph_id)
-            return extract(g, q)
+            return extract(g, q, table)
 
         monkeypatch.setattr(executor_module, "extract_qgrams", counting)
         _, splits, _ = sharded_run(graphs, tmp_path / "spill", shards=4)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     basic_prefix,
-    build_vocabulary,
     extract_qgrams,
     global_label_lower_bound,
     min_edit_exact,
@@ -27,7 +26,14 @@ from repro.core import (
 from repro.ged import graph_edit_distance
 from repro.graph.operations import random_edit
 
-from .conftest import EDGE_LABELS, VERTEX_LABELS, graph_pairs_within, small_graphs
+from .conftest import (
+    EDGE_LABELS,
+    VERTEX_LABELS,
+    graph_pairs_within,
+    profile_counts,
+    small_graphs,
+    sorted_profiles,
+)
 
 
 class TestTheorem1:
@@ -49,8 +55,8 @@ class TestTheorem1:
         op.apply(h)
         after = extract_qgrams(h, q)
         lost = sum(
-            max(0, c - after.key_counts.get(k, 0))
-            for k, c in before.key_counts.items()
+            max(0, c - profile_counts(after)[0].get(k, 0))
+            for k, c in profile_counts(before)[0].items()
         )
         assert lost <= before.d_path
 
@@ -62,17 +68,13 @@ class TestLemma1:
         r, s, _ = pair
         tau = graph_edit_distance(r, s)
         pr, ps = extract_qgrams(r, q), extract_qgrams(s, q)
-        common = sum((pr.key_counts & ps.key_counts).values())
+        common = sum((profile_counts(pr)[0] & profile_counts(ps)[0]).values())
         bound = max(pr.size - tau * pr.d_path, ps.size - tau * ps.d_path)
         assert common >= bound
 
 
 def _sorted_profiles(r, s, q):
-    pr, ps = extract_qgrams(r, q), extract_qgrams(s, q)
-    vocab = build_vocabulary([pr, ps])
-    vocab.sort_profile(pr)
-    vocab.sort_profile(ps)
-    return pr, ps
+    return sorted_profiles([r, s], q)
 
 
 class TestLemma2:
